@@ -67,6 +67,20 @@ pub(crate) struct PlanLeft {
     pub per_row: bool,
 }
 
+/// A kernel's roles resolved to register-file slots: what its control
+/// programs are generated from, and what the functional sweep reads.
+#[derive(Debug, Clone)]
+pub(crate) struct RoleSlots {
+    pub row_char: usize,
+    pub col_char: usize,
+    pub streams: Vec<PlanStream>,
+    pub diags: Vec<PlanDiag>,
+    pub lefts: Vec<PlanLeft>,
+    pub col_index: Option<usize>,
+    pub collects: Vec<usize>,
+    pub drains: Vec<usize>,
+}
+
 /// Reusable execution buffers, kept across [`FunctionalPlan::execute`]
 /// replays so the hot loop allocates nothing.
 #[derive(Debug, Default)]
@@ -100,14 +114,7 @@ pub struct FunctionalPlan {
     pub(crate) cols: Vec<i32>,
     /// `Some(width)` for banded tasks.
     pub(crate) band: Option<usize>,
-    pub(crate) row_char: usize,
-    pub(crate) col_char: usize,
-    pub(crate) streams: Vec<PlanStream>,
-    pub(crate) diags: Vec<PlanDiag>,
-    pub(crate) lefts: Vec<PlanLeft>,
-    pub(crate) col_index: Option<usize>,
-    pub(crate) collects: Vec<usize>,
-    pub(crate) drains: Vec<usize>,
+    pub(crate) roles: RoleSlots,
     /// Per-activation `(vliw_issued, cu_slots_active, rf_accesses)`.
     pub(crate) weights: (u64, u64, u64),
     pub(crate) ws: Workspace,
@@ -148,7 +155,7 @@ impl FunctionalPlan {
         let active = self.n_pes.min(self.rows.len());
         for p in 0..active {
             let rf = &ws.rfs[p * self.rf_slots..(p + 1) * self.rf_slots];
-            for &slot in &self.drains {
+            for &slot in &self.roles.drains {
                 ws.out.push(rf[slot]);
             }
         }
@@ -167,7 +174,7 @@ impl FunctionalPlan {
     ) {
         let m = self.rows.len();
         let n = self.cols.len();
-        let ns = self.streams.len();
+        let ns = self.roles.streams.len();
         // Tuple layout: [column characters; n][stream 0; n][stream 1; n]…
         ws.prev.clear();
         ws.prev.extend(self.cols.iter().map(|&c| Word::from_i32(c)));
@@ -181,13 +188,13 @@ impl FunctionalPlan {
             let last = r + 1 == m;
 
             // Row prologue.
-            rf[self.row_char] = Word::from_i32(self.rows[r]);
-            for l in &self.lefts {
+            rf[self.roles.row_char] = Word::from_i32(self.rows[r]);
+            for l in &self.roles.lefts {
                 if l.per_row || r == p {
                     rf[l.ext] = Word::from_i32(l.col0.at(r));
                 }
             }
-            for s in &self.streams {
+            for s in &self.roles.streams {
                 rf[s.landing] = Word::from_i32(if r == 0 {
                     s.row0.at(0)
                 } else {
@@ -197,36 +204,36 @@ impl FunctionalPlan {
 
             for c in 1..=n {
                 let idx = c - 1;
-                rf[self.col_char] = ws.prev[idx];
+                rf[self.roles.col_char] = ws.prev[idx];
                 // Diagonal reads before the landings advance.
-                for d in &self.diags {
-                    rf[d.ext] = rf[self.streams[d.src].landing];
+                for d in &self.roles.diags {
+                    rf[d.ext] = rf[self.roles.streams[d.src].landing];
                 }
-                for (v, s) in self.streams.iter().enumerate() {
+                for (v, s) in self.roles.streams.iter().enumerate() {
                     rf[s.landing] = if r == 0 {
                         Word::from_i32(s.row0.at(c))
                     } else {
                         ws.prev[(1 + v) * n + idx]
                     };
                 }
-                if let Some(j) = self.col_index {
+                if let Some(j) = self.roles.col_index {
                     rf[j] = Word::from_i32(c as i32);
                 }
                 eval(&self.program, self.mode, &self.luts, rf);
                 ws.cells[p] += 1;
                 if last {
-                    for &slot in &self.collects {
+                    for &slot in &self.roles.collects {
                         ws.out.push(rf[slot]);
                     }
                 } else {
                     // Forward the *post-compute* column character, exactly
                     // like the generated `mv out rf[col_char]`.
-                    ws.cur[idx] = rf[self.col_char];
-                    for (v, s) in self.streams.iter().enumerate() {
+                    ws.cur[idx] = rf[self.roles.col_char];
+                    for (v, s) in self.roles.streams.iter().enumerate() {
                         ws.cur[(1 + v) * n + idx] = rf[s.out];
                     }
                 }
-                for l in &self.lefts {
+                for l in &self.roles.lefts {
                     rf[l.ext] = rf[l.out];
                 }
             }
@@ -247,7 +254,7 @@ impl FunctionalPlan {
         eval: impl Fn(&DecodedComputeProgram, Mode, &Luts, &mut [Word]),
     ) {
         let m = self.rows.len();
-        let ns = self.streams.len();
+        let ns = self.roles.streams.len();
         ws.prev.clear();
         ws.prev.resize(ns * width, Word::ZERO);
         ws.cur.clear();
@@ -258,13 +265,13 @@ impl FunctionalPlan {
             let rf = &mut ws.rfs[p * self.rf_slots..(p + 1) * self.rf_slots];
             let last = r + 1 == m;
 
-            rf[self.row_char] = Word::from_i32(self.rows[r]);
-            for l in &self.lefts {
+            rf[self.roles.row_char] = Word::from_i32(self.rows[r]);
+            for l in &self.roles.lefts {
                 if l.per_row || r == p {
                     rf[l.ext] = Word::from_i32(l.col0.at(r));
                 }
             }
-            for (v, s) in self.streams.iter().enumerate() {
+            for (v, s) in self.roles.streams.iter().enumerate() {
                 rf[s.landing] = if r == 0 {
                     Word::from_i32(s.row0.at(0))
                 } else {
@@ -273,13 +280,13 @@ impl FunctionalPlan {
             }
 
             for k in 0..width {
-                rf[self.col_char] = Word::from_i32(self.cols[r + k]);
-                for d in &self.diags {
-                    rf[d.ext] = rf[self.streams[d.src].landing];
+                rf[self.roles.col_char] = Word::from_i32(self.cols[r + k]);
+                for d in &self.roles.diags {
+                    rf[d.ext] = rf[self.roles.streams[d.src].landing];
                 }
                 // The up value: next tuple, except the last cell of the
                 // row, whose up-neighbor sits outside the band.
-                for (v, s) in self.streams.iter().enumerate() {
+                for (v, s) in self.roles.streams.iter().enumerate() {
                     rf[s.landing] = if k + 1 == width {
                         Word::from_i32(s.row0.at(r + k + 1))
                     } else if r == 0 {
@@ -288,17 +295,17 @@ impl FunctionalPlan {
                         ws.prev[v * width + k + 1]
                     };
                 }
-                if let Some(j) = self.col_index {
+                if let Some(j) = self.roles.col_index {
                     rf[j] = Word::from_i32((r + k + 1) as i32);
                 }
                 eval(&self.program, self.mode, &self.luts, rf);
                 ws.cells[p] += 1;
                 if !last {
-                    for (v, s) in self.streams.iter().enumerate() {
+                    for (v, s) in self.roles.streams.iter().enumerate() {
                         ws.cur[v * width + k] = rf[s.out];
                     }
                 }
-                for l in &self.lefts {
+                for l in &self.roles.lefts {
                     rf[l.ext] = rf[l.out];
                 }
             }

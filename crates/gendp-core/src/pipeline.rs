@@ -506,7 +506,9 @@ pub fn dtw_banded_distance(out: &Wavefront2dOutput, n_rows: usize) -> i32 {
 }
 
 /// Extracts the overlap-alignment score from a semi-global BSW run: the
-/// best of the last column (drained running maxima) and the last row.
+/// best of the last column (drained running maxima) and the last row,
+/// whose column-0 border `h[m][0] = 0` (the empty overlap) is not among
+/// the collected cells.
 ///
 /// # Panics
 ///
@@ -514,7 +516,7 @@ pub fn dtw_banded_distance(out: &Wavefront2dOutput, n_rows: usize) -> i32 {
 pub fn bsw_semiglobal_score(out: &Wavefront2dOutput) -> i32 {
     let col_best = out.drained["best"].iter().copied().max().expect("drains");
     let row_best = out.last_row["h"].iter().copied().max().expect("last row");
-    col_best.max(row_best)
+    col_best.max(row_best).max(0)
 }
 
 /// Extracts the four per-lane scores from an 8-bit SIMD BSW run.

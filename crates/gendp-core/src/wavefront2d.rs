@@ -13,7 +13,7 @@ use gendp_dfg::Dfg;
 use gendp_dpax::{Engine, PeArray, PeArrayConfig, RunStats, SimError, Tier, TierPolicy};
 
 use crate::accel::PreparedTask;
-use crate::functional::{FunctionalPlan, PlanDiag, PlanLeft, PlanStream};
+use crate::functional::{FunctionalPlan, PlanDiag, PlanLeft, PlanStream, RoleSlots};
 use gendp_dpmap::{map_dfg, Mapping};
 use gendp_isa::{ControlInst, ControlProgram, Loc, Luts, Mode, Space, Word};
 
@@ -119,8 +119,9 @@ pub struct Wavefront2d {
     col_index: Option<String>,
     collect: Vec<String>,
     drain: Vec<String>,
-    /// Landing RF slot per streamed value.
-    landing: BTreeMap<String, u16>,
+    /// Every role resolved to its register-file slots by
+    /// [`finish`](Self::finish); `None` before it runs.
+    roles: Option<RoleSlots>,
     rf_slots: usize,
     /// Multiplier on the internally derived cycle budget (retry
     /// escalation); never changes results, only the [`SimError::Timeout`]
@@ -176,7 +177,7 @@ impl Wavefront2d {
             col_index: None,
             collect: Vec::new(),
             drain: Vec::new(),
-            landing: BTreeMap::new(),
+            roles: None,
             rf_slots,
             budget_scale: 1,
             tiers: TierPolicy::default(),
@@ -230,6 +231,10 @@ impl Wavefront2d {
     /// the column-0 value per row (for the diagonal preload).
     pub fn stream(&mut self, src: &str, row0: Border, col0: Border) -> &mut Self {
         let _ = self.out_slot(src);
+        assert!(
+            !self.streamed.contains(&src.to_string()),
+            "`{src}` streamed twice"
+        );
         self.streamed.push(src.to_string());
         self.row0.insert(src.to_string(), row0);
         self.col0.insert(src.to_string(), col0);
@@ -239,12 +244,11 @@ impl Wavefront2d {
     /// Wires ext `ext` to the streamed value `src` at the cell above
     /// (`(i-1, j)`).
     pub fn up(&mut self, ext: &str, src: &str) -> &mut Self {
-        let slot = self.ext_slot(ext);
+        let _ = self.ext_slot(ext);
         assert!(
             self.streamed.contains(&src.to_string()),
             "`{src}` not streamed"
         );
-        self.landing.insert(src.to_string(), slot);
         self.up.push(UpRole {
             ext: ext.to_string(),
             src: src.to_string(),
@@ -321,24 +325,81 @@ impl Wavefront2d {
         self
     }
 
-    /// Finishes role configuration: allocates landing slots for streamed
-    /// values without an up-role.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a diagonal role references a value with no landing slot
-    /// allocation path, which cannot happen through this API.
+    /// Finishes role configuration: resolves every role to its
+    /// register-file slots, once, for program generation and the
+    /// functional tier. A streamed value lands in the ext slot of its last
+    /// up-role, or in a fresh slot past the mapping's layout when it has
+    /// none. Call it after the last role and before generating programs.
     pub fn finish(&mut self) -> &mut Self {
-        let mut next = self.rf_slots as u16;
-        for v in &self.streamed {
-            self.landing.entry(v.clone()).or_insert_with(|| {
-                let s = next;
-                next += 1;
-                s
-            });
-        }
-        self.rf_slots = next as usize;
+        let mut next = self.mapping.layout.slot_count() as usize;
+        let streams = self
+            .streamed
+            .iter()
+            .map(|v| {
+                let landing = match self.up.iter().rev().find(|u| u.src == *v) {
+                    Some(u) => self.ext_slot(&u.ext) as usize,
+                    None => {
+                        next += 1;
+                        next - 1
+                    }
+                };
+                PlanStream {
+                    landing,
+                    out: self.out_slot(v) as usize,
+                    row0: self.row0[v],
+                    col0: self.col0[v],
+                }
+            })
+            .collect();
+        let diags = self
+            .diag
+            .iter()
+            .map(|d| PlanDiag {
+                ext: self.ext_slot(&d.ext) as usize,
+                src: self
+                    .streamed
+                    .iter()
+                    .position(|s| *s == d.src)
+                    .expect("diag sources are streamed"),
+            })
+            .collect();
+        let lefts = self
+            .left
+            .iter()
+            .map(|l| PlanLeft {
+                ext: self.ext_slot(&l.ext) as usize,
+                out: self.out_slot(&l.src) as usize,
+                col0: l.col0,
+                per_row: l.per_row,
+            })
+            .collect();
+        self.roles = Some(RoleSlots {
+            row_char: self.ext_slot(&self.row_char) as usize,
+            col_char: self.ext_slot(&self.col_char) as usize,
+            streams,
+            diags,
+            lefts,
+            col_index: self.col_index.as_ref().map(|j| self.ext_slot(j) as usize),
+            collects: self
+                .collect
+                .iter()
+                .map(|c| self.out_slot(c) as usize)
+                .collect(),
+            drains: self
+                .drain
+                .iter()
+                .map(|d| self.ext_slot(d) as usize)
+                .collect(),
+        });
+        self.rf_slots = next;
         self
+    }
+
+    /// The slot table [`finish`](Self::finish) resolved.
+    fn roles(&self) -> &RoleSlots {
+        self.roles
+            .as_ref()
+            .expect("Wavefront2d::finish resolves roles before programs are generated")
     }
 
     /// The DPMap result for the objective function.
@@ -349,11 +410,10 @@ impl Wavefront2d {
     /// Generates the fully unrolled control program for PE `p` of `n_pes`,
     /// for a table with the given row/column character codes.
     fn pe_program(&self, p: usize, n_pes: usize, rows: &[i32], cols: &[i32]) -> ControlProgram {
+        let roles = self.roles();
         let m = rows.len();
         let n = cols.len();
         let mut prog = ControlProgram::new();
-        let col_char_slot = self.ext_slot(&self.col_char);
-        let row_char_slot = self.ext_slot(&self.row_char);
         let last_owner = (m - 1) % n_pes;
 
         let mut row = p;
@@ -379,76 +439,67 @@ impl Wavefront2d {
 
             // Row prologue.
             prog.push(ControlInst::Li {
-                dest: Loc::rf(row_char_slot),
+                dest: rf(roles.row_char),
                 imm: rows[row],
             });
             let first_own_row = row == p;
-            for l in &self.left {
+            for l in &roles.lefts {
                 if l.per_row || first_own_row {
                     prog.push(ControlInst::Li {
-                        dest: Loc::rf(self.ext_slot(&l.ext)),
+                        dest: rf(l.ext),
                         imm: l.col0.at(row),
                     });
                 }
             }
-            for v in &self.streamed {
+            for s in &roles.streams {
                 let preload = if row == 0 {
-                    self.row0[v].at(0)
+                    s.row0.at(0)
                 } else {
-                    self.col0[v].at(row - 1)
+                    s.col0.at(row - 1)
                 };
                 prog.push(ControlInst::Li {
-                    dest: Loc::rf(self.landing[v]),
+                    dest: rf(s.landing),
                     imm: preload,
                 });
             }
 
             for c in 1..=n {
                 // Column character.
-                prog.push(ControlInst::mv(Loc::rf(col_char_slot), src_loc));
+                prog.push(ControlInst::mv(rf(roles.col_char), src_loc));
                 // Diagonal shifts read landings before they are updated.
-                for d in &self.diag {
-                    prog.push(ControlInst::mv(
-                        Loc::rf(self.ext_slot(&d.ext)),
-                        Loc::rf(self.landing[&d.src]),
-                    ));
+                for d in &roles.diags {
+                    prog.push(ControlInst::mv(rf(d.ext), rf(roles.streams[d.src].landing)));
                 }
                 // Landing updates.
-                for v in &self.streamed {
+                for s in &roles.streams {
                     if row == 0 {
                         prog.push(ControlInst::Li {
-                            dest: Loc::rf(self.landing[v]),
-                            imm: self.row0[v].at(c),
+                            dest: rf(s.landing),
+                            imm: s.row0.at(c),
                         });
                     } else {
-                        prog.push(ControlInst::mv(Loc::rf(self.landing[v]), src_loc));
+                        prog.push(ControlInst::mv(rf(s.landing), src_loc));
                     }
                 }
-                if let Some(j) = &self.col_index {
+                if let Some(j) = roles.col_index {
                     prog.push(ControlInst::Li {
-                        dest: Loc::rf(self.ext_slot(j)),
+                        dest: rf(j),
                         imm: c as i32,
                     });
                 }
                 prog.push(ControlInst::set_compute(0));
                 if is_last_row {
-                    for name in &self.collect {
-                        prog.push(ControlInst::mv(
-                            Loc::port(Space::Out),
-                            Loc::rf(self.out_slot(name)),
-                        ));
+                    for &slot in &roles.collects {
+                        prog.push(ControlInst::mv(Loc::port(Space::Out), rf(slot)));
                     }
                 } else {
-                    prog.push(ControlInst::mv(fwd_loc, Loc::rf(col_char_slot)));
-                    for v in &self.streamed {
-                        prog.push(ControlInst::mv(fwd_loc, Loc::rf(self.out_slot(v))));
+                    prog.push(ControlInst::mv(fwd_loc, rf(roles.col_char)));
+                    for s in &roles.streams {
+                        prog.push(ControlInst::mv(fwd_loc, rf(s.out)));
                     }
                 }
-                for l in &self.left {
-                    prog.push(ControlInst::mv(
-                        Loc::rf(self.ext_slot(&l.ext)),
-                        Loc::rf(self.out_slot(&l.src)),
-                    ));
+                for l in &roles.lefts {
+                    prog.push(ControlInst::mv(rf(l.ext), rf(l.out)));
                 }
             }
             row += n_pes;
@@ -456,30 +507,29 @@ impl Wavefront2d {
 
         // Relay the last row's collected words if they pass through us.
         if p > last_owner {
-            for _ in 0..(n * self.collect.len()) {
+            for _ in 0..(n * roles.collects.len()) {
                 prog.push(ControlInst::mv(Loc::port(Space::Out), Loc::port(Space::In)));
             }
         }
-        // Drain per-PE state: forward upstream drains, then append ours.
+        self.push_drains(&mut prog, p, n_pes, m);
+        prog
+    }
+
+    /// Appends the per-PE drains and the final `halt`: PE `p` forwards its
+    /// upstreams' drains, then appends its own; PEs without rows still
+    /// relay the drains of active upstreams.
+    fn push_drains(&self, prog: &mut ControlProgram, p: usize, n_pes: usize, m: usize) {
+        let drains = &self.roles().drains;
         let active_pes = n_pes.min(m);
+        for _ in 0..(p.min(active_pes) * drains.len()) {
+            prog.push(ControlInst::mv(Loc::port(Space::Out), Loc::port(Space::In)));
+        }
         if p < active_pes {
-            for _ in 0..(p * self.drain.len()) {
-                prog.push(ControlInst::mv(Loc::port(Space::Out), Loc::port(Space::In)));
-            }
-            for d in &self.drain {
-                prog.push(ControlInst::mv(
-                    Loc::port(Space::Out),
-                    Loc::rf(self.ext_slot(d)),
-                ));
-            }
-        } else {
-            // PEs without rows still relay the drains of active upstreams.
-            for _ in 0..(active_pes * self.drain.len()) {
-                prog.push(ControlInst::mv(Loc::port(Space::Out), Loc::port(Space::In)));
+            for &slot in drains {
+                prog.push(ControlInst::mv(Loc::port(Space::Out), rf(slot)));
             }
         }
         prog.push(ControlInst::Halt);
-        prog
     }
 
     /// Generates the control program of PE `p` for a *banded* table
@@ -496,12 +546,11 @@ impl Wavefront2d {
         padded_cols: &[i32],
         width: usize,
     ) -> ControlProgram {
+        let roles = self.roles();
         let m = rows.len();
         let mut prog = ControlProgram::new();
-        let col_char_slot = self.ext_slot(&self.col_char);
-        let row_char_slot = self.ext_slot(&self.row_char);
         assert!(
-            self.collect.is_empty() && self.diag.len() <= self.streamed.len(),
+            roles.collects.is_empty() && roles.diags.len() <= roles.streams.len(),
             "banded mode drains per-PE state only"
         );
 
@@ -526,13 +575,13 @@ impl Wavefront2d {
             };
 
             prog.push(ControlInst::Li {
-                dest: Loc::rf(row_char_slot),
+                dest: rf(roles.row_char),
                 imm: rows[row],
             });
-            for l in &self.left {
+            for l in &roles.lefts {
                 if l.per_row || row == p {
                     prog.push(ControlInst::Li {
-                        dest: Loc::rf(self.ext_slot(&l.ext)),
+                        dest: rf(l.ext),
                         imm: l.col0.at(row),
                     });
                 }
@@ -540,86 +589,64 @@ impl Wavefront2d {
             // Band shift: the previous row's FIRST tuple is this row's
             // first diagonal, so it preloads the landings; row 0 preloads
             // its borders.
-            for v in &self.streamed {
+            for s in &roles.streams {
                 if row == 0 {
                     prog.push(ControlInst::Li {
-                        dest: Loc::rf(self.landing[v]),
-                        imm: self.row0[v].at(0),
+                        dest: rf(s.landing),
+                        imm: s.row0.at(0),
                     });
                 } else {
-                    prog.push(ControlInst::mv(Loc::rf(self.landing[v]), src_loc));
+                    prog.push(ControlInst::mv(rf(s.landing), src_loc));
                 }
             }
 
             for k in 0..width {
                 // Baked column character: padded column index row + k.
                 prog.push(ControlInst::Li {
-                    dest: Loc::rf(col_char_slot),
+                    dest: rf(roles.col_char),
                     imm: padded_cols[row + k],
                 });
-                for d in &self.diag {
-                    prog.push(ControlInst::mv(
-                        Loc::rf(self.ext_slot(&d.ext)),
-                        Loc::rf(self.landing[&d.src]),
-                    ));
+                for d in &roles.diags {
+                    prog.push(ControlInst::mv(rf(d.ext), rf(roles.streams[d.src].landing)));
                 }
                 // The up value: next streamed tuple, except the last cell of
                 // the row, whose up-neighbor sits outside the band.
-                for v in &self.streamed {
+                for s in &roles.streams {
                     if k + 1 == width {
                         prog.push(ControlInst::Li {
-                            dest: Loc::rf(self.landing[v]),
-                            imm: self.row0[v].at(row + k + 1),
+                            dest: rf(s.landing),
+                            imm: s.row0.at(row + k + 1),
                         });
                     } else if row == 0 {
                         prog.push(ControlInst::Li {
-                            dest: Loc::rf(self.landing[v]),
-                            imm: self.row0[v].at(k + 1),
+                            dest: rf(s.landing),
+                            imm: s.row0.at(k + 1),
                         });
                     } else {
-                        prog.push(ControlInst::mv(Loc::rf(self.landing[v]), src_loc));
+                        prog.push(ControlInst::mv(rf(s.landing), src_loc));
                     }
                 }
-                if let Some(j) = &self.col_index {
+                if let Some(j) = roles.col_index {
                     prog.push(ControlInst::Li {
-                        dest: Loc::rf(self.ext_slot(j)),
+                        dest: rf(j),
                         imm: (row + k + 1) as i32,
                     });
                 }
                 prog.push(ControlInst::set_compute(0));
                 if !is_last_row {
-                    for v in &self.streamed {
-                        prog.push(ControlInst::mv(fwd_loc, Loc::rf(self.out_slot(v))));
+                    for s in &roles.streams {
+                        prog.push(ControlInst::mv(fwd_loc, rf(s.out)));
                     }
                 }
-                for l in &self.left {
-                    prog.push(ControlInst::mv(
-                        Loc::rf(self.ext_slot(&l.ext)),
-                        Loc::rf(self.out_slot(&l.src)),
-                    ));
+                for l in &roles.lefts {
+                    prog.push(ControlInst::mv(rf(l.ext), rf(l.out)));
                 }
             }
             row += n_pes;
         }
 
         // Drain per-PE state exactly as the full-table path does.
-        let active_pes = n_pes.min(m);
-        if p < active_pes {
-            for _ in 0..(p * self.drain.len()) {
-                prog.push(ControlInst::mv(Loc::port(Space::Out), Loc::port(Space::In)));
-            }
-            for d in &self.drain {
-                prog.push(ControlInst::mv(
-                    Loc::port(Space::Out),
-                    Loc::rf(self.ext_slot(d)),
-                ));
-            }
-        } else {
-            for _ in 0..(active_pes * self.drain.len()) {
-                prog.push(ControlInst::mv(Loc::port(Space::Out), Loc::port(Space::In)));
-            }
-        }
-        prog.push(ControlInst::Halt);
+        self.push_drains(&mut prog, p, n_pes, m);
         prog
     }
 
@@ -760,8 +787,8 @@ impl Wavefront2d {
         array
     }
 
-    /// Lowers one task shape to a [`FunctionalPlan`]: role names resolved
-    /// to slots, compute program pre-decoded, statistic weights pre-summed.
+    /// Lowers one task shape to a [`FunctionalPlan`]: the resolved role
+    /// slots, compute program pre-decoded, statistic weights pre-summed.
     /// `rf_slots` must match the built array's so the per-PE register
     /// files agree.
     fn functional_plan(
@@ -772,38 +799,6 @@ impl Wavefront2d {
         n_pes: usize,
         rf_slots: usize,
     ) -> FunctionalPlan {
-        let streams = self
-            .streamed
-            .iter()
-            .map(|v| PlanStream {
-                landing: self.landing[v] as usize,
-                out: self.out_slot(v) as usize,
-                row0: self.row0[v],
-                col0: self.col0[v],
-            })
-            .collect();
-        let diags = self
-            .diag
-            .iter()
-            .map(|d| PlanDiag {
-                ext: self.ext_slot(&d.ext) as usize,
-                src: self
-                    .streamed
-                    .iter()
-                    .position(|s| *s == d.src)
-                    .expect("diag sources are streamed"),
-            })
-            .collect();
-        let lefts = self
-            .left
-            .iter()
-            .map(|l| PlanLeft {
-                ext: self.ext_slot(&l.ext) as usize,
-                out: self.out_slot(&l.src) as usize,
-                col0: l.col0,
-                per_row: l.per_row,
-            })
-            .collect();
         FunctionalPlan {
             program: (&self.mapping.program).into(),
             mode: self.mode,
@@ -813,22 +808,7 @@ impl Wavefront2d {
             rows: rows.to_vec(),
             cols,
             band,
-            row_char: self.ext_slot(&self.row_char) as usize,
-            col_char: self.ext_slot(&self.col_char) as usize,
-            streams,
-            diags,
-            lefts,
-            col_index: self.col_index.as_ref().map(|j| self.ext_slot(j) as usize),
-            collects: self
-                .collect
-                .iter()
-                .map(|c| self.out_slot(c) as usize)
-                .collect(),
-            drains: self
-                .drain
-                .iter()
-                .map(|d| self.ext_slot(d) as usize)
-                .collect(),
+            roles: self.roles().clone(),
             weights: gendp_isa::cell_stat_weights(&self.mapping.program),
             ws: Default::default(),
         }
@@ -949,6 +929,11 @@ impl Wavefront2d {
             stats,
         })
     }
+}
+
+/// A direct register-file location.
+fn rf(slot: usize) -> Loc {
+    Loc::rf(slot as u16)
 }
 
 #[cfg(test)]

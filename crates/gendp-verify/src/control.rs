@@ -1,8 +1,13 @@
 //! Dataflow analysis of control-thread programs.
 //!
 //! The analysis is an abstract-interpretation fixpoint over the program's
-//! control-flow graph (each instruction is a node; branches fork). The
-//! abstract state tracks, per path:
+//! basic blocks. A block starts at a *leader* — pc 0, an in-range branch
+//! target or a branch fall-through — and runs up to the next leader; a
+//! branch always ends one (its fall-through is a leader), and a `halt`
+//! ends the walk early. Every other instruction can only be reached from
+//! the one before it, so abstract states are stored, joined and widened
+//! only at leaders, and each block is walked with one state updated in
+//! place. The abstract state tracks, per path:
 //!
 //! * which address registers **must** have been written (intersection at
 //!   joins — a read outside this set is a use-before-def on some path),
@@ -10,9 +15,10 @@
 //!   register-file accesses can be bounds-checked symbolically,
 //! * interval counts of FIFO pushes and pops, for balance checking.
 //!
-//! Loops terminate the fixpoint through standard widening. After the
-//! fixpoint, one reporting pass re-runs the transfer function against the
-//! converged entry states and emits diagnostics.
+//! Loops terminate the fixpoint through standard widening at their heads,
+//! which are leaders. After the fixpoint, one reporting pass walks every
+//! reachable block again from its converged entry state and emits
+//! diagnostics.
 
 use gendp_isa::{Addr, AddrReg, BranchCond, ControlInst, ControlProgram, Loc, SetTarget, Space};
 
@@ -23,10 +29,14 @@ use crate::interval::{BoundsVerdict, Interval};
 /// How many joins a program point absorbs before widening kicks in.
 const WIDEN_AFTER: u32 = 8;
 
+/// Address registers the abstract state tracks (one `init` bit each);
+/// higher ones read as unknown and are never flagged as uninitialized.
+const TRACKED_AREGS: usize = 128;
+
 /// The abstract state at one program point.
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct AState {
-    /// Must-init bitmask over address registers.
+    /// Must-init bitmask over the tracked address registers.
     init: u128,
     /// Value interval per address register.
     vals: Vec<Interval>,
@@ -49,7 +59,7 @@ impl AState {
     fn entry(aregs: usize) -> Self {
         AState {
             init: 0,
-            vals: vec![Interval::TOP; aregs.min(128)],
+            vals: vec![Interval::TOP; aregs.min(TRACKED_AREGS)],
             pushes: Interval::exact(0),
             pops: Interval::exact(0),
             cycles: Interval::exact(0),
@@ -58,38 +68,30 @@ impl AState {
         }
     }
 
-    fn join(&self, other: &AState) -> AState {
-        AState {
-            init: self.init & other.init,
-            vals: self
-                .vals
-                .iter()
-                .zip(&other.vals)
-                .map(|(a, b)| a.join(*b))
-                .collect(),
-            pushes: self.pushes.join(other.pushes),
-            pops: self.pops.join(other.pops),
-            cycles: self.cycles.join(other.cycles),
-            compute: self.compute.join(other.compute),
-            cu_sets: self.cu_sets.join(other.cu_sets),
+    /// Joins `flow` into `self` in place, widening the join against the
+    /// old state when `widen` is set. Returns whether `self` changed.
+    fn absorb(&mut self, flow: &AState, widen: bool) -> bool {
+        let merge = |old: &mut Interval, new: Interval| {
+            let mut joined = old.join(new);
+            if widen {
+                joined = old.widen(joined);
+            }
+            let changed = joined != *old;
+            *old = joined;
+            changed
+        };
+        let init = self.init & flow.init;
+        let mut changed = init != self.init;
+        self.init = init;
+        for (old, new) in self.vals.iter_mut().zip(&flow.vals) {
+            changed |= merge(old, *new);
         }
-    }
-
-    fn widen(&self, newer: &AState) -> AState {
-        AState {
-            init: newer.init,
-            vals: self
-                .vals
-                .iter()
-                .zip(&newer.vals)
-                .map(|(old, new)| old.widen(*new))
-                .collect(),
-            pushes: self.pushes.widen(newer.pushes),
-            pops: self.pops.widen(newer.pops),
-            cycles: self.cycles.widen(newer.cycles),
-            compute: self.compute.widen(newer.compute),
-            cu_sets: self.cu_sets.widen(newer.cu_sets),
-        }
+        changed |= merge(&mut self.pushes, flow.pushes);
+        changed |= merge(&mut self.pops, flow.pops);
+        changed |= merge(&mut self.cycles, flow.cycles);
+        changed |= merge(&mut self.compute, flow.compute);
+        changed |= merge(&mut self.cu_sets, flow.cu_sets);
+        changed
     }
 }
 
@@ -139,7 +141,7 @@ pub(crate) struct ExitSummary {
 
 /// Bounds proofs and address footprints collected during the reporting
 /// pass, the raw material of a [`crate::Certificate`].
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct CertScan {
     /// Every checked address (direct and indirect, all sized spaces)
     /// resolved to an interval provably inside its space.
@@ -189,25 +191,47 @@ pub(crate) struct ControlOutcome {
     pub scan: CertScan,
 }
 
-struct Successors {
-    next: Vec<Edge>,
-    exits: bool,
+/// Where control goes after one instruction.
+enum Flow {
+    /// On to `pc + 1`.
+    Next,
+    /// The thread halts.
+    Halt,
+    /// A branch: its fall-through and taken edges, in that order; `None`
+    /// for an edge the condition rules out or a target before the start.
+    Branch([Option<Edge>; 2]),
 }
 
 /// One CFG edge, with interval refinements the branch condition implies
 /// on that edge (e.g. on the taken edge of `blt a0 a1`, `a0 < a1`).
 struct Edge {
     target: usize,
-    refine: Vec<(usize, Interval)>,
+    refine: Refine,
 }
 
-impl Edge {
-    fn plain(target: usize) -> Self {
-        Edge {
-            target,
-            refine: Vec::new(),
+/// Per-register refinements of one edge: at most one per branch operand.
+type Refine = [Option<(usize, Interval)>; 2];
+
+/// Block leaders in ascending order: pc 0, every in-range branch target
+/// and every branch fall-through. Any other instruction can only be
+/// reached by falling through from the one before it.
+fn block_leaders(program: &ControlProgram) -> Vec<usize> {
+    let len = program.len();
+    let mut leaders = vec![0];
+    for (pc, inst) in program.iter().enumerate() {
+        if let ControlInst::Branch { offset, .. } = inst {
+            let target = pc as i64 + *offset as i64;
+            if (0..len as i64).contains(&target) {
+                leaders.push(target as usize);
+            }
+            if pc + 1 < len {
+                leaders.push(pc + 1);
+            }
         }
     }
+    leaders.sort_unstable();
+    leaders.dedup();
+    leaders
 }
 
 impl<'a> ControlAnalysis<'a> {
@@ -227,6 +251,15 @@ impl<'a> ControlAnalysis<'a> {
 
     /// Runs the fixpoint and the reporting pass.
     pub fn run(&self, program: &ControlProgram) -> ControlOutcome {
+        self.run_blocks(program, &block_leaders(program))
+    }
+
+    /// Runs the fixpoint and the reporting pass over the blocks `leaders`
+    /// delimits. They must ascend from pc 0 and include every in-range
+    /// branch target and fall-through; [`block_leaders`] is the smallest
+    /// such set, and the unit tests pass every pc to get the
+    /// per-instruction fixpoint.
+    fn run_blocks(&self, program: &ControlProgram, leaders: &[usize]) -> ControlOutcome {
         let len = program.len();
         if len == 0 {
             // An empty program is a PE that starts halted — legal (idle
@@ -247,60 +280,57 @@ impl<'a> ControlAnalysis<'a> {
             };
         }
 
-        let mut entry: Vec<Option<AState>> = vec![None; len];
-        let mut joins = vec![0u32; len];
+        // Entry states and join counts, indexed like `leaders`.
+        let mut entry: Vec<Option<AState>> = vec![None; leaders.len()];
+        let mut joins = vec![0u32; leaders.len()];
         let mut work = vec![0usize];
-        entry[0] = Some(AState::entry(self.contract.aregs));
+        let mut st = AState::entry(self.contract.aregs);
+        let mut flow = st.clone();
+        entry[0] = Some(st.clone());
         let mut exit_state: Option<AState> = None;
 
-        while let Some(pc) = work.pop() {
-            let mut st = entry[pc].clone().expect("worklist entries have states");
-            let succs = self.transfer(
-                pc,
-                len,
-                program.get(pc).expect("pc in range"),
-                &mut st,
-                None,
-                None,
-            );
-            if succs.exits {
-                exit_state = Some(match exit_state {
-                    Some(prev) => prev.join(&st),
-                    None => st.clone(),
-                });
-            }
-            for edge in succs.next {
-                let s = edge.target;
-                if s >= len {
-                    // Running past the end halts the thread silently; the
-                    // discovery cycle still counts in the simulator.
-                    let mut fallen = st.clone();
-                    fallen.cycles = fallen.cycles.add_const(1);
-                    exit_state = Some(match exit_state.take() {
-                        Some(prev) => prev.join(&fallen),
-                        None => fallen,
-                    });
+        while let Some(block) = work.pop() {
+            st.clone_from(entry[block].as_ref().expect("worklist blocks have states"));
+            let (last, out) = self.walk(program, leaders, block, &mut st, None, None);
+            let edges = match out {
+                Flow::Halt => {
+                    absorb_exit(&mut exit_state, &st);
                     continue;
                 }
-                let mut flow = st.clone();
-                for (idx, iv) in &edge.refine {
-                    if let Some(slot) = flow.vals.get_mut(*idx) {
-                        *slot = *iv;
+                Flow::Next => [
+                    Some(Edge {
+                        target: last + 1,
+                        refine: [None; 2],
+                    }),
+                    None,
+                ],
+                Flow::Branch(edges) => edges,
+            };
+            for edge in edges.into_iter().flatten() {
+                flow.clone_from(&st);
+                if edge.target >= len {
+                    // Running past the end halts the thread silently; the
+                    // discovery cycle still counts in the simulator.
+                    flow.cycles = flow.cycles.add_const(1);
+                    absorb_exit(&mut exit_state, &flow);
+                    continue;
+                }
+                for (idx, iv) in edge.refine.into_iter().flatten() {
+                    if let Some(slot) = flow.vals.get_mut(idx) {
+                        *slot = iv;
                     }
                 }
-                match &entry[s] {
+                let s = leaders
+                    .binary_search(&edge.target)
+                    .expect("in-range edge targets are leaders");
+                match &mut entry[s] {
                     None => {
-                        entry[s] = Some(flow);
+                        entry[s] = Some(flow.clone());
                         work.push(s);
                     }
                     Some(old) => {
-                        let mut joined = old.join(&flow);
-                        if joins[s] >= WIDEN_AFTER {
-                            joined = old.widen(&joined);
-                        }
-                        if joined != *old {
+                        if old.absorb(&flow, joins[s] >= WIDEN_AFTER) {
                             joins[s] += 1;
-                            entry[s] = Some(joined);
                             work.push(s);
                         }
                     }
@@ -312,12 +342,17 @@ impl<'a> ControlAnalysis<'a> {
         // as the certificate scan (footprints, bounds proofs).
         let mut report = Report::new();
         let mut scan = CertScan::default();
-        for (pc, state) in entry.iter().enumerate() {
+        for (block, state) in entry.iter().enumerate() {
             if let Some(state) = state {
-                let mut st = state.clone();
-                let inst = program.get(pc).expect("pc in range");
-                self.transfer(pc, len, inst, &mut st, Some(&mut report), Some(&mut scan));
-                self.check_loop_termination(pc, inst, program, &mut report);
+                st.clone_from(state);
+                self.walk(
+                    program,
+                    leaders,
+                    block,
+                    &mut st,
+                    Some(&mut report),
+                    Some(&mut scan),
+                );
             }
         }
 
@@ -340,6 +375,35 @@ impl<'a> ControlAnalysis<'a> {
             fifo,
             exit,
             scan,
+        }
+    }
+
+    /// Walks block `block` forward from the state in `st`, updating it in
+    /// place, and stops after a branch, a `halt` or the instruction before
+    /// the next leader. Returns that last pc and its flow. With a `sink`,
+    /// also emits each instruction's diagnostics (the reporting pass).
+    fn walk(
+        &self,
+        program: &ControlProgram,
+        leaders: &[usize],
+        block: usize,
+        st: &mut AState,
+        mut sink: Option<&mut Report>,
+        mut cert: Option<&mut CertScan>,
+    ) -> (usize, Flow) {
+        let len = program.len();
+        let end = leaders.get(block + 1).copied().unwrap_or(len);
+        let mut pc = leaders[block];
+        loop {
+            let inst = program.get(pc).expect("pc in range");
+            let out = self.transfer(pc, len, inst, st, sink.as_deref_mut(), cert.as_deref_mut());
+            if let Some(report) = sink.as_deref_mut() {
+                self.check_loop_termination(pc, inst, program, report);
+            }
+            if !matches!(out, Flow::Next) || pc + 1 == end {
+                return (pc, out);
+            }
+            pc += 1;
         }
     }
 
@@ -379,7 +443,7 @@ impl<'a> ControlAnalysis<'a> {
             }
             return Interval::TOP;
         }
-        if state.init & (1 << i) == 0 {
+        if i < TRACKED_AREGS && state.init & (1 << i) == 0 {
             if let Some(report) = sink {
                 report.push(
                     Diagnostic::new(
@@ -395,7 +459,7 @@ impl<'a> ControlAnalysis<'a> {
     }
 
     fn write_areg(&self, idx: usize, value: Interval, state: &mut AState) {
-        if idx < self.contract.aregs && idx < 128 {
+        if idx < self.contract.aregs && idx < TRACKED_AREGS {
             state.init |= 1 << idx;
             if let Some(slot) = state.vals.get_mut(idx) {
                 *slot = value;
@@ -639,7 +703,7 @@ impl<'a> ControlAnalysis<'a> {
     }
 
     /// The transfer function: mutates `state` across `inst` and returns
-    /// the successor program counters. With a `sink`, also emits the
+    /// where control goes next. With a `sink`, also emits the
     /// instruction's diagnostics (the reporting pass).
     fn transfer(
         &self,
@@ -649,46 +713,39 @@ impl<'a> ControlAnalysis<'a> {
         state: &mut AState,
         mut sink: Option<&mut Report>,
         mut cert: Option<&mut CertScan>,
-    ) -> Successors {
+    ) -> Flow {
         // Every retired instruction (including `halt`) occupies one
         // issue cycle.
         state.cycles = state.cycles.add_const(1);
         let cert = &mut cert;
-        let fallthrough = Successors {
-            next: vec![Edge::plain(pc + 1)],
-            exits: false,
-        };
         match inst {
-            ControlInst::Nop => fallthrough,
-            ControlInst::Halt => Successors {
-                next: Vec::new(),
-                exits: true,
-            },
+            ControlInst::Nop => Flow::Next,
+            ControlInst::Halt => Flow::Halt,
             ControlInst::Add { rd, rs1, rs2 } => {
                 let a = self.read_areg(*rs1, state, pc, &mut sink);
                 let b = self.read_areg(*rs2, state, pc, &mut sink);
                 self.check_areg_dest(*rd, pc, &mut sink);
                 self.write_areg(rd.0 as usize, a + b, state);
-                fallthrough
+                Flow::Next
             }
             ControlInst::Addi { rd, rs1, imm } => {
                 let a = self.read_areg(*rs1, state, pc, &mut sink);
                 self.check_areg_dest(*rd, pc, &mut sink);
                 self.write_areg(rd.0 as usize, a.add_const(*imm as i64), state);
-                fallthrough
+                Flow::Next
             }
             ControlInst::Li { dest, imm } => {
                 if let Some(idx) = self.write_loc(dest, state, pc, &mut sink, cert) {
                     self.write_areg(idx, Interval::exact(*imm as i64), state);
                 }
-                fallthrough
+                Flow::Next
             }
             ControlInst::Mv { dest, src } => {
                 let value = self.read_loc(src, state, pc, &mut sink, cert);
                 if let Some(idx) = self.write_loc(dest, state, pc, &mut sink, cert) {
                     self.write_areg(idx, value, state);
                 }
-                fallthrough
+                Flow::Next
             }
             ControlInst::Branch {
                 cond,
@@ -702,17 +759,16 @@ impl<'a> ControlAnalysis<'a> {
                 // Fall through (branch not taken), plus the taken edge,
                 // each refined by what the condition implies on it; an
                 // edge whose refinement is empty cannot be taken and is
-                // pruned. Successors past the program end become exits in
-                // `run` (the control thread halts silently when the pc
-                // runs off the program), matching the simulator.
-                let mut next = Vec::new();
-                if let Some(refine) = self.refine_edge(negate(*cond), *rs1, *rs2, a, b) {
-                    next.push(Edge {
+                // pruned. Edges past the program end become exits in
+                // `run_blocks` (the control thread halts silently when the
+                // pc runs off the program), matching the simulator.
+                let fall = self
+                    .refine_edge(negate(*cond), *rs1, *rs2, a, b)
+                    .map(|refine| Edge {
                         target: pc + 1,
                         refine,
                     });
-                }
-                if target < 0 {
+                let taken = if target < 0 {
                     if let Some(report) = sink.as_deref_mut() {
                         report.push(Diagnostic::new(
                             Rule::BranchTarget,
@@ -720,6 +776,7 @@ impl<'a> ControlAnalysis<'a> {
                             format!("branch target {target} is before the program start"),
                         ));
                     }
+                    None
                 } else {
                     if target > len as i64 {
                         if let Some(report) = sink.as_deref_mut() {
@@ -736,14 +793,13 @@ impl<'a> ControlAnalysis<'a> {
                             );
                         }
                     }
-                    if let Some(refine) = self.refine_edge(*cond, *rs1, *rs2, a, b) {
-                        next.push(Edge {
+                    self.refine_edge(*cond, *rs1, *rs2, a, b)
+                        .map(|refine| Edge {
                             target: target as usize,
                             refine,
-                        });
-                    }
-                }
-                Successors { next, exits: false }
+                        })
+                };
+                Flow::Branch([fall, taken])
             }
             ControlInst::Set { target, pc: tpc } => {
                 if let SetTarget::Compute = target {
@@ -786,7 +842,7 @@ impl<'a> ControlAnalysis<'a> {
                         }
                     }
                 }
-                fallthrough
+                Flow::Next
             }
         }
     }
@@ -801,18 +857,18 @@ impl<'a> ControlAnalysis<'a> {
         rs2: AddrReg,
         a: Interval,
         b: Interval,
-    ) -> Option<Vec<(usize, Interval)>> {
+    ) -> Option<Refine> {
         let (r1, r2) = (rs1.0 as usize, rs2.0 as usize);
         if r1 == r2 {
             // A register always equals itself: `lt`/`ne` edges are dead,
             // `eq`/`ge` edges always taken but learn nothing.
             return match cond {
                 BranchCond::Lt | BranchCond::Ne => None,
-                BranchCond::Eq | BranchCond::Ge => Some(Vec::new()),
+                BranchCond::Eq | BranchCond::Ge => Some([None; 2]),
             };
         }
         let (a2, b2) = match cond {
-            BranchCond::Ne => return Some(Vec::new()),
+            BranchCond::Ne => return Some([None; 2]),
             BranchCond::Eq => {
                 let m = Interval {
                     lo: a.lo.max(b.lo),
@@ -862,14 +918,11 @@ impl<'a> ControlAnalysis<'a> {
         if a2.lo > a2.hi || b2.lo > b2.hi {
             return None;
         }
-        let mut refine = Vec::new();
-        if r1 < self.contract.aregs {
-            refine.push((r1, a2));
-        }
-        if r2 < self.contract.aregs {
-            refine.push((r2, b2));
-        }
-        Some(refine)
+        let aregs = self.contract.aregs;
+        Some([
+            (r1 < aregs).then_some((r1, a2)),
+            (r2 < aregs).then_some((r2, b2)),
+        ])
     }
 
     /// Backward branches whose operand registers are never written inside
@@ -917,6 +970,16 @@ impl<'a> ControlAnalysis<'a> {
     }
 }
 
+/// Joins the state at one reachable exit into the summary over all exits.
+fn absorb_exit(exits: &mut Option<AState>, st: &AState) {
+    match exits {
+        Some(prev) => {
+            prev.absorb(st, false);
+        }
+        None => *exits = Some(st.clone()),
+    }
+}
+
 /// The condition that holds on the fall-through edge of a branch.
 fn negate(cond: BranchCond) -> BranchCond {
     match cond {
@@ -941,5 +1004,201 @@ fn writes_areg(inst: &ControlInst, reg: u8) -> bool {
                 }
         }
         _ => false,
+    }
+}
+
+#[cfg(test)]
+#[path = "../tests/programs/mod.rs"]
+mod programs;
+
+#[cfg(test)]
+mod tests {
+    use super::programs::{inst_from, inst_sel, seed_program, CONDS};
+    use super::*;
+    use proptest::prelude::*;
+
+    /// Runs `program` block by block and again with every pc a leader of
+    /// its own — the per-instruction fixpoint, which keeps, joins and
+    /// widens a state at every program point — and asserts that both
+    /// give the same report, FIFO traffic, exit summary and scan.
+    fn assert_blocks_match_per_pc(analysis: &ControlAnalysis, program: &ControlProgram) {
+        let blocks = analysis.run(program);
+        let every_pc: Vec<usize> = (0..program.len()).collect();
+        let per_pc = analysis.run_blocks(program, &every_pc);
+        assert_eq!(blocks.report, per_pc.report, "report of\n{program}");
+        assert_eq!(blocks.fifo, per_pc.fifo, "fifo traffic of\n{program}");
+        assert_eq!(blocks.exit, per_pc.exit, "exit summary of\n{program}");
+        assert_eq!(blocks.scan, per_pc.scan, "scan of\n{program}");
+    }
+
+    /// Contract and array position the analysis runs under: address
+    /// registers (past the 128 the state tracks, too), FIFO broadcast,
+    /// PE position in a chain, and compute program length.
+    type Setting = (u8, bool, Option<(usize, usize)>, Option<usize>);
+
+    fn setting() -> impl Strategy<Value = Setting> {
+        (
+            any::<u8>(),
+            any::<bool>(),
+            (any::<bool>(), 1usize..6, 0usize..6),
+            (any::<bool>(), 0usize..70),
+        )
+            .prop_map(|(aregs, broadcast, (known, n, p), (has_len, clen))| {
+                (
+                    aregs,
+                    broadcast,
+                    known.then_some((p % n, n)),
+                    has_len.then_some(clen),
+                )
+            })
+    }
+
+    fn check(setting: Setting, program: &ControlProgram) {
+        let (aregs, broadcast, position, compute_len) = setting;
+        let mut contract = PeContract::new();
+        contract.aregs = [4, 8, 16, 24, 200][aregs as usize % 5];
+        contract.fifo_broadcast = broadcast;
+        let (pe, n_pes) = match position {
+            Some((pe, n)) => (Some(pe), n),
+            None => (None, contract.n_pes),
+        };
+        let analysis = ControlAnalysis::new(&contract, pe, n_pes, compute_len);
+        assert_blocks_match_per_pc(&analysis, program);
+    }
+
+    type LoopSel = (u8, u8, i32, i32, i32, u8);
+
+    fn loop_sel() -> impl Strategy<Value = LoopSel> {
+        (
+            (any::<u8>(), any::<u8>(), any::<u8>()),
+            (-50i32..50, 0i32..40, -2i32..4),
+        )
+            .prop_map(|((counter, bound, cond), (start, trip, step))| {
+                (counter, bound, start, trip, step, cond)
+            })
+    }
+
+    /// A counted loop around `body`: `li` the counter and its bound, the
+    /// body, a step, and a backward branch to the body.
+    fn counted_loop(
+        (counter, bound, start, trip, step, cond): LoopSel,
+        body: Vec<ControlInst>,
+    ) -> Vec<ControlInst> {
+        let (c, b) = (counter % 24, bound % 24);
+        let offset = -(body.len() as i16 + 1);
+        let mut insts = vec![
+            ControlInst::Li {
+                dest: Loc::direct(Space::Areg, c as u16),
+                imm: start,
+            },
+            ControlInst::Li {
+                dest: Loc::direct(Space::Areg, b as u16),
+                imm: start + trip,
+            },
+        ];
+        insts.extend(body);
+        insts.push(ControlInst::Addi {
+            rd: AddrReg(c),
+            rs1: AddrReg(c),
+            imm: step,
+        });
+        insts.push(ControlInst::Branch {
+            cond: CONDS[cond as usize % CONDS.len()],
+            rs1: AddrReg(c),
+            rs2: AddrReg(b),
+            offset,
+        });
+        insts
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Arbitrary instruction soup, backward branches included.
+        #[test]
+        fn random_programs_match_per_pc_fixpoint(
+            sels in prop::collection::vec(inst_sel(), 0..40),
+            setting in setting(),
+        ) {
+            let program: ControlProgram = sels.into_iter().map(inst_from).collect();
+            check(setting, &program);
+        }
+
+        /// Single-point mutations and swaps of a known-good kernel loop.
+        #[test]
+        fn mutated_seed_loops_match_per_pc_fixpoint(
+            idx in 0usize..8,
+            sel in inst_sel(),
+            swap in any::<bool>(),
+            setting in setting(),
+        ) {
+            let mut insts = seed_program();
+            if swap {
+                let j = (idx + 1) % insts.len();
+                insts.swap(idx, j);
+            } else {
+                let k = idx % insts.len();
+                insts[k] = inst_from(sel);
+            }
+            let program: ControlProgram = insts.into_iter().collect();
+            check(setting, &program);
+        }
+
+        /// Straight-line runs and counted loops, nested one deep, whose
+        /// loop heads absorb enough joins to widen.
+        #[test]
+        fn counted_loops_match_per_pc_fixpoint(
+            prefix in prop::collection::vec(inst_sel(), 0..6),
+            outer in loop_sel(),
+            inner in loop_sel(),
+            body in prop::collection::vec(inst_sel(), 0..6),
+            tail in prop::collection::vec(inst_sel(), 0..6),
+            setting in setting(),
+        ) {
+            let mut outer_body = counted_loop(inner, body.into_iter().map(inst_from).collect());
+            outer_body.extend(tail.into_iter().map(inst_from));
+            let mut insts: Vec<ControlInst> = prefix.into_iter().map(inst_from).collect();
+            insts.extend(counted_loop(outer, outer_body));
+            insts.push(ControlInst::Halt);
+            let program: ControlProgram = insts.into_iter().collect();
+            check(setting, &program);
+        }
+    }
+
+    #[test]
+    fn example_fixtures_match_per_pc_fixpoint() {
+        let fixtures = [
+            include_str!("../../../examples/programs/allowed_spm_oob.gdp"),
+            include_str!("../../../examples/programs/broken_branch_target.gdp"),
+            include_str!("../../../examples/programs/broken_fifo_imbalance.gdp"),
+            include_str!("../../../examples/programs/broken_spm_oob.gdp"),
+            include_str!("../../../examples/programs/clean.gdp"),
+            include_str!("../../../examples/programs/warn_def_before_use.gdp"),
+        ];
+        let contract = PeContract::new();
+        for source in fixtures {
+            let program: ControlProgram = source.parse().expect("fixture parses");
+            for pe in [None, Some(0), Some(3)] {
+                for compute_len in [None, Some(0), Some(12)] {
+                    let analysis = ControlAnalysis::new(&contract, pe, 4, compute_len);
+                    assert_blocks_match_per_pc(&analysis, &program);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn leaders_are_entry_branch_targets_and_fall_throughs() {
+        let program: ControlProgram = "li a[0] 0\nli a[1] 3\nmv rf[0] in\naddi a0 a0 1\n\
+                                       blt a0 a1 -2\nbeq a0 a1 9\nhalt"
+            .parse()
+            .expect("parses");
+        // pc 2 is the loop head, 5 and 6 fall-throughs; the target of
+        // `beq` (pc 14) is past the end and leads no block.
+        assert_eq!(block_leaders(&program), vec![0, 2, 5, 6]);
+        let straight: ControlProgram = "li a[0] 0\nmv rf[0] in\nmv out rf[0]\nhalt"
+            .parse()
+            .expect("parses");
+        assert_eq!(block_leaders(&straight), vec![0]);
     }
 }

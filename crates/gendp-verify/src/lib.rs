@@ -181,7 +181,7 @@ impl Verifier {
         );
         let mut report = analysis.run(control).report;
         report.merge(compute::check_compute(&self.contract, compute));
-        report.merge(joint_rf_check(control, compute));
+        report.merge(joint_rf_check(self.contract.rf_slots, control, compute));
         self.filtered(report)
     }
 
@@ -241,7 +241,11 @@ impl Verifier {
                 computes_seen.push(compute);
                 report.merge(compute::check_compute(&positional.contract, compute));
             }
-            report.merge(joint_rf_check(control, compute));
+            report.merge(joint_rf_check(
+                positional.contract.rf_slots,
+                control,
+                compute,
+            ));
 
             let rf_footprint = match (outcome.scan.rf, certificate::compute_rf_hull(compute)) {
                 (Some(a), Some(b)) => Some(a.join(b)),
@@ -319,9 +323,10 @@ impl Verifier {
 /// the compute program itself ever writes can only observe the reset
 /// value. Skipped entirely when the control program writes the register
 /// file through an address register, since any slot might be the target.
-fn joint_rf_check(control: &ControlProgram, compute: &ComputeProgram) -> Report {
+fn joint_rf_check(rf_slots: usize, control: &ControlProgram, compute: &ComputeProgram) -> Report {
     let mut report = Report::new();
-    let mut ctrl_written: BTreeSet<u16> = BTreeSet::new();
+    // Slots written by either thread.
+    let mut written = SlotSet::new(rf_slots);
     for inst in control.iter() {
         let dest = match inst {
             ControlInst::Li { dest, .. } | ControlInst::Mv { dest, .. } => dest,
@@ -330,44 +335,31 @@ fn joint_rf_check(control: &ControlProgram, compute: &ComputeProgram) -> Report 
         if dest.space() == Space::Rf {
             match dest.addr() {
                 Addr::Direct(d) => {
-                    ctrl_written.insert(d);
+                    written.insert(d);
                 }
                 Addr::Indirect { .. } => return report, // any slot may be written
                 Addr::None => {}
             }
         }
     }
-    let mut compute_written: BTreeSet<u16> = BTreeSet::new();
     for inst in compute.iter() {
         for slot in &inst.slots {
             match slot {
                 CuInst::Mul { dest, .. } => {
-                    compute_written.insert(*dest);
+                    written.insert(*dest);
                 }
                 CuInst::Tree(tree) => {
-                    compute_written.insert(tree.dest);
+                    written.insert(tree.dest);
                 }
                 CuInst::Nop => {}
             }
         }
     }
-    let mut flagged: BTreeSet<u16> = BTreeSet::new();
+    let mut flagged = SlotSet::new(rf_slots);
     for (pc, inst) in compute.iter().enumerate() {
         for (slot_idx, slot) in inst.slots.iter().enumerate() {
-            let reads: Vec<u16> = match slot {
-                CuInst::Nop => Vec::new(),
-                CuInst::Mul { a, b, .. } => [a, b]
-                    .iter()
-                    .filter_map(|o| match o {
-                        gendp_isa::Operand::Reg(r) => Some(*r),
-                        _ => None,
-                    })
-                    .collect(),
-                CuInst::Tree(tree) => tree.reg_reads().collect(),
-            };
-            for r in reads {
-                if !ctrl_written.contains(&r) && !compute_written.contains(&r) && flagged.insert(r)
-                {
+            let mut check = |r: u16| {
+                if !written.contains(r) && flagged.insert(r) {
                     report.push(
                         Diagnostic::new(
                             Rule::DefBeforeUse,
@@ -383,8 +375,47 @@ fn joint_rf_check(control: &ControlProgram, compute: &ComputeProgram) -> Report 
                         .suggest("load the slot from the control thread or a prior cycle"),
                     );
                 }
+            };
+            match slot {
+                CuInst::Nop => {}
+                CuInst::Mul { a, b, .. } => {
+                    for op in [a, b] {
+                        if let gendp_isa::Operand::Reg(r) = op {
+                            check(*r);
+                        }
+                    }
+                }
+                CuInst::Tree(tree) => tree.reg_reads().for_each(check),
             }
         }
     }
     report
+}
+
+/// A set of register-file slots, one bit per slot.
+struct SlotSet(Vec<u64>);
+
+impl SlotSet {
+    /// An empty set sized for `slots` slots; it grows for slots past them.
+    fn new(slots: usize) -> Self {
+        SlotSet(vec![0; slots.div_ceil(64)])
+    }
+
+    fn contains(&self, slot: u16) -> bool {
+        self.0
+            .get(slot as usize / 64)
+            .is_some_and(|word| word >> (slot % 64) & 1 == 1)
+    }
+
+    /// Adds `slot`; returns whether it was absent.
+    fn insert(&mut self, slot: u16) -> bool {
+        let word = slot as usize / 64;
+        if word >= self.0.len() {
+            self.0.resize(word + 1, 0);
+        }
+        let bit = 1u64 << (slot % 64);
+        let absent = self.0[word] & bit == 0;
+        self.0[word] |= bit;
+        absent
+    }
 }

@@ -63,6 +63,16 @@ fn semiglobal_mode_matches_reference() {
         let expect = bsw_i32(&q, &t, &scoring, 1000, AlignMode::SemiGlobal);
         assert_eq!(bsw_semiglobal_score(&out), expect.score, "q={q} t={t}");
     }
+    // Unrelated pairs: the best overlap is often the empty one, scored 0
+    // at the last row's column-0 border.
+    for _ in 0..24 {
+        let t = DnaSeq::random(rng.gen_range(16..32), &mut rng);
+        let q = DnaSeq::random(rng.gen_range(16..32), &mut rng);
+        let accel = GendpPipeline::bsw_semiglobal(&scoring, q.len());
+        let out = accel.run(&codes(&t), &codes(&q), 4).expect("simulation");
+        let expect = bsw_i32(&q, &t, &scoring, 1000, AlignMode::SemiGlobal);
+        assert_eq!(bsw_semiglobal_score(&out), expect.score, "q={q} t={t}");
+    }
 }
 
 #[test]
