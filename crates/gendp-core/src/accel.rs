@@ -1,8 +1,8 @@
 //! The unified accelerator front door: every dependency-pattern driver
 //! ([`Wavefront2d`], [`ChainAccelerator`], [`PoaAccelerator`],
 //! [`BellmanFordAccelerator`]) implements one [`Accelerator`] trait with a
-//! common lifecycle — **configure → verify → run → report** — so callers
-//! (the `gendp-runtime` device, the benchmark harness, batch sweeps) can
+//! common lifecycle — **configure → prepare → bind → execute → parse** —
+//! so callers (the `gendp-runtime` device, the benchmark harness) can
 //! drive any kernel through one code path.
 //!
 //! * [`AccelConfig`] carries the driver-independent knobs: the cycle-budget
@@ -10,16 +10,18 @@
 //! * A driver's task type (e.g. [`WavefrontTask`]) is a plain borrow of the
 //!   per-task inputs, so a batch of tasks can be swept without cloning
 //!   sequences.
+//! * [`Accelerator::prepare`] builds a [`PreparedTask`] for a task's
+//!   *shape* and binds the task's content into it;
+//!   [`Accelerator::bind`] rebinds another same-shape task's content into
+//!   it, which is how a kept template serves the next task without
+//!   regenerating, decoding or re-verifying a single program.
 //! * [`TaskOutput`] gives uniform access to the run statistics of any
 //!   driver's functional output, and [`Accelerator::report`] summarizes
 //!   them into the paper's units ([`AcceleratorRun`]).
-//!
-//! [`crate::parallel::run_batch`] builds on this trait to sweep a task
-//! batch across host threads.
 
-use gendp_dpax::{Engine, PeArray, RunStats, SimError, Tier, TierPolicy};
+use gendp_dpax::{PeArray, RunStats, SimError, Tier, TierPolicy};
 use gendp_dpmap::Mapping;
-use gendp_isa::Word;
+use gendp_isa::{ControlProgram, Word};
 use gendp_kernels::bellman_ford::Graph;
 use gendp_kernels::poa::Poa;
 use gendp_seq::{Anchor, DnaSeq};
@@ -67,16 +69,6 @@ impl AccelConfig {
     pub fn tiers(mut self, tiers: TierPolicy) -> Self {
         self.tiers = tiers;
         self
-    }
-
-    /// Sets the simulator engine, returning `self` for chaining.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `tiers(TierPolicy::...)`; raw engines no longer select the execution path"
-    )]
-    #[allow(deprecated)] // shim body is the one sanctioned from_engine caller
-    pub fn engine(self, engine: Engine) -> Self {
-        self.tiers(TierPolicy::from_engine(engine))
     }
 }
 
@@ -166,44 +158,44 @@ pub struct BellmanFordTask<'a> {
 }
 
 /// One task bound to a loaded array: control programs generated, lowered
-/// to their decoded forms and loaded, inputs staged, cycle budget derived
-/// — all the one-time work of [`Accelerator::run_task`].
+/// to their decoded forms, loaded and certified, content staged, cycle
+/// budget derived — all the one-time work of [`Accelerator::run_task`].
 /// [`execute`](Self::execute) then replays the task from a clean
-/// architectural state as often as wanted, paying only the simulation
-/// itself (static verification runs once, on the first execution, and its
-/// result is kept across resets).
+/// architectural state as often as wanted, paying only the execution
+/// itself.
 ///
-/// `run_task` is exactly [`Accelerator::prepare`] + one `execute` + output
-/// parsing, so a prepared execution is bit- and cycle-identical to the
-/// one-shot path; it just amortizes program generation, lowering and
-/// verification across executions. This is the measurement surface of the
-/// `bench-kernels` harness: the "after" side times `execute` alone — the
-/// simulation hot loop — while the "before" side times the full per-run
-/// path the crate had before the decoded engine existed.
+/// The programs of the shape-only drivers ([`Wavefront2d`] and
+/// [`ChainAccelerator`]) depend on the task's shape alone; its content —
+/// the input stream and each PE's scratchpad image — is staged here
+/// separately, written after every reset like the data buffers a host
+/// fills. [`Accelerator::bind`] swaps in the content of another task of
+/// the same shape, so one prepared task serves a stream of them.
+///
+/// `run_task` is exactly [`Accelerator::prepare`] + one `execute` +
+/// [`Accelerator::parse`], so a prepared execution is bit- and
+/// cycle-identical to the one-shot path.
 pub struct PreparedTask {
     array: PeArray,
-    inputs: Vec<Word>,
+    /// Words fed to the first PE's input port on every execution.
+    pub(crate) inputs: Vec<Word>,
+    /// Per-PE scratchpad images written after every reset (row characters
+    /// and band windows); empty when the programs read none.
+    pub(crate) spm: Vec<Vec<Word>>,
+    /// Cycle budget at scale 1.
     budget: u64,
+    budget_scale: u64,
     /// Functional lowering of the task, present only when the driver built
     /// one (the policy requested [`Tier::Functional`] and the pattern
     /// supports the batched sweep).
-    plan: Option<FunctionalPlan>,
+    pub(crate) plan: Option<FunctionalPlan>,
     /// Whether the most recent `execute` ran the functional tier (routes
     /// `output()` to the plan's buffer instead of the array's).
     functional_ran: bool,
 }
 
 impl PreparedTask {
-    pub(crate) fn new(array: PeArray, inputs: Vec<Word>, budget: u64) -> Self {
-        Self::with_plan(array, inputs, budget, None)
-    }
-
-    pub(crate) fn with_plan(
-        mut array: PeArray,
-        inputs: Vec<Word>,
-        budget: u64,
-        plan: Option<FunctionalPlan>,
-    ) -> Self {
+    /// Wraps a loaded array with no content staged and budget scale 1.
+    pub(crate) fn new(mut array: PeArray, budget: u64, plan: Option<FunctionalPlan>) -> Self {
         // Run the verification gate eagerly so the certificate — cycle
         // bounds, certified DP-cell cost, safety — is readable *before*
         // the first execution (schedulers admit on it). A verification
@@ -212,11 +204,18 @@ impl PreparedTask {
         let _ = array.ensure_verified();
         PreparedTask {
             array,
-            inputs,
+            inputs: Vec::new(),
+            spm: Vec::new(),
             budget,
+            budget_scale: 1,
             plan,
             functional_ran: false,
         }
+    }
+
+    /// PEs in the loaded array.
+    pub(crate) fn n_pes(&self) -> usize {
+        self.array.config().n_pes
     }
 
     /// True when `execute` will take the functional fast path: the driver
@@ -250,6 +249,17 @@ impl PreparedTask {
         self.array.is_certified()
     }
 
+    /// The control programs loaded into the array, one per PE.
+    pub fn control_programs(&self) -> impl Iterator<Item = &ControlProgram> {
+        (0..self.n_pes()).map(|pe| self.array.control_program(pe))
+    }
+
+    /// Control instructions resident in the loaded array, summed over its
+    /// PEs (the instruction-buffer footprint of paper Table 7).
+    pub fn control_len(&self) -> usize {
+        self.control_programs().map(ControlProgram::len).sum()
+    }
+
     /// Pins executions to the bounds-checked access path even though the
     /// certificate may allow the unchecked one. The certificate stays
     /// readable; only the path downgrade is sticky. This is how
@@ -267,7 +277,8 @@ impl PreparedTask {
     /// — batched wavefront loops over flat buffers, no per-cycle
     /// simulation — with cycles reported from the certificate's analytic
     /// model. On the simulated tiers it resets the array's architectural
-    /// state, feeds the staged inputs and runs to completion.
+    /// state, stages the scratchpad images, feeds the input stream and
+    /// runs to completion.
     ///
     /// # Errors
     ///
@@ -292,8 +303,11 @@ impl PreparedTask {
         }
         self.functional_ran = false;
         self.array.reset();
+        for (pe, image) in self.spm.iter().enumerate() {
+            self.array.stage_spm(pe, image);
+        }
         self.array.feed_input(self.inputs.iter().copied());
-        self.array.run(self.budget)
+        self.array.run(self.budget())
     }
 
     /// The output words of the most recent [`execute`](Self::execute).
@@ -307,16 +321,29 @@ impl PreparedTask {
 
     /// The derived cycle budget an execution runs under.
     pub fn budget(&self) -> u64 {
-        self.budget
+        self.budget.saturating_mul(self.budget_scale)
+    }
+
+    /// Multiplies the derived cycle budget by `scale` for the following
+    /// executions (retry escalation after a [`SimError::Timeout`]). The
+    /// budget is only a cutoff: a run that completes produces identical
+    /// results and cycle counts at any scale.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `scale` is zero.
+    pub fn set_budget_scale(&mut self, scale: u64) {
+        assert!(scale > 0, "budget scale must be positive");
+        self.budget_scale = scale;
     }
 }
 
 /// The common lifecycle of every GenDP dependency-pattern driver:
-/// **configure → verify → run → report**.
+/// **configure → prepare → bind → execute → parse**.
 ///
 /// Implementations are self-contained per task — running a task mutates no
-/// driver state — which is what makes batch sweeps
-/// ([`crate::parallel::run_batch`]) deterministic under any worker count.
+/// driver state — which is what makes batch runs deterministic under any
+/// worker count.
 pub trait Accelerator {
     /// The per-task input bundle (a borrow; tasks are cheap to copy).
     type Task<'a>;
@@ -342,18 +369,35 @@ pub trait Accelerator {
     /// without running them.
     fn verify_task(&self, task: &Self::Task<'_>) -> gendp_verify::Report;
 
-    /// Binds one task to a loaded array for repeated
-    /// [`PreparedTask::execute`] replays that pay only simulation.
-    /// [`run_task`](Self::run_task) is `prepare` + one execute + output
-    /// parsing.
+    /// Prepares one task for repeated [`PreparedTask::execute`] replays
+    /// that pay only execution: builds, decodes, loads and certifies the
+    /// programs for the task's shape, then [`bind`](Self::bind)s its
+    /// content.
     fn prepare(&self, task: &Self::Task<'_>) -> PreparedTask;
 
-    /// Runs one task on a simulated array.
+    /// Binds `task`'s content into `prep`, which this driver (or one built
+    /// and configured identically) prepared for a task of the same shape.
+    /// Afterwards `prep` executes exactly as `self.prepare(task)` would.
+    /// The shape-only drivers restage inputs and keep the programs,
+    /// decoded forms and certificate; a driver whose programs follow the
+    /// content (POA, Bellman-Ford: the graph) prepares afresh.
+    fn bind(&self, prep: &mut PreparedTask, task: &Self::Task<'_>);
+
+    /// Parses the output of `prep`'s latest execution of `task`, whose
+    /// statistics are `stats`.
+    fn parse(&self, task: &Self::Task<'_>, prep: &PreparedTask, stats: RunStats) -> Self::Output;
+
+    /// Runs one task: [`prepare`](Self::prepare), one
+    /// [`PreparedTask::execute`], [`parse`](Self::parse).
     ///
     /// # Errors
     ///
     /// Propagates simulator errors ([`SimError`]).
-    fn run_task(&self, task: &Self::Task<'_>) -> Result<Self::Output, SimError>;
+    fn run_task(&self, task: &Self::Task<'_>) -> Result<Self::Output, SimError> {
+        let mut prep = self.prepare(task);
+        let stats = prep.execute()?;
+        Ok(self.parse(task, &prep, stats))
+    }
 
     /// Summarizes one task's output in the paper's units.
     fn report(output: &Self::Output) -> AcceleratorRun {
@@ -387,21 +431,32 @@ impl Accelerator for Wavefront2d {
     }
 
     fn prepare(&self, task: &WavefrontTask<'_>) -> PreparedTask {
-        match task.band {
-            Some(band) => {
-                self.prepare_banded(task.rows, task.cols, band.width, band.sentinel, task.n_pes)
-            }
-            None => Wavefront2d::prepare(self, task.rows, task.cols, task.n_pes),
-        }
+        assert!(
+            !task.rows.is_empty() && !task.cols.is_empty(),
+            "empty table"
+        );
+        assert!(
+            task.band.is_none_or(|b| b.width > 0),
+            "band width must be positive"
+        );
+        let band = task.band.map(|b| b.width);
+        let mut prep = self.template(task.rows.len(), task.cols.len(), band, task.n_pes);
+        Wavefront2d::bind(self, &mut prep, task);
+        prep
     }
 
-    fn run_task(&self, task: &WavefrontTask<'_>) -> Result<Wavefront2dOutput, SimError> {
-        match task.band {
-            Some(band) => {
-                self.run_banded(task.rows, task.cols, band.width, band.sentinel, task.n_pes)
-            }
-            None => self.run(task.rows, task.cols, task.n_pes),
-        }
+    fn bind(&self, prep: &mut PreparedTask, task: &WavefrontTask<'_>) {
+        Wavefront2d::bind(self, prep, task);
+    }
+
+    fn parse(
+        &self,
+        task: &WavefrontTask<'_>,
+        prep: &PreparedTask,
+        stats: RunStats,
+    ) -> Wavefront2dOutput {
+        let active_pes = task.n_pes.min(task.rows.len());
+        self.parse_output(task.cols.len(), active_pes, prep.output(), stats)
     }
 }
 
@@ -429,8 +484,15 @@ impl Accelerator for ChainAccelerator {
         ChainAccelerator::prepare(self, task.anchors, task.n_pes)
     }
 
-    fn run_task(&self, task: &ChainTask<'_>) -> Result<ChainRun, SimError> {
-        self.run(task.anchors, task.n_pes)
+    fn bind(&self, prep: &mut PreparedTask, task: &ChainTask<'_>) {
+        ChainAccelerator::bind(self, prep, task.anchors);
+    }
+
+    fn parse(&self, _task: &ChainTask<'_>, prep: &PreparedTask, stats: RunStats) -> ChainRun {
+        ChainRun {
+            scores: prep.output().iter().map(|w| w.as_i32()).collect(),
+            stats,
+        }
     }
 }
 
@@ -458,8 +520,18 @@ impl Accelerator for PoaAccelerator {
         PoaAccelerator::prepare(self, task.graph, task.seq, task.n_pes)
     }
 
-    fn run_task(&self, task: &PoaTask<'_>) -> Result<PoaRun, SimError> {
-        self.run(task.graph, task.seq, task.n_pes)
+    fn bind(&self, prep: &mut PreparedTask, task: &PoaTask<'_>) {
+        *prep = Accelerator::prepare(self, task);
+    }
+
+    fn parse(&self, _task: &PoaTask<'_>, prep: &PreparedTask, stats: RunStats) -> PoaRun {
+        let score = prep
+            .output()
+            .iter()
+            .map(|w| w.as_i32())
+            .max()
+            .expect("at least one end node");
+        PoaRun { score, stats }
     }
 }
 
@@ -487,8 +559,20 @@ impl Accelerator for BellmanFordAccelerator {
         BellmanFordAccelerator::prepare(self, task.graph, task.source, task.rounds)
     }
 
-    fn run_task(&self, task: &BellmanFordTask<'_>) -> Result<BellmanFordRun, SimError> {
-        self.run(task.graph, task.source, task.rounds)
+    fn bind(&self, prep: &mut PreparedTask, task: &BellmanFordTask<'_>) {
+        *prep = Accelerator::prepare(self, task);
+    }
+
+    fn parse(
+        &self,
+        _task: &BellmanFordTask<'_>,
+        prep: &PreparedTask,
+        stats: RunStats,
+    ) -> BellmanFordRun {
+        BellmanFordRun {
+            dist: prep.output().iter().map(|x| x.as_i32()).collect(),
+            stats,
+        }
     }
 }
 

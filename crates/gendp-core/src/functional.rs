@@ -14,7 +14,8 @@
 //! evaluations and output words as the concurrent systolic execution.
 //!
 //! The sweep mirrors the generated program move for move: row prologue
-//! (row character, left/carry initializers, stream landing preload), then
+//! (the row character the program reads from the PE's scratchpad,
+//! left/carry initializers, stream landing preload), then
 //! per cell — column character in, diagonal reads *before* landing
 //! updates, landing updates, optional column index, one compute
 //! activation ([`gendp_isa::eval_cell`], the same arithmetic the
@@ -99,8 +100,9 @@ pub(crate) struct Workspace {
 
 /// A wavefront task lowered for functional execution: role slots
 /// resolved, compute program pre-decoded, per-cell statistic weights
-/// pre-summed. Built by `Wavefront2d::prepare`/`prepare_banded` when the
-/// tier policy requests [`Tier::Functional`].
+/// pre-summed. Built with the prepared task of a shape when the tier
+/// policy requests [`Tier::Functional`]; `Wavefront2d::bind` sets its
+/// rows and columns.
 #[derive(Debug)]
 pub struct FunctionalPlan {
     pub(crate) program: DecodedComputeProgram,
@@ -245,8 +247,9 @@ impl FunctionalPlan {
 
     /// The banded sweep, mirroring `Wavefront2d::pe_program_banded`:
     /// row `r` computes `width` cells starting at its own diagonal, column
-    /// characters baked from the padded sequence, streams shifted one
-    /// tuple (the previous row's first tuple is this row's preload).
+    /// characters read from the padded sequence (the window the program
+    /// reads from its scratchpad), streams shifted one tuple (the previous
+    /// row's first tuple is this row's preload).
     fn sweep_banded(
         &self,
         ws: &mut Workspace,

@@ -12,9 +12,9 @@
 //! each cell" (§7.3). End-node scores park in the scratchpad until the
 //! final drain.
 
-use gendp_dpax::{Engine, PeArray, PeArrayConfig, RunStats, SimError, TierPolicy};
+use gendp_dpax::{PeArray, PeArrayConfig, RunStats, SimError, TierPolicy};
 
-use crate::accel::PreparedTask;
+use crate::accel::{Accelerator, PoaTask, PreparedTask};
 use gendp_dpmap::{map_dfg, Mapping};
 use gendp_isa::{AddrReg, ControlInst, ControlProgram, Loc, Mode, Space, Word};
 use gendp_kernels::dfgs::poa_dfg;
@@ -97,16 +97,6 @@ impl PoaAccelerator {
     pub fn tiers(mut self, tiers: TierPolicy) -> Self {
         self.tiers = tiers;
         self
-    }
-
-    /// Selects the simulator execution engine.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `tiers(TierPolicy::...)`; raw engines no longer select the execution path"
-    )]
-    #[allow(deprecated)] // shim body is the one sanctioned from_engine caller
-    pub fn engine(self, engine: Engine) -> Self {
-        self.tiers(TierPolicy::from_engine(engine))
     }
 
     /// The DPMap result for the objective function.
@@ -351,15 +341,7 @@ impl PoaAccelerator {
     ///
     /// Panics if the graph or the sequence is empty.
     pub fn run(&self, graph: &Poa, seq: &DnaSeq, n_pes: usize) -> Result<PoaRun, SimError> {
-        let mut prep = self.prepare(graph, seq, n_pes);
-        let stats = prep.execute()?;
-        let score = prep
-            .output()
-            .iter()
-            .map(|w| w.as_i32())
-            .max()
-            .expect("at least one end node");
-        Ok(PoaRun { score, stats })
+        self.run_task(&PoaTask { graph, seq, n_pes })
     }
 
     /// Binds one alignment task to a loaded array for repeated
@@ -378,13 +360,15 @@ impl PoaAccelerator {
             .iter()
             .map(|&c| Word::from_i32(c as i32))
             .collect();
-        let budget = ((m + n_pes as u64)
+        let budget = (m + n_pes as u64)
             * (n as u64 + 4)
             * (self.mapping.program.len() as u64 * 3 + 6 * max_live as u64 + 24)
             * 4
-            + 10_000)
-            .saturating_mul(self.budget_scale);
-        PreparedTask::new(array, inputs, budget)
+            + 10_000;
+        let mut prep = PreparedTask::new(array, budget, None);
+        prep.inputs = inputs;
+        prep.set_budget_scale(self.budget_scale);
+        prep
     }
 
     /// Statically verifies the programs generated to align a

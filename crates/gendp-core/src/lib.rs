@@ -14,10 +14,13 @@
 //!   [`linear1d`] for the 1-D chaining table, [`graph2d`] for
 //!   graph-structured POA, and [`spm1d`] for scratchpad-resident
 //!   Bellman-Ford relaxation.
-//! * Control programs are generated fully unrolled per task (the paper
-//!   generates control instructions manually, §4.4); per-cell instruction
-//!   counts — the quantities the evaluation reports — are identical to a
-//!   loop-rolled encoding.
+//! * Control programs are generated fully unrolled per task *shape* (the
+//!   paper generates control instructions manually, §4.4); per-cell
+//!   instruction counts — the quantities the evaluation reports — are
+//!   identical to a loop-rolled encoding. The 2-D wavefront and chaining
+//!   programs never depend on sequence content, which the host stages in
+//!   the input stream and the scratchpads, so one prepared program set
+//!   serves every task of its shape ([`Accelerator::bind`]).
 //!
 //! The end-to-end correctness contract, enforced by this crate's tests and
 //! the workspace integration tests: **every kernel's DPAx simulation
@@ -30,7 +33,6 @@ pub mod accel;
 pub mod functional;
 pub mod graph2d;
 pub mod linear1d;
-pub mod parallel;
 pub mod pipeline;
 pub mod spm1d;
 pub mod wavefront2d;
@@ -40,7 +42,6 @@ pub use accel::{
     TaskOutput, WavefrontTask,
 };
 pub use functional::FunctionalPlan;
-pub use parallel::run_batch;
 pub use pipeline::{
     bsw_score, bsw_semiglobal_score, bsw_simd16_scores, bsw_simd_scores, dtw_banded_distance,
     pack_halves, pack_lanes, pairhmm_float_lik, pairhmm_loglik, schedule_tile, AcceleratorRun,

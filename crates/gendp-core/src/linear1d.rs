@@ -12,9 +12,9 @@
 //! recurrence with the same window — validated against
 //! [`gendp_kernels::chain::chain_reordered`].
 
-use gendp_dpax::{Engine, PeArray, PeArrayConfig, RunStats, SimError, TierPolicy};
+use gendp_dpax::{PeArray, PeArrayConfig, RunStats, SimError, TierPolicy};
 
-use crate::accel::PreparedTask;
+use crate::accel::{Accelerator, ChainTask, PreparedTask};
 use gendp_dpmap::{map_dfg, Mapping};
 use gendp_isa::{ControlInst, ControlProgram, Loc, Luts, Mode, Space, Word};
 use gendp_kernels::chain::ChainParams;
@@ -73,16 +73,6 @@ impl ChainAccelerator {
     pub fn tiers(mut self, tiers: TierPolicy) -> Self {
         self.tiers = tiers;
         self
-    }
-
-    /// Selects the simulator execution engine.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `tiers(TierPolicy::...)`; raw engines no longer select the execution path"
-    )]
-    #[allow(deprecated)] // shim body is the one sanctioned from_engine caller
-    pub fn engine(self, engine: Engine) -> Self {
-        self.tiers(TierPolicy::from_engine(engine))
     }
 
     /// The chaining parameters (window = the PE count passed to
@@ -203,37 +193,48 @@ impl ChainAccelerator {
     ///
     /// Panics if `anchors` is empty or unsorted.
     pub fn run(&self, anchors: &[Anchor], n_pes: usize) -> Result<ChainRun, SimError> {
-        let mut prep = self.prepare(anchors, n_pes);
-        let stats = prep.execute()?;
-        let scores = prep.output().iter().map(|w| w.as_i32()).collect();
-        Ok(ChainRun { scores, stats })
+        self.run_task(&ChainTask { anchors, n_pes })
     }
 
     /// Binds one chaining task to a loaded array for repeated
-    /// [`PreparedTask::execute`] replays. [`run`](Self::run) is `prepare`
-    /// + one execute + output parsing.
+    /// [`PreparedTask::execute`] replays; [`run`](Self::run) is `prepare`,
+    /// one execute and output parsing. The programs depend only on the
+    /// anchor count and the PE count; the anchors stream in.
     ///
     /// # Panics
     ///
     /// Panics if `anchors` is empty or unsorted.
     pub fn prepare(&self, anchors: &[Anchor], n_pes: usize) -> PreparedTask {
         assert!(!anchors.is_empty(), "no anchors");
+        let array = self.build_array(anchors.len(), n_pes);
+        let budget =
+            (anchors.len() as u64 + n_pes as u64) * (self.mapping.program.len() as u64 + 24) * 4
+                + 10_000;
+        let mut prep = PreparedTask::new(array, budget, None);
+        prep.set_budget_scale(self.budget_scale);
+        self.bind(&mut prep, anchors);
+        prep
+    }
+
+    /// Binds the anchors of a task into `prep`, prepared for the same
+    /// anchor count and PE count: residents enter the input stream as
+    /// `(q, r, span, f0 = span)` records.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `anchors` is unsorted.
+    pub(crate) fn bind(&self, prep: &mut PreparedTask, anchors: &[Anchor]) {
         assert!(
             anchors.windows(2).all(|w| w[0] <= w[1]),
             "anchors must be sorted"
         );
-        let array = self.build_array(anchors.len(), n_pes);
-        // Residents enter as (q, r, span, f0 = span) records.
-        let inputs = anchors
-            .iter()
-            .flat_map(|a| [a.qpos, a.rpos, a.span, a.span])
-            .map(Word::from_i32)
-            .collect();
-        let budget =
-            ((anchors.len() as u64 + n_pes as u64) * (self.mapping.program.len() as u64 + 24) * 4
-                + 10_000)
-                .saturating_mul(self.budget_scale);
-        PreparedTask::new(array, inputs, budget)
+        prep.inputs.clear();
+        prep.inputs.extend(
+            anchors
+                .iter()
+                .flat_map(|a| [a.qpos, a.rpos, a.span, a.span])
+                .map(Word::from_i32),
+        );
     }
 
     /// Statically verifies the programs generated for an `n_anchors`-anchor
@@ -254,7 +255,10 @@ impl ChainAccelerator {
         cfg.fifo_capacity = cfg.fifo_capacity.max(3 * (n_pes + 4));
         let mut array = PeArray::new(cfg);
         for p in 0..n_pes {
-            array.load_pe_control(p, self.pe_program(p, n_pes, n_anchors));
+            // A prepared task may stay loaded as a template.
+            let mut program = self.pe_program(p, n_pes, n_anchors);
+            program.shrink_to_fit();
+            array.load_pe_control(p, program);
         }
         array.load_compute_all(self.mapping.program.clone());
         array

@@ -4,9 +4,9 @@
 //! vertex set) are exactly the scratchpad-served access pattern of §3.1;
 //! graphs larger than the scratchpad would spill to DRAM (§7.6.1).
 
-use gendp_dpax::{Engine, PeArray, PeArrayConfig, RunStats, SimError, TierPolicy};
+use gendp_dpax::{PeArray, PeArrayConfig, RunStats, SimError, TierPolicy};
 
-use crate::accel::PreparedTask;
+use crate::accel::{Accelerator, BellmanFordTask, PreparedTask};
 use gendp_dpmap::{map_dfg, Mapping};
 use gendp_isa::{ControlInst, ControlProgram, Loc, Luts, Mode, Space};
 use gendp_kernels::bellman_ford::Graph;
@@ -70,16 +70,6 @@ impl BellmanFordAccelerator {
         self
     }
 
-    /// Selects the simulator execution engine.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `tiers(TierPolicy::...)`; raw engines no longer select the execution path"
-    )]
-    #[allow(deprecated)] // shim body is the one sanctioned from_engine caller
-    pub fn engine(self, engine: Engine) -> Self {
-        self.tiers(TierPolicy::from_engine(engine))
-    }
-
     /// The DPMap result for the relaxation.
     pub fn mapping(&self) -> &Mapping {
         &self.mapping
@@ -106,10 +96,11 @@ impl BellmanFordAccelerator {
         source: usize,
         rounds: usize,
     ) -> Result<BellmanFordRun, SimError> {
-        let mut prep = self.prepare(graph, source, rounds);
-        let stats = prep.execute()?;
-        let dist = prep.output().iter().map(|x| x.as_i32()).collect();
-        Ok(BellmanFordRun { dist, stats })
+        self.run_task(&BellmanFordTask {
+            graph,
+            source,
+            rounds,
+        })
     }
 
     /// Binds one shortest-path task to a loaded single-PE array for
@@ -123,11 +114,12 @@ impl BellmanFordAccelerator {
     pub fn prepare(&self, graph: &Graph, source: usize, rounds: usize) -> PreparedTask {
         let n = graph.vertex_count();
         let array = self.build_array(graph, source, rounds);
-        let budget = ((rounds as u64 * graph.edge_count() as u64 + n as u64)
+        let budget = (rounds as u64 * graph.edge_count() as u64 + n as u64)
             * (self.mapping.program.len() as u64 + 8)
-            + 10_000)
-            .saturating_mul(self.budget_scale);
-        PreparedTask::new(array, Vec::new(), budget)
+            + 10_000;
+        let mut prep = PreparedTask::new(array, budget, None);
+        prep.set_budget_scale(self.budget_scale);
+        prep
     }
 
     /// Statically verifies the relaxation program generated for a task,

@@ -1,18 +1,21 @@
 //! Control-program generation for 2-D wavefront kernels (paper Fig. 5(a,b)):
 //! BSW, PairHMM, DTW, LCS.
 //!
-//! Rows of the DP table are assigned to PEs round-robin; the row character
-//! is held statically per row while column characters and boundary values
+//! Rows of the DP table are assigned to PEs round-robin. Each PE reads its
+//! rows' characters from its scratchpad, where the host stages them like
+//! the input data buffer, while column characters and boundary values
 //! stream through the systolic chain. The FIFO carries the boundary between
 //! row groups (last PE of group `g` → first PE of group `g+1`). Programs
-//! are generated fully unrolled per task.
+//! are generated fully unrolled per task *shape* — rows, columns, PE count
+//! and band — and never contain a sequence character: [`Accelerator::bind`]
+//! stages a task's content into a prepared task of its shape.
 
 use std::collections::BTreeMap;
 
 use gendp_dfg::Dfg;
-use gendp_dpax::{Engine, PeArray, PeArrayConfig, RunStats, SimError, Tier, TierPolicy};
+use gendp_dpax::{PeArray, PeArrayConfig, RunStats, SimError, Tier, TierPolicy};
 
-use crate::accel::PreparedTask;
+use crate::accel::{Accelerator, BandSpec, PreparedTask, WavefrontTask};
 use crate::functional::{FunctionalPlan, PlanDiag, PlanLeft, PlanStream, RoleSlots};
 use gendp_dpmap::{map_dfg, Mapping};
 use gendp_isa::{ControlInst, ControlProgram, Loc, Luts, Mode, Space, Word};
@@ -203,13 +206,6 @@ impl Wavefront2d {
     pub fn tiers(mut self, tiers: TierPolicy) -> Self {
         self.tiers = tiers;
         self
-    }
-
-    /// Selects the simulator execution engine.
-    #[deprecated(since = "0.2.0", note = "use `tiers(TierPolicy::...)`")]
-    #[allow(deprecated)] // shim body is the one sanctioned from_engine caller
-    pub fn engine(self, engine: Engine) -> Self {
-        self.tiers(TierPolicy::from_engine(engine))
     }
 
     fn ext_slot(&self, name: &str) -> u16 {
@@ -408,11 +404,11 @@ impl Wavefront2d {
     }
 
     /// Generates the fully unrolled control program for PE `p` of `n_pes`,
-    /// for a table with the given row/column character codes.
-    fn pe_program(&self, p: usize, n_pes: usize, rows: &[i32], cols: &[i32]) -> ControlProgram {
+    /// for an `m`-row, `n`-column table. The program depends only on the
+    /// shape: PE `p` reads the character of its `t`-th own row (row
+    /// `p + t * n_pes`) from `spm[t]`, which [`bind`](Self::bind) stages.
+    fn pe_program(&self, p: usize, n_pes: usize, m: usize, n: usize) -> ControlProgram {
         let roles = self.roles();
-        let m = rows.len();
-        let n = cols.len();
         let mut prog = ControlProgram::new();
         let last_owner = (m - 1) % n_pes;
 
@@ -438,10 +434,7 @@ impl Wavefront2d {
             };
 
             // Row prologue.
-            prog.push(ControlInst::Li {
-                dest: rf(roles.row_char),
-                imm: rows[row],
-            });
+            prog.push(ControlInst::mv(rf(roles.row_char), spm(row / n_pes)));
             let first_own_row = row == p;
             for l in &roles.lefts {
                 if l.per_row || first_own_row {
@@ -532,27 +525,22 @@ impl Wavefront2d {
         prog.push(ControlInst::Halt);
     }
 
-    /// Generates the control program of PE `p` for a *banded* table
-    /// (paper §7.6.2: static active regions): row `i` computes columns
-    /// `i..i+width` of a column sequence padded with `width` sentinel
+    /// Generates the control program of PE `p` for an `m`-row *banded*
+    /// table (paper §7.6.2: static active regions): row `i` computes
+    /// columns `i..i+width` of a column sequence padded with sentinel
     /// characters, so every row has the same cell count and the streams
-    /// stay balanced with a one-tuple shift. Column characters are baked
-    /// per row (they differ row to row inside the band).
-    fn pe_program_banded(
-        &self,
-        p: usize,
-        n_pes: usize,
-        rows: &[i32],
-        padded_cols: &[i32],
-        width: usize,
-    ) -> ControlProgram {
+    /// stay balanced with a one-tuple shift. Column characters differ row
+    /// to row inside the band, so each PE reads them from its scratchpad:
+    /// padded column `i + k` sits at `spm[rows_per_pe + i + k]`, past the
+    /// row characters (see [`bind`](Self::bind)).
+    fn pe_program_banded(&self, p: usize, n_pes: usize, m: usize, width: usize) -> ControlProgram {
         let roles = self.roles();
-        let m = rows.len();
         let mut prog = ControlProgram::new();
         assert!(
             roles.collects.is_empty() && roles.diags.len() <= roles.streams.len(),
             "banded mode drains per-PE state only"
         );
+        let window = m.div_ceil(n_pes);
 
         let mut row = p;
         while row < m {
@@ -574,10 +562,7 @@ impl Wavefront2d {
                 Loc::port(Space::Out)
             };
 
-            prog.push(ControlInst::Li {
-                dest: rf(roles.row_char),
-                imm: rows[row],
-            });
+            prog.push(ControlInst::mv(rf(roles.row_char), spm(row / n_pes)));
             for l in &roles.lefts {
                 if l.per_row || row == p {
                     prog.push(ControlInst::Li {
@@ -601,11 +586,8 @@ impl Wavefront2d {
             }
 
             for k in 0..width {
-                // Baked column character: padded column index row + k.
-                prog.push(ControlInst::Li {
-                    dest: rf(roles.col_char),
-                    imm: padded_cols[row + k],
-                });
+                // Column character: padded column index row + k.
+                prog.push(ControlInst::mv(rf(roles.col_char), spm(window + row + k)));
                 for d in &roles.diags {
                     prog.push(ControlInst::mv(rf(d.ext), rf(roles.streams[d.src].landing)));
                 }
@@ -671,30 +653,18 @@ impl Wavefront2d {
         sentinel: i32,
         n_pes: usize,
     ) -> Result<Wavefront2dOutput, SimError> {
-        let m = rows.len();
-        let mut prep = self.prepare_banded(rows, cols, width, sentinel, n_pes);
-        let stats = prep.execute()?;
-        let out = prep.output();
-        let active_pes = n_pes.min(m);
-        let mut drained: BTreeMap<String, Vec<i32>> = self
-            .drain
-            .iter()
-            .map(|d| (d.clone(), Vec::with_capacity(active_pes)))
-            .collect();
-        for (k, w) in out.iter().enumerate() {
-            let name = &self.drain[k % self.drain.len()];
-            drained.get_mut(name).expect("drain name").push(w.as_i32());
-        }
-        Ok(Wavefront2dOutput {
-            last_row: BTreeMap::new(),
-            drained,
-            stats,
+        self.run_task(&WavefrontTask {
+            rows,
+            cols,
+            n_pes,
+            band: Some(BandSpec { width, sentinel }),
         })
     }
 
     /// Generates (without running) the per-PE control programs for a task,
     /// e.g. to inspect, disassemble or size them (the instruction-buffer
-    /// footprint of paper Table 7).
+    /// footprint of paper Table 7). The programs depend only on the table
+    /// shape, never on the characters in `rows` and `cols`.
     ///
     /// # Panics
     ///
@@ -707,7 +677,7 @@ impl Wavefront2d {
     ) -> Vec<ControlProgram> {
         assert!(!rows.is_empty() && !cols.is_empty(), "empty table");
         (0..n_pes)
-            .map(|p| self.pe_program(p, n_pes, rows, cols))
+            .map(|p| self.pe_program(p, n_pes, rows.len(), cols.len()))
             .collect()
     }
 
@@ -719,7 +689,8 @@ impl Wavefront2d {
     /// Panics if `rows` or `cols` is empty.
     pub fn verify(&self, rows: &[i32], cols: &[i32], n_pes: usize) -> gendp_verify::Report {
         assert!(!rows.is_empty() && !cols.is_empty(), "empty table");
-        self.build_array(rows, cols, n_pes).verify_programs()
+        self.build_array(rows.len(), cols.len(), None, n_pes)
+            .verify_programs()
     }
 
     /// Statically verifies the programs generated for one *banded* task
@@ -733,90 +704,133 @@ impl Wavefront2d {
         rows: &[i32],
         cols: &[i32],
         width: usize,
-        sentinel: i32,
+        _sentinel: i32,
         n_pes: usize,
     ) -> gendp_verify::Report {
         assert!(!rows.is_empty() && !cols.is_empty(), "empty table");
         assert!(width > 0, "band width must be positive");
-        self.build_array_banded(rows, cols, width, sentinel, n_pes)
+        self.build_array(rows.len(), cols.len(), Some(width), n_pes)
             .verify_programs()
     }
 
-    /// Builds the loaded array for a streamed task (shared by `run` and
-    /// `verify`); inputs are fed separately.
-    fn build_array(&self, rows: &[i32], cols: &[i32], n_pes: usize) -> PeArray {
-        let n = cols.len();
+    /// Builds the loaded array for an `m`×`n` table, banded when `band`
+    /// gives a width (shared by `prepare` and `verify`). The programs
+    /// depend on the shape alone; [`bind`](Self::bind) stages the content.
+    fn build_array(&self, m: usize, n: usize, band: Option<usize>, n_pes: usize) -> PeArray {
         let mut cfg = PeArrayConfig::with_pes(n_pes)
             .mode(self.mode)
             .luts(self.luts.clone())
             .tiers(self.tiers);
         cfg.rf_slots = self.rf_slots.max(cfg.rf_slots);
-        cfg.fifo_capacity = ((self.streamed.len() + 2) * (n + 2)).max(cfg.fifo_capacity);
+        let tuples = band.unwrap_or(n);
+        cfg.fifo_capacity = ((self.streamed.len() + 2) * (tuples + 2)).max(cfg.fifo_capacity);
+        // Row characters, then (banded) the padded column window.
+        let staged = m.div_ceil(n_pes) + band.map_or(0, |width| m + width - 1);
+        assert!(
+            staged <= 1 << 16,
+            "{staged} scratchpad words exceed the 16-bit address space"
+        );
+        cfg.spm_words = cfg.spm_words.max(staged);
         let mut array = PeArray::new(cfg);
         for p in 0..n_pes {
-            array.load_pe_control(p, self.pe_program(p, n_pes, rows, cols));
+            let mut program = match band {
+                Some(width) => self.pe_program_banded(p, n_pes, m, width),
+                None => self.pe_program(p, n_pes, m, n),
+            };
+            // A prepared task may stay loaded as a template.
+            program.shrink_to_fit();
+            array.load_pe_control(p, program);
         }
         array.load_compute_all(self.mapping.program.clone());
         array
     }
 
-    /// Builds the loaded array for a banded task (shared by `run_banded`
-    /// and `verify_banded`).
-    fn build_array_banded(
+    /// Builds the prepared task for one table shape: programs generated,
+    /// decoded, loaded and certified, the cycle budget derived and, when
+    /// the tier policy requests [`Tier::Functional`], the shape lowered to
+    /// a [`FunctionalPlan`]. Nothing of any task's content is in it yet;
+    /// [`bind`](Self::bind) puts it there.
+    pub(crate) fn template(
         &self,
-        rows: &[i32],
-        cols: &[i32],
-        width: usize,
-        sentinel: i32,
-        n_pes: usize,
-    ) -> PeArray {
-        let m = rows.len();
-        let mut padded: Vec<i32> = cols.to_vec();
-        padded.resize(cols.len().max(m + width) + 1, sentinel);
-        let mut cfg = PeArrayConfig::with_pes(n_pes)
-            .mode(self.mode)
-            .luts(self.luts.clone())
-            .tiers(self.tiers);
-        cfg.rf_slots = self.rf_slots.max(cfg.rf_slots);
-        cfg.fifo_capacity = ((self.streamed.len() + 2) * (width + 2)).max(cfg.fifo_capacity);
-        let mut array = PeArray::new(cfg);
-        for p in 0..n_pes {
-            array.load_pe_control(p, self.pe_program_banded(p, n_pes, rows, &padded, width));
-        }
-        array.load_compute_all(self.mapping.program.clone());
-        array
-    }
-
-    /// Lowers one task shape to a [`FunctionalPlan`]: the resolved role
-    /// slots, compute program pre-decoded, statistic weights pre-summed.
-    /// `rf_slots` must match the built array's so the per-PE register
-    /// files agree.
-    fn functional_plan(
-        &self,
-        rows: &[i32],
-        cols: Vec<i32>,
+        m: usize,
+        n: usize,
         band: Option<usize>,
         n_pes: usize,
-        rf_slots: usize,
-    ) -> FunctionalPlan {
-        FunctionalPlan {
+    ) -> PreparedTask {
+        let array = self.build_array(m, n, band, n_pes);
+        let budget = (m as u64 + n_pes as u64)
+            * (band.unwrap_or(n) as u64 + 4)
+            * (self.mapping.program.len() as u64 + self.streamed.len() as u64 * 2 + 12)
+            * 4
+            + 10_000;
+        let plan = (self.tiers.requested() == Tier::Functional).then(|| FunctionalPlan {
             program: (&self.mapping.program).into(),
             mode: self.mode,
             luts: self.luts.clone(),
-            rf_slots,
+            // The plan's per-PE register files must match the array's.
+            rf_slots: array.config().rf_slots,
             n_pes,
-            rows: rows.to_vec(),
-            cols,
+            rows: Vec::new(),
+            cols: Vec::new(),
             band,
             roles: self.roles().clone(),
             weights: gendp_isa::cell_stat_weights(&self.mapping.program),
             ws: Default::default(),
+        });
+        let mut prep = PreparedTask::new(array, budget, plan);
+        prep.set_budget_scale(self.budget_scale);
+        prep
+    }
+
+    /// Binds one task's content into `prep`, a task this driver prepared
+    /// for the same shape (rows, columns, PE count, band width): each PE's
+    /// row characters — and, banded, the padded column window — become
+    /// its scratchpad image, an unbanded column sequence becomes the
+    /// input stream, and the functional plan takes both. Programs, their
+    /// decoded forms and the certificate are untouched.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rows` or `cols` is empty.
+    pub(crate) fn bind(&self, prep: &mut PreparedTask, task: &WavefrontTask<'_>) {
+        let WavefrontTask {
+            rows, cols, band, ..
+        } = *task;
+        assert!(!rows.is_empty() && !cols.is_empty(), "empty table");
+        let n_pes = prep.n_pes();
+        let m = rows.len();
+        let word = |&x: &i32| Word::from_i32(x);
+        // Banded: the column sequence padded with sentinels past its end.
+        let padded: Vec<i32> = band.map_or_else(Vec::new, |b| {
+            let mut padded = cols.to_vec();
+            padded.resize(cols.len().max(m + b.width) + 1, b.sentinel);
+            padded
+        });
+        prep.spm.resize_with(n_pes, Vec::new);
+        for (p, image) in prep.spm.iter_mut().enumerate() {
+            image.clear();
+            image.extend(rows.iter().skip(p).step_by(n_pes).map(word));
+            if let Some(b) = band {
+                image.resize(m.div_ceil(n_pes), Word::ZERO);
+                image.extend(padded[..m + b.width - 1].iter().map(word));
+            }
+        }
+        prep.inputs.clear();
+        if band.is_none() {
+            prep.inputs.extend(cols.iter().map(word));
+        }
+        if let Some(plan) = prep.plan.as_mut() {
+            plan.rows.clear();
+            plan.rows.extend_from_slice(rows);
+            plan.cols.clear();
+            plan.cols
+                .extend_from_slice(if band.is_some() { &padded } else { cols });
         }
     }
 
     /// Binds one streamed task to a loaded array — programs generated,
-    /// lowered and loaded, column stream staged, budget derived — for
-    /// repeated [`PreparedTask::execute`] replays. [`run`](Self::run) is
+    /// lowered and loaded, content staged, budget derived — for repeated
+    /// [`PreparedTask::execute`] replays. [`run`](Self::run) is
     /// `prepare` + one execute + output parsing. When the tier policy
     /// requests [`Tier::Functional`], the task is additionally lowered to
     /// a [`FunctionalPlan`] and `execute` skips the simulator entirely.
@@ -825,27 +839,21 @@ impl Wavefront2d {
     ///
     /// Panics if `rows` or `cols` is empty.
     pub fn prepare(&self, rows: &[i32], cols: &[i32], n_pes: usize) -> PreparedTask {
-        assert!(!rows.is_empty() && !cols.is_empty(), "empty table");
-        let m = rows.len();
-        let n = cols.len();
-        let array = self.build_array(rows, cols, n_pes);
-        let budget = ((m as u64 + n_pes as u64)
-            * (n as u64 + 4)
-            * (self.mapping.program.len() as u64 + self.streamed.len() as u64 * 2 + 12)
-            * 4
-            + 10_000)
-            .saturating_mul(self.budget_scale);
-        let inputs = cols.iter().map(|&c| Word::from_i32(c)).collect();
-        let plan = (self.tiers.requested() == Tier::Functional).then(|| {
-            self.functional_plan(rows, cols.to_vec(), None, n_pes, array.config().rf_slots)
-        });
-        PreparedTask::with_plan(array, inputs, budget, plan)
+        Accelerator::prepare(
+            self,
+            &WavefrontTask {
+                rows,
+                cols,
+                n_pes,
+                band: None,
+            },
+        )
     }
 
-    /// Binds one banded task to a loaded array (the band's column windows
-    /// are baked into the per-PE programs, so no input stream is staged).
-    /// [`run_banded`](Self::run_banded) is `prepare_banded` + one execute
-    /// + output parsing.
+    /// Binds one banded task to a loaded array (row characters and the
+    /// band's column window are staged in the scratchpads, so no input
+    /// stream is fed). [`run_banded`](Self::run_banded) is
+    /// `prepare_banded` + one execute + output parsing.
     ///
     /// # Panics
     ///
@@ -858,23 +866,53 @@ impl Wavefront2d {
         sentinel: i32,
         n_pes: usize,
     ) -> PreparedTask {
-        assert!(!rows.is_empty() && !cols.is_empty(), "empty table");
-        assert!(width > 0, "band width must be positive");
-        let m = rows.len();
-        let array = self.build_array_banded(rows, cols, width, sentinel, n_pes);
-        let budget = ((m as u64 + n_pes as u64)
-            * (width as u64 + 4)
-            * (self.mapping.program.len() as u64 + self.streamed.len() as u64 * 2 + 12)
-            * 4
-            + 10_000)
-            .saturating_mul(self.budget_scale);
-        let plan = (self.tiers.requested() == Tier::Functional).then(|| {
-            // Same padding rule as `build_array_banded`.
-            let mut padded: Vec<i32> = cols.to_vec();
-            padded.resize(cols.len().max(m + width) + 1, sentinel);
-            self.functional_plan(rows, padded, Some(width), n_pes, array.config().rf_slots)
-        });
-        PreparedTask::with_plan(array, Vec::new(), budget, plan)
+        Accelerator::prepare(
+            self,
+            &WavefrontTask {
+                rows,
+                cols,
+                n_pes,
+                band: Some(BandSpec { width, sentinel }),
+            },
+        )
+    }
+
+    /// Parses the output words of one execution: last-row collects, then
+    /// per-PE drains.
+    pub(crate) fn parse_output(
+        &self,
+        n: usize,
+        active_pes: usize,
+        out: &[Word],
+        stats: RunStats,
+    ) -> Wavefront2dOutput {
+        let n_collect = n * self.collect.len();
+        let mut last_row: BTreeMap<String, Vec<i32>> = self
+            .collect
+            .iter()
+            .map(|c| (c.clone(), Vec::with_capacity(n)))
+            .collect();
+        for (k, w) in out.iter().take(n_collect).enumerate() {
+            let name = &self.collect[k % self.collect.len()];
+            last_row
+                .get_mut(name)
+                .expect("collect name")
+                .push(w.as_i32());
+        }
+        let mut drained: BTreeMap<String, Vec<i32>> = self
+            .drain
+            .iter()
+            .map(|d| (d.clone(), Vec::with_capacity(active_pes)))
+            .collect();
+        for (k, w) in out.iter().skip(n_collect).enumerate() {
+            let name = &self.drain[k % self.drain.len()];
+            drained.get_mut(name).expect("drain name").push(w.as_i32());
+        }
+        Wavefront2dOutput {
+            last_row,
+            drained,
+            stats,
+        }
     }
 
     /// Runs one task on a `n_pes`-PE array; returns functional outputs and
@@ -893,40 +931,11 @@ impl Wavefront2d {
         cols: &[i32],
         n_pes: usize,
     ) -> Result<Wavefront2dOutput, SimError> {
-        let m = rows.len();
-        let n = cols.len();
-        let mut prep = self.prepare(rows, cols, n_pes);
-        let stats = prep.execute()?;
-
-        // Parse the output buffer: last-row collects then drains.
-        let out = prep.output();
-        let n_collect = n * self.collect.len();
-        let mut last_row: BTreeMap<String, Vec<i32>> = self
-            .collect
-            .iter()
-            .map(|c| (c.clone(), Vec::with_capacity(n)))
-            .collect();
-        for (k, w) in out.iter().take(n_collect).enumerate() {
-            let name = &self.collect[k % self.collect.len()];
-            last_row
-                .get_mut(name)
-                .expect("collect name")
-                .push(w.as_i32());
-        }
-        let active_pes = n_pes.min(m);
-        let mut drained: BTreeMap<String, Vec<i32>> = self
-            .drain
-            .iter()
-            .map(|d| (d.clone(), Vec::with_capacity(active_pes)))
-            .collect();
-        for (k, w) in out.iter().skip(n_collect).enumerate() {
-            let name = &self.drain[k % self.drain.len()];
-            drained.get_mut(name).expect("drain name").push(w.as_i32());
-        }
-        Ok(Wavefront2dOutput {
-            last_row,
-            drained,
-            stats,
+        self.run_task(&WavefrontTask {
+            rows,
+            cols,
+            n_pes,
+            band: None,
         })
     }
 }
@@ -934,6 +943,12 @@ impl Wavefront2d {
 /// A direct register-file location.
 fn rf(slot: usize) -> Loc {
     Loc::rf(slot as u16)
+}
+
+/// A direct scratchpad location (`build_array` sized the scratchpad, and
+/// checked the address space, for every address a program reads).
+fn spm(addr: usize) -> Loc {
+    Loc::spm(addr as u16)
 }
 
 #[cfg(test)]

@@ -180,6 +180,27 @@ impl PeArray {
         self.in_stream.extend(words);
     }
 
+    /// Writes `words` into PE `pe`'s scratchpad from address 0, as the host
+    /// fills the data buffers: it costs no cycle and no statistic. Like
+    /// [`feed_input`](Self::feed_input) it is undone by
+    /// [`reset`](Self::reset), so stage after every reset.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `pe` is out of range or `words` outgrows the scratchpad.
+    pub fn stage_spm(&mut self, pe: usize, words: &[Word]) {
+        self.pes[pe].stage_spm(words);
+    }
+
+    /// The control program loaded into PE `pe`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `pe` is out of range.
+    pub fn control_program(&self, pe: usize) -> &ControlProgram {
+        self.pes[pe].control_program()
+    }
+
     /// Words the last PE has written to the output data buffer, in order.
     pub fn output(&self) -> &[Word] {
         &self.out_sink

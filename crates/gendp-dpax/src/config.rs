@@ -13,10 +13,9 @@ use gendp_isa::{Luts, Mode};
 /// semantics as batched native loops and reports cycles from the static
 /// certificate's analytic model.
 ///
-/// `Engine` is no longer how execution is selected: configure a
-/// [`TierPolicy`] instead, which adds certification awareness and an
-/// automatic fallback chain. The raw-`Engine` builder entry points are
-/// kept one release as `#[deprecated]` shims.
+/// `Engine` is not how execution is selected: configure a [`TierPolicy`]
+/// instead, which adds certification awareness and an automatic fallback
+/// chain, and resolves to an engine through [`TierPolicy::sim_engine`].
 #[derive(Debug, Copy, Clone, PartialEq, Eq, Hash, Default)]
 pub enum Engine {
     /// Execute pre-decoded programs (the default fast path).
@@ -179,18 +178,6 @@ impl TierPolicy {
             _ => Engine::Decoded,
         }
     }
-
-    /// Shim translating the old raw-`Engine` selection into the policy it
-    /// historically meant: `Decoded` certified when possible,
-    /// `Interpreted` exact, `Functional` with fallback.
-    #[deprecated(since = "0.2.0", note = "construct a TierPolicy directly")]
-    pub fn from_engine(engine: Engine) -> Self {
-        match engine {
-            Engine::Decoded => Self::decoded_certified(),
-            Engine::Interpreted => Self::interpreted(),
-            Engine::Functional => Self::functional(),
-        }
-    }
 }
 
 impl Default for TierPolicy {
@@ -307,13 +294,6 @@ impl PeArrayConfig {
         self.tiers = tiers;
         self
     }
-
-    /// Selects the execution engine, returning `self` for chaining.
-    #[deprecated(since = "0.2.0", note = "use `tiers(TierPolicy::...)`")]
-    #[allow(deprecated)] // shim body is the one sanctioned from_engine caller
-    pub fn engine(self, engine: Engine) -> Self {
-        self.tiers(TierPolicy::from_engine(engine))
-    }
 }
 
 impl Default for PeArrayConfig {
@@ -391,23 +371,6 @@ mod tests {
         );
         assert_eq!(TierPolicy::decoded().sim_engine(), Engine::Decoded);
         assert_eq!(TierPolicy::interpreted().sim_engine(), Engine::Interpreted);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn engine_shim_maps_to_historical_policies() {
-        assert_eq!(
-            PeArrayConfig::new().engine(Engine::Decoded).tiers,
-            TierPolicy::decoded_certified()
-        );
-        assert_eq!(
-            PeArrayConfig::new().engine(Engine::Interpreted).tiers,
-            TierPolicy::interpreted()
-        );
-        assert_eq!(
-            PeArrayConfig::new().engine(Engine::Functional).tiers,
-            TierPolicy::functional()
-        );
     }
 
     #[test]

@@ -176,6 +176,16 @@ impl Pe {
         self.stats = PeStats::default();
     }
 
+    /// Writes `words` into the scratchpad from address 0, the way the host
+    /// fills the data buffers before a run: no cycle, no statistic.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `words` is longer than the scratchpad.
+    pub fn stage_spm(&mut self, words: &[Word]) {
+        self.spm[..words.len()].copy_from_slice(words);
+    }
+
     /// Loads a compute program together with its pre-decoded form.
     pub fn load_compute(
         &mut self,
@@ -376,6 +386,7 @@ impl Pe {
     ) -> Result<ReadOutcome, SimError> {
         match loc {
             DecodedLoc::RfDirect(i) => {
+                let i = usize::from(i);
                 if self.compute_busy() {
                     return Ok(ReadOutcome::Stall); // RF interlock
                 }
@@ -391,6 +402,7 @@ impl Pe {
                 Ok(ReadOutcome::Value(read_at::<U, _>(&self.rf, i)))
             }
             DecodedLoc::SpmDirect(i) => {
+                let i = usize::from(i);
                 self.bound_g::<U, _>(&self.spm, i, "spm")?;
                 Ok(ReadOutcome::Value(read_at::<U, _>(&self.spm, i)))
             }
@@ -400,6 +412,7 @@ impl Pe {
                 Ok(ReadOutcome::Value(read_at::<U, _>(&self.spm, i)))
             }
             DecodedLoc::AregDirect(i) => {
+                let i = usize::from(i);
                 self.bound_g::<U, _>(&self.aregs, i, "areg")?;
                 Ok(ReadOutcome::Value(Word::from_i32(read_at::<U, _>(
                     &self.aregs,
@@ -519,6 +532,7 @@ impl Pe {
         let mut eff = ExtEffect::default();
         match loc {
             DecodedLoc::RfDirect(i) => {
+                let i = usize::from(i);
                 self.bound_g::<U, _>(&self.rf, i, "rf")?;
                 write_at::<U, _>(&mut self.rf, i, w);
             }
@@ -528,6 +542,7 @@ impl Pe {
                 write_at::<U, _>(&mut self.rf, i, w);
             }
             DecodedLoc::SpmDirect(i) => {
+                let i = usize::from(i);
                 self.bound_g::<U, _>(&self.spm, i, "spm")?;
                 write_at::<U, _>(&mut self.spm, i, w);
                 self.stats.spm_accesses += 1;
@@ -539,6 +554,7 @@ impl Pe {
                 self.stats.spm_accesses += 1;
             }
             DecodedLoc::AregDirect(i) => {
+                let i = usize::from(i);
                 self.bound_g::<U, _>(&self.aregs, i, "areg")?;
                 write_at::<U, _>(&mut self.aregs, i, w.as_i32());
             }
@@ -805,7 +821,7 @@ impl Pe {
                     self.stats.ctrl_stalls += 1;
                     return Ok((Progress::Stalled, eff));
                 }
-                if pc >= self.compute.len() && !self.compute.is_empty() {
+                if usize::from(pc) >= self.compute.len() && !self.compute.is_empty() {
                     return Err(SimError::BadAccess(format!(
                         "pe{}: set cu {pc} beyond compute program (len {})",
                         self.index,
@@ -818,7 +834,7 @@ impl Pe {
                         self.index
                     )));
                 }
-                self.compute_pc = Some(pc);
+                self.compute_pc = Some(usize::from(pc));
                 self.stats.cells += 1;
             }
             DecodedCtrlInst::Interp => {

@@ -40,15 +40,15 @@ use crate::word::Word;
 #[derive(Debug, Copy, Clone, PartialEq, Eq)]
 pub enum DecodedLoc {
     /// `rf[n]`
-    RfDirect(usize),
+    RfDirect(u16),
     /// `rf[aN+k]`
     RfIndirect { areg: u8, offset: i16 },
     /// `spm[n]`
-    SpmDirect(usize),
+    SpmDirect(u16),
     /// `spm[aN+k]`
     SpmIndirect { areg: u8, offset: i16 },
     /// `a[n]`
-    AregDirect(usize),
+    AregDirect(u16),
     /// `a[aN+k]`
     AregIndirect { areg: u8, offset: i16 },
     /// The `in` port.
@@ -64,11 +64,11 @@ impl DecodedLoc {
     /// paths, so diagnostics match the interpreted engine byte for byte).
     pub fn to_loc(self) -> Loc {
         match self {
-            DecodedLoc::RfDirect(a) => Loc::direct(Space::Rf, a as u16),
+            DecodedLoc::RfDirect(a) => Loc::direct(Space::Rf, a),
             DecodedLoc::RfIndirect { areg, offset } => Loc::indirect(Space::Rf, areg, offset),
-            DecodedLoc::SpmDirect(a) => Loc::direct(Space::Spm, a as u16),
+            DecodedLoc::SpmDirect(a) => Loc::direct(Space::Spm, a),
             DecodedLoc::SpmIndirect { areg, offset } => Loc::indirect(Space::Spm, areg, offset),
-            DecodedLoc::AregDirect(a) => Loc::direct(Space::Areg, a as u16),
+            DecodedLoc::AregDirect(a) => Loc::direct(Space::Areg, a),
             DecodedLoc::AregIndirect { areg, offset } => Loc::indirect(Space::Areg, areg, offset),
             DecodedLoc::In => Loc::port(Space::In),
             DecodedLoc::Out => Loc::port(Space::Out),
@@ -80,15 +80,14 @@ impl DecodedLoc {
     /// cannot touch (those instructions fall back to [the interpreter's
     /// error path](DecodedCtrlInst::Interp)).
     fn decode(loc: Loc) -> Option<Self> {
-        let direct = |a: u16| a as usize;
         Some(match (loc.space(), loc.addr()) {
-            (Space::Rf, Addr::Direct(a)) => DecodedLoc::RfDirect(direct(a)),
+            (Space::Rf, Addr::Direct(a)) => DecodedLoc::RfDirect(a),
             (Space::Rf, Addr::Indirect { areg, offset }) => DecodedLoc::RfIndirect { areg, offset },
-            (Space::Spm, Addr::Direct(a)) => DecodedLoc::SpmDirect(direct(a)),
+            (Space::Spm, Addr::Direct(a)) => DecodedLoc::SpmDirect(a),
             (Space::Spm, Addr::Indirect { areg, offset }) => {
                 DecodedLoc::SpmIndirect { areg, offset }
             }
-            (Space::Areg, Addr::Direct(a)) => DecodedLoc::AregDirect(direct(a)),
+            (Space::Areg, Addr::Direct(a)) => DecodedLoc::AregDirect(a),
             (Space::Areg, Addr::Indirect { areg, offset }) => {
                 DecodedLoc::AregIndirect { areg, offset }
             }
@@ -122,10 +121,10 @@ pub enum DecodedCtrlInst {
         cond: BranchCond,
         rs1: u8,
         rs2: u8,
-        target: i64,
+        target: i32,
     },
     /// `set cu <pc>`.
-    SetCompute { pc: usize },
+    SetCompute { pc: u16 },
     /// `li` with the immediate pre-converted to a datapath word.
     Li { dest: DecodedLoc, word: Word },
     /// `mv` with both locations resolved.
@@ -184,12 +183,13 @@ impl DecodedControlProgram {
                 cond,
                 rs1: rs1.0,
                 rs2: rs2.0,
-                target: pc as i64 + offset as i64,
+                target: i32::try_from(pc as i64 + i64::from(offset))
+                    .expect("control programs stay below 2^31 instructions"),
             },
             ControlInst::Set {
                 target: SetTarget::Compute,
                 pc,
-            } => DecodedCtrlInst::SetCompute { pc: pc as usize },
+            } => DecodedCtrlInst::SetCompute { pc },
             ControlInst::Set {
                 target: SetTarget::Pe(_),
                 ..

@@ -52,6 +52,12 @@ impl ControlProgram {
         self.insts.len()
     }
 
+    /// Releases spare capacity, for programs kept loaded long after
+    /// generation.
+    pub fn shrink_to_fit(&mut self) {
+        self.insts.shrink_to_fit();
+    }
+
     /// True if the program has no instructions.
     pub fn is_empty(&self) -> bool {
         self.insts.is_empty()

@@ -21,6 +21,7 @@ use crate::recovery::{RetryPolicy, SlotHealth};
 use crate::report::{ArrayReport, DeviceReport, KernelStats, RecoveryReport};
 use crate::sync::{lock_unpoisoned, wait_timeout_unpoisoned};
 use crate::task::{ArrayClass, Task, TaskFailure, TaskResult, TaskValue};
+use crate::templates::{TemplateCache, TemplateStats, TEMPLATE_BUDGET, TEMPLATE_SLOTS};
 
 /// Device shape and execution parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -299,6 +300,8 @@ pub struct DeviceSnapshot {
     pub recovery: RecoveryReport,
     /// Batches the device has executed.
     pub batches: u64,
+    /// Template-cache counters summed over the device's workers.
+    pub templates: TemplateStats,
 }
 
 impl DeviceSnapshot {
@@ -454,6 +457,12 @@ struct ExecCtx<'a> {
 /// policy, placement, or worker count — only wall-clock time and the
 /// per-array load distribution change.
 ///
+/// Each worker keeps the prepared tasks it ran as templates, keyed by
+/// [`TaskShape`](crate::TaskShape) and kept across batches: a task whose
+/// shape a worker has seen binds its content into the kept template and
+/// skips program generation, decoding and verification
+/// ([`DeviceSnapshot::templates`] counts hits, misses and evictions).
+///
 /// The device degrades rather than aborts: task failures are retried
 /// under the configured [`RetryPolicy`] (with cycle-budget escalation for
 /// timeouts and re-dispatch to a different array for everything else),
@@ -469,6 +478,9 @@ pub struct Device {
     recovery_total: RecoveryReport,
     /// Batches executed so far.
     batches: u64,
+    /// One template cache per worker, kept across batches: worker `w`
+    /// locks `templates[w]` for the length of each batch.
+    templates: Vec<Mutex<TemplateCache>>,
 }
 
 impl Device {
@@ -489,7 +501,7 @@ impl Device {
             // time, not mid-batch.
             let _ = FaultInjector::new(fault);
         }
-        let slots = (0..config.int_arrays + config.float_arrays)
+        let slots: Vec<_> = (0..config.int_arrays + config.float_arrays)
             .map(|index| {
                 Arc::new(ArraySlot {
                     index,
@@ -504,11 +516,18 @@ impl Device {
                 })
             })
             .collect();
+        let workers = config.workers.clamp(1, slots.len());
         Device {
             config,
             slots,
             recovery_total: RecoveryReport::default(),
             batches: 0,
+            templates: (0..workers)
+                .map(|_| {
+                    let slots = (TEMPLATE_SLOTS / workers).max(1);
+                    Mutex::new(TemplateCache::new(TEMPLATE_BUDGET / workers, slots))
+                })
+                .collect(),
         }
     }
 
@@ -558,6 +577,13 @@ impl Device {
                 .collect(),
             recovery: self.recovery_total,
             batches: self.batches,
+            templates: self
+                .templates
+                .iter()
+                .fold(TemplateStats::default(), |mut sum, c| {
+                    sum.absorb(&lock_unpoisoned(c).stats());
+                    sum
+                }),
         }
     }
 
@@ -594,7 +620,7 @@ impl Device {
             slot.queue.reset();
             slot.health.reset();
         }
-        let workers = self.config.workers.clamp(1, self.slots.len());
+        let workers = self.templates.len();
         let results: Mutex<Vec<Option<Result<TaskResult, TaskFailure>>>> =
             Mutex::new((0..n).map(|_| None).collect());
         let first_error: Mutex<Option<RuntimeError>> = Mutex::new(None);
@@ -631,17 +657,22 @@ impl Device {
         };
 
         thread::scope(|scope| {
-            for w in 0..workers {
+            for (w, templates) in self.templates.iter().enumerate() {
                 let ctx = &ctx;
                 let signal = &signal;
-                scope.spawn(move || loop {
-                    // Panic containment's second line of defense: a panic
-                    // that escapes the per-task catch (it should not)
-                    // respawns the worker loop instead of killing the
-                    // thread and stranding its queues.
-                    match catch_unwind(AssertUnwindSafe(|| worker_loop(w, workers, ctx, signal))) {
-                        Ok(()) => break,
-                        Err(_) => ctx.counters.bump_on(&ctx.counters.worker_respawns),
+                scope.spawn(move || {
+                    let mut templates = lock_unpoisoned(templates);
+                    loop {
+                        // Panic containment's second line of defense: a
+                        // panic that escapes the per-task catch (it should
+                        // not) respawns the worker loop instead of killing
+                        // the thread and stranding its queues.
+                        match catch_unwind(AssertUnwindSafe(|| {
+                            worker_loop(w, workers, ctx, signal, &mut templates)
+                        })) {
+                            Ok(()) => break,
+                            Err(_) => ctx.counters.bump_on(&ctx.counters.worker_respawns),
+                        }
                     }
                 });
             }
@@ -787,7 +818,13 @@ impl Device {
 /// other same-class queues when its own run dry. Work popped from a
 /// quarantined slot's queue migrates to a healthy slot of the same class
 /// — that is how a quarantined array's backlog gets redistributed.
-fn worker_loop(w: usize, workers: usize, ctx: &ExecCtx<'_>, signal: &WorkSignal) {
+fn worker_loop(
+    w: usize,
+    workers: usize,
+    ctx: &ExecCtx<'_>,
+    signal: &WorkSignal,
+    templates: &mut TemplateCache,
+) {
     let owned: Vec<&Arc<ArraySlot>> = ctx
         .slots
         .iter()
@@ -801,7 +838,8 @@ fn worker_loop(w: usize, workers: usize, ctx: &ExecCtx<'_>, signal: &WorkSignal)
         let mut ran = false;
         for slot in &owned {
             if let Some((id, task)) = slot.queue.try_pop() {
-                run_task(ctx, slot, migration_target(ctx, slot), w, id, &task);
+                let exec = migration_target(ctx, slot);
+                run_task(ctx, slot, exec, w, id, &task, templates);
                 ran = true;
             }
         }
@@ -815,7 +853,8 @@ fn worker_loop(w: usize, workers: usize, ctx: &ExecCtx<'_>, signal: &WorkSignal)
                         // The stolen task migrates: it executes on (and is
                         // attributed to) the thief's array. The estimate
                         // stays against the victim, whose queue held it.
-                        run_task(ctx, victim, migration_target(ctx, slot), w, id, &task);
+                        let exec = migration_target(ctx, slot);
+                        run_task(ctx, victim, exec, w, id, &task, templates);
                         ran = true;
                         break 'steal;
                     }
@@ -912,7 +951,9 @@ enum AttemptFailure {
 }
 
 /// Executes one task with retry, fault injection, panic containment and
-/// quarantine bookkeeping, then records its final outcome.
+/// quarantine bookkeeping, then records its final outcome. Attempts run
+/// on the worker's `templates`: a kept template of the task's shape when
+/// there is one.
 ///
 /// `origin` is the slot whose queue held the task (its `pending_cells`
 /// estimate is released here); `exec_index` is the slot the first attempt
@@ -925,6 +966,7 @@ fn run_task(
     worker: usize,
     id: usize,
     task: &Task,
+    templates: &mut TemplateCache,
 ) {
     let estimate = task.cells_estimate();
     if ctx.abort.load(Ordering::Acquire) {
@@ -961,7 +1003,8 @@ fn run_task(
                 Some(error) => Err(error),
                 None => panic!("injected panic: task {id} attempt {attempt}"),
             },
-            None => task.execute_configured(
+            None => templates.run(
+                task,
                 ctx.config.pes_per_array,
                 AccelConfig::new()
                     .budget_scale(scale)

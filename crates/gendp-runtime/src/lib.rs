@@ -84,6 +84,7 @@ mod recovery;
 mod report;
 mod sync;
 mod task;
+mod templates;
 
 pub use batch::{BatchAligner, BatchAlignment};
 pub use device::{
@@ -95,6 +96,7 @@ pub use queue::BoundedQueue;
 pub use recovery::{Heartbeat, RetryPolicy, SlotHealth};
 pub use report::{ArrayReport, DeviceReport, KernelStats, RecoveryReport};
 pub use task::{
-    ArrayClass, CertifiedCost, KernelKind, Task, TaskFailure, TaskResult, TaskValue,
+    ArrayClass, CertifiedCost, KernelKind, Task, TaskFailure, TaskResult, TaskShape, TaskValue,
     DTW_BAND_SENTINEL,
 };
+pub use templates::{TemplateStats, TEMPLATE_BUDGET, TEMPLATE_SLOTS};

@@ -1,9 +1,14 @@
-//! Typed device tasks: one enum variant per evaluated accelerator.
+//! Typed device tasks: one enum variant per evaluated accelerator, and
+//! their one lowering onto the accelerator drivers ([`Task::lower`]).
 
+use gendp_core::graph2d::PoaRun;
+use gendp_core::linear1d::ChainRun;
+use gendp_core::spm1d::BellmanFordRun;
 use gendp_core::{
     bsw_score, bsw_semiglobal_score, bsw_simd_scores, dtw_banded_distance, pack_lanes,
     pairhmm_float_lik, pairhmm_loglik, AccelConfig, Accelerator, AcceleratorRun, BandSpec,
-    BellmanFordTask, ChainTask, GendpPipeline, PoaTask, WavefrontTask,
+    BellmanFordTask, ChainTask, GendpPipeline, PoaTask, TaskOutput, Wavefront2d, Wavefront2dOutput,
+    WavefrontTask,
 };
 use gendp_dpax::{RunStats, SimError};
 use gendp_kernels::chain::ChainParams;
@@ -490,156 +495,45 @@ impl Task {
         report
     }
 
+    /// The shape of this task on an `n_pes`-wide array: everything its
+    /// control programs depend on. `None` for POA and Bellman-Ford, whose
+    /// programs follow the graph.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a task [`preflight`](Self::preflight) rejects for a wrong
+    /// SIMD lane count.
+    pub fn shape(&self, n_pes: usize) -> Option<TaskShape> {
+        struct ShapeOf;
+        impl Lowering for ShapeOf {
+            type Out = Option<TaskShape>;
+            fn visit<A: Accelerator + Send + 'static>(self, l: Lowered<'_, A>) -> Self::Out {
+                l.shape
+            }
+        }
+        self.lower(n_pes, ShapeOf)
+    }
+
     /// The certified cost of this task on an `n_pes`-wide array: prepares
     /// the task (program generation + the verify/certify gate, no
     /// simulation) and distills the resulting certificate. `None` when
     /// certification could not bound the cost — schedulers then fall back
     /// to [`cells_estimate`](Self::cells_estimate).
     pub fn certified_cost(&self, n_pes: usize) -> Option<CertifiedCost> {
-        /// One task through configure + prepare, harvesting the
-        /// certificate the prepared array carries.
-        fn harvest<'t, A: Accelerator>(accel: A, task: &A::Task<'t>) -> Option<CertifiedCost> {
-            let prep = accel.configure(AccelConfig::new()).prepare(task);
-            CertifiedCost::from_certificate(prep.certificate()?)
+        struct Price;
+        impl Lowering for Price {
+            type Out = Option<CertifiedCost>;
+            fn visit<A: Accelerator + Send + 'static>(self, l: Lowered<'_, A>) -> Self::Out {
+                let prep = (l.build)().configure(AccelConfig::new()).prepare(&l.task);
+                CertifiedCost::from_certificate(prep.certificate()?)
+            }
         }
-
         // A shape preflight would reject can't be prepared, let alone
         // certified; keep this method total on arbitrary inputs.
         if self.preflight().has_errors() {
             return None;
         }
-
-        match self {
-            Task::Bsw {
-                query,
-                target,
-                scoring,
-                mode,
-            } => {
-                let (rows, cols) = (codes(target), codes(query));
-                let task = WavefrontTask {
-                    rows: &rows,
-                    cols: &cols,
-                    n_pes,
-                    band: None,
-                };
-                match (mode, scoring.gap) {
-                    (AlignMode::Local, GapModel::Convex { .. }) => {
-                        harvest(GendpPipeline::bsw_convex(scoring), &task)
-                    }
-                    (AlignMode::Local, _) => harvest(GendpPipeline::bsw(scoring), &task),
-                    (AlignMode::Global, _) => harvest(GendpPipeline::bsw_global(scoring), &task),
-                    (AlignMode::SemiGlobal, _) => {
-                        harvest(GendpPipeline::bsw_semiglobal(scoring, query.len()), &task)
-                    }
-                }
-            }
-            Task::BswSimd { pairs, scoring } => {
-                if pairs.len() != 4 {
-                    return None; // preflight rejects; nothing to certify
-                }
-                let qs: Vec<Vec<u8>> = pairs.iter().map(|(q, _)| q.codes()).collect();
-                let ts: Vec<Vec<u8>> = pairs.iter().map(|(_, t)| t.codes()).collect();
-                let cols = pack_lanes([&qs[0], &qs[1], &qs[2], &qs[3]]);
-                let rows = pack_lanes([&ts[0], &ts[1], &ts[2], &ts[3]]);
-                let task = WavefrontTask {
-                    rows: &rows,
-                    cols: &cols,
-                    n_pes,
-                    band: None,
-                };
-                harvest(GendpPipeline::bsw_simd(scoring), &task)
-            }
-            Task::PairHmm {
-                read,
-                haplotype,
-                qual,
-                scale,
-                params,
-            } => {
-                let (rows, cols) = (codes(read), codes(haplotype));
-                let task = WavefrontTask {
-                    rows: &rows,
-                    cols: &cols,
-                    n_pes,
-                    band: None,
-                };
-                harvest(
-                    GendpPipeline::pairhmm(params, *qual, *scale, haplotype.len()),
-                    &task,
-                )
-            }
-            Task::PairHmmFloat {
-                read,
-                haplotype,
-                qual,
-                params,
-            } => {
-                let (rows, cols) = (codes(read), codes(haplotype));
-                let task = WavefrontTask {
-                    rows: &rows,
-                    cols: &cols,
-                    n_pes,
-                    band: None,
-                };
-                harvest(
-                    GendpPipeline::pairhmm_float(params, *qual, haplotype.len()),
-                    &task,
-                )
-            }
-            Task::Dtw { xs, ys } => {
-                let task = WavefrontTask {
-                    rows: xs,
-                    cols: ys,
-                    n_pes,
-                    band: None,
-                };
-                harvest(GendpPipeline::dtw(), &task)
-            }
-            Task::DtwBanded { xs, ys, width } => {
-                let task = WavefrontTask {
-                    rows: xs,
-                    cols: ys,
-                    n_pes,
-                    band: Some(BandSpec {
-                        width: *width,
-                        sentinel: DTW_BAND_SENTINEL,
-                    }),
-                };
-                harvest(GendpPipeline::dtw_banded(ys.len()), &task)
-            }
-            Task::Chain { anchors, params } => {
-                let task = ChainTask {
-                    anchors,
-                    n_pes: params.n_prev,
-                };
-                harvest(GendpPipeline::chain(*params), &task)
-            }
-            Task::Poa {
-                graph,
-                probe,
-                scoring,
-            } => {
-                let task = PoaTask {
-                    graph,
-                    seq: probe,
-                    n_pes,
-                };
-                harvest(GendpPipeline::poa(*scoring), &task)
-            }
-            Task::BellmanFord {
-                graph,
-                source,
-                rounds,
-            } => {
-                let task = BellmanFordTask {
-                    graph,
-                    source: *source,
-                    rounds: *rounds,
-                };
-                harvest(GendpPipeline::bellman_ford(), &task)
-            }
-        }
+        self.lower(n_pes, Price)
     }
 
     /// Runs this task on one simulated PE array with `n_pes` processing
@@ -677,10 +571,11 @@ impl Task {
 
     /// [`execute`](Self::execute) with full control over the
     /// driver-independent configuration (cycle-budget multiplier and
-    /// simulator engine). Every task variant dispatches through the
-    /// unified [`Accelerator`] lifecycle: the kernel-specific constructor
-    /// picks the driver, [`Accelerator::configure`] applies `cfg`, and
-    /// [`Accelerator::run_task`] runs the borrowed task bundle.
+    /// execution tiers). Every task variant runs through the unified
+    /// [`Accelerator`] lifecycle: the kernel-specific constructor builds
+    /// the driver, [`Accelerator::configure`] applies `cfg`, and
+    /// [`Accelerator::run_task`] prepares, binds, executes and parses.
+    /// Nothing is kept.
     ///
     /// # Errors
     ///
@@ -694,15 +589,44 @@ impl Task {
         n_pes: usize,
         cfg: AccelConfig,
     ) -> Result<(TaskValue, RunStats), SimError> {
-        /// One task through the unified lifecycle: configure, then run.
-        fn drive<'t, A: Accelerator>(
-            accel: A,
-            cfg: AccelConfig,
-            task: &A::Task<'t>,
-        ) -> Result<A::Output, SimError> {
-            accel.configure(cfg).run_task(task)
+        struct Execute(AccelConfig);
+        impl Lowering for Execute {
+            type Out = Result<(TaskValue, RunStats), SimError>;
+            fn visit<A: Accelerator + Send + 'static>(self, l: Lowered<'_, A>) -> Self::Out {
+                let out = (l.build)().configure(self.0).run_task(&l.task)?;
+                Ok(((l.value)(&out), out.stats().clone()))
+            }
         }
+        self.lower(n_pes, Execute(cfg))
+    }
 
+    /// Lowers this task onto its accelerator driver for an `n_pes`-wide
+    /// array and hands the result to `visitor`: the one place that maps
+    /// each variant to its driver, its driver task, its shape and its
+    /// value. The chaining window is physically the PE count — each PE
+    /// holds one candidate predecessor — so a chain task fixes its own
+    /// array width from its objective.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a SIMD task does not pack exactly four lanes.
+    pub(crate) fn lower<V: Lowering>(&self, n_pes: usize, visitor: V) -> V::Out {
+        let shape = |rows: usize, cols: usize, band: Option<usize>, params: ShapeParams| {
+            Some(TaskShape {
+                kernel: self.kernel(),
+                rows,
+                cols,
+                n_pes,
+                band,
+                params,
+            })
+        };
+        let wavefront = |rows, cols, band| WavefrontTask {
+            rows,
+            cols,
+            n_pes,
+            band,
+        };
         match self {
             Task::Bsw {
                 query,
@@ -711,39 +635,35 @@ impl Task {
                 mode,
             } => {
                 let (rows, cols) = (codes(target), codes(query));
-                let task = WavefrontTask {
-                    rows: &rows,
-                    cols: &cols,
-                    n_pes,
-                    band: None,
-                };
-                let (out, score) = match (mode, scoring.gap) {
+                type Read = dyn Fn(&Wavefront2dOutput) -> TaskValue;
+                let local: &Read = &|out| TaskValue::Score(bsw_score(out));
+                let (build, value): (&dyn Fn() -> Wavefront2d, &Read) = match (mode, scoring.gap) {
                     (AlignMode::Local, GapModel::Convex { .. }) => {
-                        let out = drive(GendpPipeline::bsw_convex(scoring), cfg, &task)?;
-                        let s = bsw_score(&out);
-                        (out, s)
+                        (&|| GendpPipeline::bsw_convex(scoring), local)
                     }
-                    (AlignMode::Local, _) => {
-                        let out = drive(GendpPipeline::bsw(scoring), cfg, &task)?;
-                        let s = bsw_score(&out);
-                        (out, s)
-                    }
-                    (AlignMode::Global, _) => {
-                        let out = drive(GendpPipeline::bsw_global(scoring), cfg, &task)?;
-                        let s = *out.last_row["h"].last().expect("corner cell");
-                        (out, s)
-                    }
-                    (AlignMode::SemiGlobal, _) => {
-                        let out = drive(
-                            GendpPipeline::bsw_semiglobal(scoring, query.len()),
-                            cfg,
-                            &task,
-                        )?;
-                        let s = bsw_semiglobal_score(&out);
-                        (out, s)
-                    }
+                    (AlignMode::Local, _) => (&|| GendpPipeline::bsw(scoring), local),
+                    (AlignMode::Global, _) => (&|| GendpPipeline::bsw_global(scoring), &|out| {
+                        TaskValue::Score(*out.last_row["h"].last().expect("corner cell"))
+                    }),
+                    (AlignMode::SemiGlobal, _) => (
+                        &|| GendpPipeline::bsw_semiglobal(scoring, query.len()),
+                        &|out| TaskValue::Score(bsw_semiglobal_score(out)),
+                    ),
                 };
-                Ok((TaskValue::Score(score), out.stats))
+                visitor.visit(Lowered {
+                    shape: shape(
+                        rows.len(),
+                        cols.len(),
+                        None,
+                        ShapeParams::Bsw {
+                            scoring: *scoring,
+                            mode: *mode,
+                        },
+                    ),
+                    build,
+                    task: wavefront(&rows, &cols, None),
+                    value,
+                })
             }
             Task::BswSimd { pairs, scoring } => {
                 assert_eq!(pairs.len(), 4, "SIMD BSW packs exactly 4 lanes");
@@ -751,15 +671,20 @@ impl Task {
                 let ts: Vec<Vec<u8>> = pairs.iter().map(|(_, t)| t.codes()).collect();
                 let cols = pack_lanes([&qs[0], &qs[1], &qs[2], &qs[3]]);
                 let rows = pack_lanes([&ts[0], &ts[1], &ts[2], &ts[3]]);
-                let task = WavefrontTask {
-                    rows: &rows,
-                    cols: &cols,
-                    n_pes,
-                    band: None,
-                };
-                let out = drive(GendpPipeline::bsw_simd(scoring), cfg, &task)?;
-                let scores = bsw_simd_scores(&out).to_vec();
-                Ok((TaskValue::SimdScores(scores), out.stats))
+                visitor.visit(Lowered {
+                    shape: shape(
+                        rows.len(),
+                        cols.len(),
+                        None,
+                        ShapeParams::Bsw {
+                            scoring: *scoring,
+                            mode: AlignMode::Local,
+                        },
+                    ),
+                    build: &|| GendpPipeline::bsw_simd(scoring),
+                    task: wavefront(&rows, &cols, None),
+                    value: &|out| TaskValue::SimdScores(bsw_simd_scores(out).to_vec()),
+                })
             }
             Task::PairHmm {
                 read,
@@ -769,19 +694,19 @@ impl Task {
                 params,
             } => {
                 let (rows, cols) = (codes(read), codes(haplotype));
-                let task = WavefrontTask {
-                    rows: &rows,
-                    cols: &cols,
-                    n_pes,
-                    band: None,
-                };
-                let out = drive(
-                    GendpPipeline::pairhmm(params, *qual, *scale, haplotype.len()),
-                    cfg,
-                    &task,
-                )?;
-                let loglik = pairhmm_loglik(&out, &pairhmm_luts(*qual, *scale));
-                Ok((TaskValue::LogLikelihood(loglik), out.stats))
+                visitor.visit(Lowered {
+                    shape: shape(
+                        rows.len(),
+                        cols.len(),
+                        None,
+                        ShapeParams::pairhmm(params, *qual, *scale),
+                    ),
+                    build: &|| GendpPipeline::pairhmm(params, *qual, *scale, haplotype.len()),
+                    task: wavefront(&rows, &cols, None),
+                    value: &|out| {
+                        TaskValue::LogLikelihood(pairhmm_loglik(out, &pairhmm_luts(*qual, *scale)))
+                    },
+                })
             }
             Task::PairHmmFloat {
                 read,
@@ -790,84 +715,172 @@ impl Task {
                 params,
             } => {
                 let (rows, cols) = (codes(read), codes(haplotype));
-                let task = WavefrontTask {
-                    rows: &rows,
-                    cols: &cols,
-                    n_pes,
-                    band: None,
-                };
-                let out = drive(
-                    GendpPipeline::pairhmm_float(params, *qual, haplotype.len()),
-                    cfg,
-                    &task,
-                )?;
-                let lik = pairhmm_float_lik(&out);
-                Ok((TaskValue::Likelihood(lik), out.stats))
+                visitor.visit(Lowered {
+                    shape: shape(
+                        rows.len(),
+                        cols.len(),
+                        None,
+                        ShapeParams::pairhmm(params, *qual, 0),
+                    ),
+                    build: &|| GendpPipeline::pairhmm_float(params, *qual, haplotype.len()),
+                    task: wavefront(&rows, &cols, None),
+                    value: &|out| TaskValue::Likelihood(pairhmm_float_lik(out)),
+                })
             }
-            Task::Dtw { xs, ys } => {
-                let task = WavefrontTask {
-                    rows: xs,
-                    cols: ys,
-                    n_pes,
-                    band: None,
-                };
-                let out = drive(GendpPipeline::dtw(), cfg, &task)?;
-                let d = *out.last_row["d"].last().expect("corner cell") as i64;
-                Ok((TaskValue::Distance(d), out.stats))
-            }
-            Task::DtwBanded { xs, ys, width } => {
-                let task = WavefrontTask {
-                    rows: xs,
-                    cols: ys,
-                    n_pes,
-                    band: Some(BandSpec {
+            Task::Dtw { xs, ys } => visitor.visit(Lowered {
+                shape: shape(xs.len(), ys.len(), None, ShapeParams::None),
+                build: &GendpPipeline::dtw,
+                task: wavefront(xs, ys, None),
+                value: &|out| {
+                    TaskValue::Distance(*out.last_row["d"].last().expect("corner cell") as i64)
+                },
+            }),
+            Task::DtwBanded { xs, ys, width } => visitor.visit(Lowered {
+                shape: shape(xs.len(), ys.len(), Some(*width), ShapeParams::None),
+                build: &|| GendpPipeline::dtw_banded(ys.len()),
+                task: wavefront(
+                    xs,
+                    ys,
+                    Some(BandSpec {
                         width: *width,
                         sentinel: DTW_BAND_SENTINEL,
                     }),
-                };
-                let out = drive(GendpPipeline::dtw_banded(ys.len()), cfg, &task)?;
-                let d = dtw_banded_distance(&out, xs.len()) as i64;
-                Ok((TaskValue::Distance(d), out.stats))
-            }
-            // The chaining window is physically the PE count: each PE holds
-            // one candidate predecessor, so the task fixes its own array
-            // width from the objective.
+                ),
+                value: &|out| TaskValue::Distance(dtw_banded_distance(out, xs.len()) as i64),
+            }),
             Task::Chain { anchors, params } => {
-                let task = ChainTask {
-                    anchors,
-                    n_pes: params.n_prev,
-                };
-                let run = drive(GendpPipeline::chain(*params), cfg, &task)?;
-                Ok((TaskValue::ChainScores(run.scores), run.stats))
+                let n_pes = params.n_prev;
+                visitor.visit(Lowered {
+                    shape: Some(TaskShape {
+                        kernel: KernelKind::Chain,
+                        rows: anchors.len(),
+                        cols: 0,
+                        n_pes,
+                        band: None,
+                        params: ShapeParams::Chain {
+                            max_dist: params.max_dist,
+                            bandwidth: params.bandwidth,
+                            avg_qspan: params.avg_qspan.to_bits(),
+                        },
+                    }),
+                    build: &|| GendpPipeline::chain(*params),
+                    task: ChainTask { anchors, n_pes },
+                    value: &|run: &ChainRun| TaskValue::ChainScores(run.scores.clone()),
+                })
             }
             Task::Poa {
                 graph,
                 probe,
                 scoring,
-            } => {
-                let task = PoaTask {
+            } => visitor.visit(Lowered {
+                shape: None,
+                build: &|| GendpPipeline::poa(*scoring),
+                task: PoaTask {
                     graph,
                     seq: probe,
                     n_pes,
-                };
-                let run = drive(GendpPipeline::poa(*scoring), cfg, &task)?;
-                Ok((TaskValue::Score(run.score), run.stats))
-            }
+                },
+                value: &|run: &PoaRun| TaskValue::Score(run.score),
+            }),
             Task::BellmanFord {
                 graph,
                 source,
                 rounds,
-            } => {
-                let task = BellmanFordTask {
+            } => visitor.visit(Lowered {
+                shape: None,
+                build: &GendpPipeline::bellman_ford,
+                task: BellmanFordTask {
                     graph,
                     source: *source,
                     rounds: *rounds,
-                };
-                let run = drive(GendpPipeline::bellman_ford(), cfg, &task)?;
-                Ok((TaskValue::Distances(run.dist), run.stats))
-            }
+                },
+                value: &|run: &BellmanFordRun| TaskValue::Distances(run.dist.clone()),
+            }),
         }
     }
+}
+
+/// Everything about a task that is not content: kernel, table dimensions,
+/// array width, band, and the kernel parameters its driver is built from
+/// (scoring and mode, PairHMM transitions, quality and scale, every
+/// chaining parameter), with floats compared by their bits. Two tasks of
+/// equal shape generate identical control programs on every PE and get
+/// identical certificates, so a prepared task of one shape serves every
+/// task of it ([`Accelerator::bind`]). The device template caches and the
+/// service's cost memo both key on it.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub struct TaskShape {
+    kernel: KernelKind,
+    /// DP rows (anchors for chaining; packed lane rows for SIMD).
+    rows: usize,
+    /// DP columns (0 for chaining).
+    cols: usize,
+    /// PEs in the array (the window for chaining).
+    n_pes: usize,
+    /// Band width of a banded table.
+    band: Option<usize>,
+    params: ShapeParams,
+}
+
+impl TaskShape {
+    /// The kernel of tasks of this shape.
+    pub fn kernel(&self) -> KernelKind {
+        self.kernel
+    }
+}
+
+/// The kernel parameters a driver is built from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+enum ShapeParams {
+    None,
+    Bsw {
+        scoring: Scoring,
+        mode: AlignMode,
+    },
+    PairHmm {
+        gap_open: u64,
+        gap_ext: u64,
+        qual: u8,
+        scale: i32,
+    },
+    Chain {
+        max_dist: i32,
+        bandwidth: i32,
+        avg_qspan: u64,
+    },
+}
+
+impl ShapeParams {
+    fn pairhmm(params: &PairHmmParams, qual: u8, scale: i32) -> ShapeParams {
+        ShapeParams::PairHmm {
+            gap_open: params.gap_open.to_bits(),
+            gap_ext: params.gap_ext.to_bits(),
+            qual,
+            scale,
+        }
+    }
+}
+
+/// One task lowered onto its accelerator driver by [`Task::lower`].
+pub(crate) struct Lowered<'t, A: Accelerator> {
+    /// What the driver's programs depend on; `None` when they follow the
+    /// content.
+    pub shape: Option<TaskShape>,
+    /// Builds the driver (DPMap and role configuration), unconfigured.
+    pub build: &'t dyn Fn() -> A,
+    /// The driver's task bundle.
+    pub task: A::Task<'t>,
+    /// Reads the task's value off the driver's output.
+    pub value: &'t dyn Fn(&A::Output) -> TaskValue,
+}
+
+/// What to do with a [`Lowered`] task: price it, run it once, or run it
+/// on a kept template.
+pub(crate) trait Lowering {
+    /// The visit's result.
+    type Out;
+    /// Visits one lowered task.
+    fn visit<A: Accelerator + Send + 'static>(self, lowered: Lowered<'_, A>) -> Self::Out;
 }
 
 #[cfg(test)]

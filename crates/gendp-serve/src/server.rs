@@ -48,10 +48,10 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
-use gendp_dpax::RunStats;
+use gendp_dpax::{RunStats, TierPolicy};
 use gendp_runtime::{
     ArrayClass, CertifiedCost, Device, DeviceConfig, DeviceSnapshot, Heartbeat, KernelKind,
-    RecoveryReport, RuntimeError, Task, TaskFailure, TaskValue,
+    RecoveryReport, RuntimeError, Task, TaskFailure, TaskShape, TaskValue,
 };
 
 use crate::admission::{AdmissionError, TenantState};
@@ -126,7 +126,8 @@ pub struct Completed {
     pub shard: usize,
     /// Array slot within the shard.
     pub array: usize,
-    /// End-to-end latency, submission to delivery.
+    /// End-to-end latency, from the start of the submit call (admission
+    /// pricing included) to delivery.
     pub latency: Duration,
 }
 
@@ -392,68 +393,20 @@ struct Inner {
     /// fault plans distinct from every shard before them.
     next_fault_seed: AtomicU64,
     lifecycle: LifecycleCounters,
-    /// Certified-cost memo keyed by task shape (see [`shape_key`]), so
-    /// the admission path certifies each distinct shape once instead of
-    /// running program generation plus the verifier fixpoint per
-    /// request.
-    cost_cache: Mutex<HashMap<u64, Option<CertifiedCost>>>,
+    /// Certified-cost memo keyed by task shape and the shards' tier
+    /// policy, so the admission path certifies each distinct shape once
+    /// instead of running program generation plus the verifier fixpoint
+    /// per request. Equal [`TaskShape`]s generate identical programs and
+    /// so identical certificates; the policy is part of the key so a
+    /// server reconfigured onto a different tier never reuses an entry
+    /// certified under another. POA and Bellman-Ford have no shape —
+    /// their programs follow the graph — and are certified per request.
+    cost_cache: Mutex<HashMap<(TaskShape, TierPolicy), Option<CertifiedCost>>>,
 }
 
 /// Bound on [`Inner::cost_cache`]; a pathological shape churn clears
 /// the memo rather than growing without limit.
 const COST_CACHE_MAX: usize = 4096;
-
-/// Hashes the task shape — kernel, dimensions, and the structural
-/// parameters program generation depends on — that fully determines the
-/// generated PE programs and therefore the certificate. Sequence
-/// *content* deliberately stays out of the key: it flows through the
-/// input FIFOs and never changes the programs. The shard's execution
-/// [`TierPolicy`](gendp_dpax::TierPolicy) is mixed in too, so a server
-/// reconfigured onto a different tier (or a mixed-tier deployment
-/// sharing a process) never reuses a memo entry certified under another
-/// policy. Returns `None` for the graph kernels (POA, Bellman-Ford),
-/// whose programs follow the input topology and are certified per
-/// request.
-fn shape_key(task: &Task, tiers: gendp_dpax::TierPolicy) -> Option<u64> {
-    use std::hash::{Hash, Hasher};
-    let mut h = std::collections::hash_map::DefaultHasher::new();
-    tiers.hash(&mut h);
-    match task {
-        Task::Bsw {
-            query,
-            target,
-            scoring,
-            mode,
-        } => (0u8, query.len(), target.len(), scoring, mode).hash(&mut h),
-        Task::BswSimd { pairs, scoring } => {
-            1u8.hash(&mut h);
-            scoring.hash(&mut h);
-            for (q, t) in pairs {
-                (q.len(), t.len()).hash(&mut h);
-            }
-        }
-        Task::PairHmm {
-            read,
-            haplotype,
-            qual,
-            scale,
-            ..
-        } => (2u8, read.len(), haplotype.len(), qual, scale).hash(&mut h),
-        Task::PairHmmFloat {
-            read,
-            haplotype,
-            qual,
-            ..
-        } => (3u8, read.len(), haplotype.len(), qual).hash(&mut h),
-        Task::Dtw { xs, ys } => (4u8, xs.len(), ys.len()).hash(&mut h),
-        Task::DtwBanded { xs, ys, width } => (5u8, xs.len(), ys.len(), width).hash(&mut h),
-        Task::Chain { anchors, params } => {
-            (6u8, anchors.len(), params.n_prev).hash(&mut h);
-        }
-        Task::Poa { .. } | Task::BellmanFord { .. } => return None,
-    }
-    Some(h.finish())
-}
 
 impl Inner {
     fn now_nanos(&self) -> u64 {
@@ -461,14 +414,20 @@ impl Inner {
     }
 
     /// Certified cost of one task on this server's array width,
-    /// memoized by [`shape_key`]. `None` means the task doesn't certify
-    /// (malformed, unbounded, or a shape the certifier can't price) —
-    /// callers fall back to the heuristic estimate.
+    /// memoized by its [`TaskShape`]. `None` means the task doesn't
+    /// certify (malformed, unbounded, or a shape the certifier can't
+    /// price) — callers fall back to the heuristic estimate.
     fn certified_cost(&self, task: &Task) -> Option<CertifiedCost> {
         let n_pes = self.config.shard_config.pes_per_array;
-        let Some(key) = shape_key(task, self.config.shard_config.tiers) else {
+        // Preflight first: a malformed task (a SIMD task without four
+        // lanes) has no lowering, so no shape either.
+        if task.preflight().has_errors() {
+            return None;
+        }
+        let Some(shape) = task.shape(n_pes) else {
             return task.certified_cost(n_pes);
         };
+        let key = (shape, self.config.shard_config.tiers);
         if let Some(hit) = self.cost_cache.lock().expect("cost cache").get(&key) {
             return *hit;
         }
@@ -866,18 +825,20 @@ impl TenantClient {
         task: Task,
         deadline: Option<Duration>,
     ) -> Result<Ticket, AdmissionError> {
+        // Latency counts admission pricing; the deadline starts at
+        // admission.
+        let submitted_at = Instant::now();
         let state = &self.inner.tenants[self.tenant];
         let shutting_down = self.inner.closed.load(Ordering::Acquire);
         let (cost, infeasible) = self.price(&task, deadline);
         state.admit(&task, self.inner.now_nanos(), shutting_down, infeasible)?;
         let (tx, rx) = mpsc::channel();
-        let submitted_at = Instant::now();
         let submitted = Submitted {
             tenant: self.tenant,
             task,
             cost,
             submitted_at,
-            deadline: deadline.map(|d| submitted_at + d),
+            deadline: deadline.map(|d| Instant::now() + d),
             reply: Reply::Oneshot(tx),
         };
         self.send_admitted(submitted)?;
@@ -901,17 +862,17 @@ impl TenantClient {
     /// forwards it. The caller supplies the reply route; the tenant's
     /// default deadline applies.
     pub(crate) fn submit_with_reply(&self, task: Task, reply: Reply) -> Result<(), AdmissionError> {
+        let submitted_at = Instant::now();
         let state = &self.inner.tenants[self.tenant];
         let shutting_down = self.inner.closed.load(Ordering::Acquire);
         let (cost, infeasible) = self.price(&task, state.config.deadline);
         state.admit(&task, self.inner.now_nanos(), shutting_down, infeasible)?;
-        let submitted_at = Instant::now();
         self.send_admitted(Submitted {
             tenant: self.tenant,
             task,
             cost,
             submitted_at,
-            deadline: state.config.deadline.map(|d| submitted_at + d),
+            deadline: state.config.deadline.map(|d| Instant::now() + d),
             reply,
         })
     }

@@ -97,8 +97,8 @@ pub struct TenantConfig {
     /// [`AdmissionError::QueueFull`](crate::AdmissionError::QueueFull) —
     /// the backpressure signal an open-loop client sees.
     pub max_queued: usize,
-    /// Default per-request deadline, assigned at admission
-    /// (`submitted_at + deadline`). A request past its deadline is
+    /// Default per-request deadline, assigned at admission (the moment
+    /// the request is admitted, plus `deadline`). A request past its deadline is
     /// delivered as `deadline-exceeded` instead of occupying a dispatch
     /// slot or returning a stale result; `None` (the default) never
     /// expires work. Per-request overrides via

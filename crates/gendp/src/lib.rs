@@ -51,7 +51,7 @@
 //! ```
 
 pub use gendp_core as core;
-pub use gendp_core::{run_batch, AccelConfig, Accelerator, PreparedTask, TaskOutput};
+pub use gendp_core::{AccelConfig, Accelerator, PreparedTask, TaskOutput};
 pub use gendp_dfg as dfg;
 pub use gendp_dpax as dpax;
 pub use gendp_dpmap as dpmap;

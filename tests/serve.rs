@@ -4,7 +4,7 @@
 
 use std::collections::HashMap;
 use std::thread;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use gendp::kernels::bellman_ford::Graph;
 use gendp::kernels::chain::ChainParams;
@@ -389,4 +389,73 @@ fn wire_connection_pipelines_and_drains() {
     assert_eq!(stats.totals.completed, 40);
     assert_eq!(stats.totals.rejected_invalid, 1);
     assert!(stats.totals.drained());
+}
+
+/// Served latency counts admission pricing, which for POA is a full
+/// prepare and verify on every request: a POA request's latency is at
+/// least as long as its own `submit` call.
+#[test]
+fn served_latency_includes_admission_pricing() {
+    let config = ServeConfig {
+        shards: 1,
+        ..ServeConfig::default()
+    };
+    let mut server = Server::start(config, vec![TenantConfig::new("polisher")]).expect("start");
+    let client = server.client("polisher").expect("tenant exists");
+    let mut rng = SmallRng::seed_from_u64(17);
+    for _ in 0..4 {
+        let task = mixed_task(&mut rng, 7);
+        assert!(matches!(task, Task::Poa { .. }));
+        let started = Instant::now();
+        let ticket = client.submit(task).expect("admitted");
+        let submit = started.elapsed();
+        let completed = ticket
+            .wait_timeout(Duration::from_secs(30))
+            .expect("delivered within 30s")
+            .expect("served");
+        assert!(
+            completed.latency >= submit,
+            "latency {:?} is shorter than its submit call {submit:?}",
+            completed.latency
+        );
+    }
+    server.shutdown();
+}
+
+/// Each shard's device snapshot carries its template counters: repeated
+/// shapes hit, and every templated request is a hit or a miss.
+#[test]
+fn shard_stats_report_template_counters() {
+    let config = ServeConfig {
+        shards: 2,
+        shard_config: DeviceConfig {
+            workers: 1,
+            ..DeviceConfig::default()
+        },
+        ..ServeConfig::default()
+    };
+    let mut server = Server::start(config, vec![TenantConfig::new("mapper")]).expect("start");
+    let client = server.client("mapper").expect("tenant exists");
+    let mut rng = SmallRng::seed_from_u64(18);
+    let tickets: Vec<Ticket> = (0..24)
+        .map(|_| {
+            let task = Task::bsw_local(seq(&mut rng, 12), seq(&mut rng, 16), Scoring::bwa_mem());
+            client.submit(task).expect("admitted")
+        })
+        .collect();
+    for ticket in tickets {
+        ticket
+            .wait_timeout(Duration::from_secs(30))
+            .expect("delivered within 30s")
+            .expect("served");
+    }
+    server.shutdown();
+    let stats = server.stats();
+    let (hits, misses) = stats.shards.iter().fold((0, 0), |(h, m), shard| {
+        let t = shard.device.templates;
+        assert!(t.misses <= 1, "one shape, one template per shard worker");
+        (h + t.hits, m + t.misses)
+    });
+    assert_eq!(hits + misses, 24);
+    assert!(hits >= 22);
 }
