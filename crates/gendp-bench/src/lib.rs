@@ -10,10 +10,12 @@
 //! reference kernels for the CPU side, recorded constants for closed
 //! systems — DESIGN.md §4).
 //!
-//! Run them through the binaries, e.g.
-//! `cargo run --release -p gendp-bench --bin table2`, or all at once with
-//! `--bin all-experiments`. Every binary accepts `--quick` for a reduced
-//! workload (the default workloads are sized for release builds).
+//! Run them through the `experiments` binary, e.g.
+//! `cargo run --release -p gendp-bench --bin experiments -- table2`, or
+//! all at once with the `all` id. `--quick` selects a reduced workload
+//! (the default workloads are sized for release builds).
+
+#![forbid(unsafe_code)]
 
 pub mod measure;
 pub mod tables;

@@ -6,7 +6,7 @@
 //! drive any kernel through one code path.
 //!
 //! * [`AccelConfig`] carries the driver-independent knobs: the cycle-budget
-//!   multiplier and the execution [`TierPolicy`].
+//!   multiplier and the requested execution tier ([`TierPolicy`]).
 //! * A driver's task type (e.g. [`WavefrontTask`]) is a plain borrow of the
 //!   per-task inputs, so a batch of tasks can be swept without cloning
 //!   sequences.
@@ -34,13 +34,13 @@ use crate::spm1d::{BellmanFordAccelerator, BellmanFordRun};
 use crate::wavefront2d::{Wavefront2d, Wavefront2dOutput};
 
 /// Driver-independent configuration applied by [`Accelerator::configure`]:
-/// the retry-escalation budget multiplier and the execution-tier policy.
+/// the retry-escalation budget multiplier and the requested execution tier.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AccelConfig {
     /// Multiplier on the internally derived cycle budget (a cutoff only;
     /// never a result change). Must be positive.
     pub budget_scale: u64,
-    /// Execution-tier selection for task runs.
+    /// The execution tier requested for task runs.
     pub tiers: TierPolicy,
 }
 
@@ -54,7 +54,7 @@ impl Default for AccelConfig {
 }
 
 impl AccelConfig {
-    /// The default configuration (budget scale 1, default tier policy).
+    /// The default configuration (budget scale 1, the decoded tier).
     pub fn new() -> Self {
         Self::default()
     }
@@ -65,7 +65,7 @@ impl AccelConfig {
         self
     }
 
-    /// Sets the execution-tier policy, returning `self` for chaining.
+    /// Sets the requested execution tier, returning `self` for chaining.
     pub fn tiers(mut self, tiers: TierPolicy) -> Self {
         self.tiers = tiers;
         self
@@ -185,8 +185,8 @@ pub struct PreparedTask {
     budget: u64,
     budget_scale: u64,
     /// Functional lowering of the task, present only when the driver built
-    /// one (the policy requested [`Tier::Functional`] and the pattern
-    /// supports the batched sweep).
+    /// one (the configuration requested [`Tier::Functional`] and the
+    /// pattern supports the batched sweep).
     pub(crate) plan: Option<FunctionalPlan>,
     /// Whether the most recent `execute` ran the functional tier (routes
     /// `output()` to the plan's buffer instead of the array's).
@@ -219,16 +219,15 @@ impl PreparedTask {
     }
 
     /// True when `execute` will take the functional fast path: the driver
-    /// lowered a plan, the policy requested the functional tier, and the
-    /// certificate proved the programs safe.
+    /// lowered a plan (it does so only when the functional tier is
+    /// requested) and the certificate proved the programs safe.
     fn functional_available(&self) -> bool {
-        self.plan.is_some()
-            && self.array.config().tiers.requested() == Tier::Functional
-            && self.array.certificate().is_some_and(|c| c.safe())
+        self.plan.is_some() && self.array.certificate().is_some_and(|c| c.safe())
     }
 
-    /// The execution tier `execute` resolves to under the configured
-    /// [`TierPolicy`], after fallback.
+    /// The execution tier `execute` runs under the requested
+    /// [`TierPolicy`]: a functional request without a plan or a safe
+    /// certificate runs decoded.
     pub fn resolved_tier(&self) -> Tier {
         if self.functional_available() {
             Tier::Functional
@@ -243,12 +242,6 @@ impl PreparedTask {
         self.array.certificate()
     }
 
-    /// True when executions run the certified-unchecked decoded access
-    /// path (the certificate proved every access in bounds).
-    pub fn is_certified(&self) -> bool {
-        self.array.is_certified()
-    }
-
     /// The control programs loaded into the array, one per PE.
     pub fn control_programs(&self) -> impl Iterator<Item = &ControlProgram> {
         (0..self.n_pes()).map(|pe| self.array.control_program(pe))
@@ -260,18 +253,7 @@ impl PreparedTask {
         self.control_programs().map(ControlProgram::len).sum()
     }
 
-    /// Pins executions to the bounds-checked access path even though the
-    /// certificate may allow the unchecked one. The certificate stays
-    /// readable; only the path downgrade is sticky. This is how
-    /// `bench-kernels` measures checked against certified-unchecked from
-    /// the same prepared task. The functional fast path is also disabled —
-    /// it has no bounds-checked variant to pin to.
-    pub fn force_checked(&mut self) {
-        self.plan = None;
-        self.array.force_checked();
-    }
-
-    /// Executes the task once under the configured [`TierPolicy`].
+    /// Executes the task once on [`resolved_tier`](Self::resolved_tier).
     ///
     /// On the functional tier this replays the prepared lowering directly
     /// — batched wavefront loops over flat buffers, no per-cycle
@@ -283,8 +265,7 @@ impl PreparedTask {
     /// # Errors
     ///
     /// Propagates simulator errors ([`SimError`]), exactly as
-    /// [`Accelerator::run_task`] does. A strict policy whose requested
-    /// tier is unavailable fails with [`SimError::TierUnavailable`].
+    /// [`Accelerator::run_task`] does.
     pub fn execute(&mut self) -> Result<RunStats, SimError> {
         if self.functional_available() {
             self.functional_ran = true;
@@ -293,13 +274,6 @@ impl PreparedTask {
             let cert = self.array.certificate();
             let plan = self.plan.as_mut().expect("functional_available checked");
             return Ok(plan.execute(cert));
-        }
-        let tiers = self.array.config().tiers;
-        if tiers.is_strict() && tiers.requested() == Tier::Functional {
-            return Err(SimError::TierUnavailable {
-                requested: Tier::Functional,
-                available: self.array.resolved_tier(),
-            });
         }
         self.functional_ran = false;
         self.array.reset();

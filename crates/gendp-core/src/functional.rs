@@ -34,7 +34,7 @@
 //! `cycle_exact` is `None` in practice).
 
 use gendp_dpax::{PeStats, RunStats, Tier};
-use gendp_isa::{eval_cell, eval_cell_certified, DecodedComputeProgram, Luts, Mode, Word};
+use gendp_isa::{eval_cell, DecodedComputeProgram, Luts, Mode, Word};
 use gendp_verify::Certificate;
 
 use crate::wavefront2d::Border;
@@ -100,9 +100,9 @@ pub(crate) struct Workspace {
 
 /// A wavefront task lowered for functional execution: role slots
 /// resolved, compute program pre-decoded, per-cell statistic weights
-/// pre-summed. Built with the prepared task of a shape when the tier
-/// policy requests [`Tier::Functional`]; `Wavefront2d::bind` sets its
-/// rows and columns.
+/// pre-summed. Built with the prepared task of a shape when the
+/// configuration requests [`Tier::Functional`]; `Wavefront2d::bind` sets
+/// its rows and columns.
 #[derive(Debug)]
 pub struct FunctionalPlan {
     pub(crate) program: DecodedComputeProgram,
@@ -141,16 +141,9 @@ impl FunctionalPlan {
         ws.out.clear();
         ws.cells.clear();
         ws.cells.resize(self.n_pes, 0);
-        // A safe certificate entitles the sweep to the unchecked
-        // register-file access path, exactly like the decoded engine's
-        // certified mode (the functional tier only engages with one; the
-        // checked path keeps `execute` total for direct callers).
-        let certified = cert.is_some_and(|c| c.safe());
-        match (self.band, certified) {
-            (None, true) => self.sweep_streamed(&mut ws, eval_cell_certified),
-            (None, false) => self.sweep_streamed(&mut ws, eval_cell),
-            (Some(width), true) => self.sweep_banded(&mut ws, width, eval_cell_certified),
-            (Some(width), false) => self.sweep_banded(&mut ws, width, eval_cell),
+        match self.band {
+            None => self.sweep_streamed(&mut ws),
+            Some(width) => self.sweep_banded(&mut ws, width),
         }
         // Drains: PE p relays its upstreams' drains then appends its own,
         // so the sink sees them in chain order.
@@ -167,13 +160,7 @@ impl FunctionalPlan {
     }
 
     /// The full-table sweep, mirroring `Wavefront2d::pe_program`.
-    /// `eval` is one of [`eval_cell`]/[`eval_cell_certified`] — passed as
-    /// a function item so each access path monomorphizes and inlines.
-    fn sweep_streamed(
-        &self,
-        ws: &mut Workspace,
-        eval: impl Fn(&DecodedComputeProgram, Mode, &Luts, &mut [Word]),
-    ) {
+    fn sweep_streamed(&self, ws: &mut Workspace) {
         let m = self.rows.len();
         let n = self.cols.len();
         let ns = self.roles.streams.len();
@@ -221,7 +208,7 @@ impl FunctionalPlan {
                 if let Some(j) = self.roles.col_index {
                     rf[j] = Word::from_i32(c as i32);
                 }
-                eval(&self.program, self.mode, &self.luts, rf);
+                eval_cell(&self.program, self.mode, &self.luts, rf);
                 ws.cells[p] += 1;
                 if last {
                     for &slot in &self.roles.collects {
@@ -250,12 +237,7 @@ impl FunctionalPlan {
     /// characters read from the padded sequence (the window the program
     /// reads from its scratchpad), streams shifted one tuple (the previous
     /// row's first tuple is this row's preload).
-    fn sweep_banded(
-        &self,
-        ws: &mut Workspace,
-        width: usize,
-        eval: impl Fn(&DecodedComputeProgram, Mode, &Luts, &mut [Word]),
-    ) {
+    fn sweep_banded(&self, ws: &mut Workspace, width: usize) {
         let m = self.rows.len();
         let ns = self.roles.streams.len();
         ws.prev.clear();
@@ -301,7 +283,7 @@ impl FunctionalPlan {
                 if let Some(j) = self.roles.col_index {
                     rf[j] = Word::from_i32((r + k + 1) as i32);
                 }
-                eval(&self.program, self.mode, &self.luts, rf);
+                eval_cell(&self.program, self.mode, &self.luts, rf);
                 ws.cells[p] += 1;
                 if !last {
                     for (v, s) in self.roles.streams.iter().enumerate() {

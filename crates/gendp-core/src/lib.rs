@@ -29,6 +29,8 @@
 //! reference bit-exactly, which in turn tracks the floating-point forward
 //! algorithm).
 
+#![forbid(unsafe_code)]
+
 pub mod accel;
 pub mod functional;
 pub mod graph2d;

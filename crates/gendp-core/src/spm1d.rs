@@ -63,8 +63,9 @@ impl BellmanFordAccelerator {
         self
     }
 
-    /// Selects the execution-tier policy (certified decoded simulation
-    /// with automatic fallback by default; all tiers are bit-identical).
+    /// Selects the requested execution tier (decoded by default; this
+    /// pattern has no functional lowering, so a functional request runs
+    /// decoded; all tiers are bit-identical).
     pub fn tiers(mut self, tiers: TierPolicy) -> Self {
         self.tiers = tiers;
         self

@@ -130,9 +130,9 @@ pub struct Wavefront2d {
     /// escalation); never changes results, only the [`SimError::Timeout`]
     /// cutoff.
     budget_scale: u64,
-    /// Execution-tier policy. A functional request lowers the task to a
-    /// [`FunctionalPlan`] at `prepare` time; the chain degrades to the
-    /// simulated tiers when the kernel cannot run functionally.
+    /// The requested execution tier. A functional request lowers the task
+    /// to a [`FunctionalPlan`] at `prepare` time; it runs decoded when the
+    /// certificate is not `safe()`.
     tiers: TierPolicy,
 }
 
@@ -201,7 +201,7 @@ impl Wavefront2d {
         self
     }
 
-    /// Sets the execution-tier policy (all tiers produce bit-identical
+    /// Sets the requested execution tier (all tiers produce bit-identical
     /// outputs; the functional tier reports analytic cycles).
     pub fn tiers(mut self, tiers: TierPolicy) -> Self {
         self.tiers = tiers;
@@ -747,7 +747,7 @@ impl Wavefront2d {
 
     /// Builds the prepared task for one table shape: programs generated,
     /// decoded, loaded and certified, the cycle budget derived and, when
-    /// the tier policy requests [`Tier::Functional`], the shape lowered to
+    /// the configuration requests [`Tier::Functional`], the shape lowered to
     /// a [`FunctionalPlan`]. Nothing of any task's content is in it yet;
     /// [`bind`](Self::bind) puts it there.
     pub(crate) fn template(
@@ -763,7 +763,7 @@ impl Wavefront2d {
             * (self.mapping.program.len() as u64 + self.streamed.len() as u64 * 2 + 12)
             * 4
             + 10_000;
-        let plan = (self.tiers.requested() == Tier::Functional).then(|| FunctionalPlan {
+        let plan = (self.tiers == Tier::Functional).then(|| FunctionalPlan {
             program: (&self.mapping.program).into(),
             mode: self.mode,
             luts: self.luts.clone(),
@@ -831,7 +831,7 @@ impl Wavefront2d {
     /// Binds one streamed task to a loaded array — programs generated,
     /// lowered and loaded, content staged, budget derived — for repeated
     /// [`PreparedTask::execute`] replays. [`run`](Self::run) is
-    /// `prepare` + one execute + output parsing. When the tier policy
+    /// `prepare` + one execute + output parsing. When the configuration
     /// requests [`Tier::Functional`], the task is additionally lowered to
     /// a [`FunctionalPlan`] and `execute` skips the simulator entirely.
     ///

@@ -34,6 +34,8 @@
 //! assert_eq!(out["h"], 6);
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod dot;
 mod eval;
 mod graph;

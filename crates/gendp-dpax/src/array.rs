@@ -8,7 +8,7 @@ use gendp_isa::{
     ComputeProgram, ControlProgram, DecodedComputeProgram, DecodedControlProgram, Word,
 };
 
-use crate::config::{Engine, PeArrayConfig, Tier};
+use crate::config::{PeArrayConfig, Tier};
 use crate::error::SimError;
 use crate::pe::{ExtView, Pe, Progress};
 use crate::stats::RunStats;
@@ -44,10 +44,6 @@ pub struct PeArray {
     /// `None` until the gate has run (or with `no_verify`). Survives
     /// [`reset`](Self::reset); cleared by every `load_*`.
     certificate: Option<gendp_verify::Certificate>,
-    /// True when the certificate proves every access in bounds, the
-    /// engine is [`Engine::Decoded`] and no PE needs the interpreter
-    /// fallback: the PEs run the certified-unchecked access path.
-    certified: bool,
     trace: Option<Trace>,
 }
 
@@ -77,7 +73,6 @@ impl PeArray {
             cycles: 0,
             verified: false,
             certificate: None,
-            certified: false,
             trace: None,
         }
     }
@@ -164,15 +159,10 @@ impl PeArray {
     }
 
     /// A program load obsoletes the verification status and its
-    /// certificate, so every PE falls back to the checked access path
-    /// until the gate runs again.
+    /// certificate until the gate runs again.
     fn invalidate_verification(&mut self) {
         self.verified = false;
-        self.certified = false;
         self.certificate = None;
-        for pe in &mut self.pes {
-            pe.set_unchecked(false);
-        }
     }
 
     /// Appends words to the input stream feeding the first PE.
@@ -241,9 +231,8 @@ impl PeArray {
     }
 
     /// Runs the pre-run verification gate now instead of at the first
-    /// [`run`](Self::run): verifies and certifies the loaded programs,
-    /// and switches the PEs to the certified-unchecked access path when
-    /// the certificate allows it. Idempotent until the next `load_*`.
+    /// [`run`](Self::run): verifies and certifies the loaded programs and
+    /// keeps the certificate. Idempotent until the next `load_*`.
     ///
     /// # Errors
     ///
@@ -258,20 +247,7 @@ impl PeArray {
             return Err(SimError::Verify(report));
         }
         self.verified = true;
-        // The unchecked path is legal only when the tier policy admits it,
-        // the certificate proves every access in bounds AND the decoded
-        // engine can execute every instruction natively (the interpreter
-        // fallback re-checks at the assembly level, which is exactly what
-        // certification removes).
-        self.certified = self.cfg.certify
-            && cert.safe()
-            && self.cfg.tiers.admits(Tier::DecodedCertified)
-            && self.cfg.tiers.sim_engine() == Engine::Decoded
-            && self.pes.iter().all(|pe| !pe.decoded_has_interp());
         self.certificate = Some(cert);
-        for pe in &mut self.pes {
-            pe.set_unchecked(self.certified);
-        }
         Ok(())
     }
 
@@ -281,39 +257,15 @@ impl PeArray {
         self.certificate.as_ref()
     }
 
-    /// True when the array is executing through the certified-unchecked
-    /// decoded access path.
-    pub fn is_certified(&self) -> bool {
-        self.certified
-    }
-
-    /// The execution tier this array resolves to under its
-    /// [`TierPolicy`](crate::TierPolicy), once verification has run. A raw
-    /// array can only simulate, so [`Tier::Functional`] never resolves
-    /// here — a functional request degrades along the chain (kernel
-    /// drivers in `gendp-core` intercept the functional tier above the
-    /// array level).
+    /// The execution tier this array runs under its requested
+    /// [`TierPolicy`](crate::TierPolicy). A raw array can only simulate,
+    /// so [`Tier::Functional`] never resolves here: a functional request
+    /// runs decoded (kernel drivers in `gendp-core` intercept the
+    /// functional tier above the array level).
     pub fn resolved_tier(&self) -> Tier {
-        if self.certified {
-            Tier::DecodedCertified
-        } else if self.cfg.tiers.sim_engine() == Engine::Interpreted {
-            Tier::Interpreted
-        } else {
-            Tier::Decoded
-        }
-    }
-
-    /// Drops the array back to the bounds-checked access path and keeps
-    /// it there (equivalent to [`PeArrayConfig::no_certify`], applied
-    /// after construction). Verification and the certificate itself are
-    /// untouched; only the execution path downgrade is sticky, so A/B
-    /// measurements can run checked and unchecked from the same loaded
-    /// programs.
-    pub fn force_checked(&mut self) {
-        self.cfg.certify = false;
-        self.certified = false;
-        for pe in &mut self.pes {
-            pe.set_unchecked(false);
+        match self.cfg.tiers {
+            Tier::Interpreted => Tier::Interpreted,
+            Tier::Functional | Tier::Decoded => Tier::Decoded,
         }
     }
 
@@ -328,13 +280,6 @@ impl PeArray {
     /// [`SimError::BadAccess`] on out-of-range addressing.
     pub fn run(&mut self, max_cycles: u64) -> Result<RunStats, SimError> {
         self.ensure_verified()?;
-        let resolved = self.resolved_tier();
-        if self.cfg.tiers.is_strict() && resolved != self.cfg.tiers.requested() {
-            return Err(SimError::TierUnavailable {
-                requested: self.cfg.tiers.requested(),
-                available: resolved,
-            });
-        }
         let n = self.cfg.n_pes;
         while !self.pes.iter().all(Pe::is_halted) {
             if self.cycles >= max_cycles {

@@ -1,82 +1,66 @@
+//! Array configuration and execution-tier selection.
+//!
+//! A configuration requests one of three [`Tier`]s: the functional tier
+//! (batched native loops, analytic cycles), the decoded engine (the
+//! default: per-cycle simulation of programs lowered once at load through
+//! [`gendp_isa::DecodedControlProgram`] and
+//! [`gendp_isa::DecodedComputeProgram`]) or the interpreted engine (the
+//! per-cycle reference that executes the assembly-level encoding). The two
+//! engines are cycle- and statistics-exact with respect to each other and
+//! both bounds-check every access. The functional tier engages only above
+//! the array, for kernel drivers that lower a task functionally under a
+//! `safe()` certificate; everywhere else a functional request runs
+//! decoded.
+
 use gendp_isa::{Luts, Mode};
 
-/// Which execution engine the simulator's per-cycle loop uses.
+/// An execution tier. Every tier is bit-identical to the others on the
+/// outputs of any successful run; [`RunStats::tier`](crate::RunStats::tier)
+/// records which tier actually executed.
 ///
-/// The decoded and interpreted engines are cycle- and statistics-exact
-/// with respect to each other; the decoded engine is the fast path
-/// (programs are lowered once at load via
-/// [`gendp_isa::DecodedControlProgram`] /
-/// [`gendp_isa::DecodedComputeProgram`]), while the interpreted engine
-/// executes the assembly-level encoding directly and is kept as the
-/// reference for equivalence testing and benchmarking. The functional
-/// engine does not simulate cycles at all: it executes the kernel's
-/// semantics as batched native loops and reports cycles from the static
-/// certificate's analytic model.
-///
-/// `Engine` is not how execution is selected: configure a [`TierPolicy`]
-/// instead, which adds certification awareness and an automatic fallback
-/// chain, and resolves to an engine through [`TierPolicy::sim_engine`].
-#[derive(Debug, Copy, Clone, PartialEq, Eq, Hash, Default)]
-pub enum Engine {
-    /// Execute pre-decoded programs (the default fast path).
-    #[default]
-    Decoded,
-    /// Interpret the assembly-level encoding every cycle (reference).
-    Interpreted,
-    /// Execute the kernel's semantics directly as batched native loops,
-    /// skipping per-cycle simulation; cycles are reported from the
-    /// certificate's analytic model. Only available through drivers that
-    /// can lower their kernel functionally (see `gendp-core`); a raw
-    /// [`PeArray`](crate::PeArray) degrades to the decoded engine.
-    Functional,
-}
-
-/// An execution tier: one rung of the fallback chain
-/// `Functional → DecodedCertified → Decoded → Interpreted`.
-///
-/// Tiers are ordered fastest-first; each is bit-identical to the ones
-/// below it on the outputs of any successful run. [`RunStats::tier`]
-/// (crate::RunStats::tier) records which tier actually executed.
+/// A configuration requests one tier (its [`TierPolicy`]). The request is
+/// honoured where it can run and otherwise degrades to [`Tier::Decoded`]:
+/// the functional tier needs a kernel driver that lowers the task (see
+/// `gendp-core`) and a `safe()` certificate, so a raw
+/// [`PeArray`](crate::PeArray) or a pattern without a functional lowering
+/// runs decoded instead. The decoded and interpreted engines run on every
+/// array.
 #[derive(Debug, Copy, Clone, PartialEq, Eq, Hash, Default)]
 pub enum Tier {
     /// Batched native execution of the kernel semantics with analytic
     /// cycle reporting (no per-cycle simulation).
     Functional,
-    /// Decoded engine on the certified-unchecked access path (requires a
-    /// `safe()` certificate and no interpreter-fallback instructions).
-    DecodedCertified,
-    /// Decoded engine on the bounds-checked access path.
+    /// Per-cycle simulation of pre-decoded programs (the default).
     #[default]
     Decoded,
-    /// The interpreted reference engine.
+    /// Per-cycle simulation interpreting the assembly-level encoding: the
+    /// reference the decoded engine and the functional tier are tested
+    /// against.
     Interpreted,
 }
 
 impl Tier {
-    /// The full fallback chain, fastest first.
-    pub const CHAIN: [Tier; 4] = [
-        Tier::Functional,
-        Tier::DecodedCertified,
-        Tier::Decoded,
-        Tier::Interpreted,
-    ];
+    /// Requests the functional tier (batched native execution).
+    pub fn functional() -> Self {
+        Tier::Functional
+    }
+
+    /// Requests the decoded engine (the default).
+    pub fn decoded() -> Self {
+        Tier::Decoded
+    }
+
+    /// Requests the interpreted reference engine.
+    pub fn interpreted() -> Self {
+        Tier::Interpreted
+    }
 
     /// Stable lowercase name, used by benchmark schemas and diagnostics.
     pub fn name(self) -> &'static str {
         match self {
             Tier::Functional => "functional",
-            Tier::DecodedCertified => "decoded_certified",
             Tier::Decoded => "decoded",
             Tier::Interpreted => "interpreted",
-        }
-    }
-
-    fn rank(self) -> usize {
-        match self {
-            Tier::Functional => 0,
-            Tier::DecodedCertified => 1,
-            Tier::Decoded => 2,
-            Tier::Interpreted => 3,
         }
     }
 }
@@ -87,104 +71,9 @@ impl std::fmt::Display for Tier {
     }
 }
 
-/// How execution tiers are selected: a requested tier plus whether the
-/// runtime may degrade along the chain
-/// `Functional → DecodedCertified → Decoded → Interpreted` when the
-/// requested tier is unavailable (kernel not functionally lowerable,
-/// certificate not `safe()`, …).
-///
-/// This replaces scattering raw [`Engine`] values through configs. The
-/// default policy is [`TierPolicy::decoded_certified`] — the decoded
-/// engine, promoted to the certified-unchecked path when the certificate
-/// allows — which is exactly the pre-`TierPolicy` default behavior.
-#[derive(Debug, Copy, Clone, PartialEq, Eq, Hash)]
-pub struct TierPolicy {
-    requested: Tier,
-    fallback: bool,
-}
-
-impl TierPolicy {
-    /// Requests `tier`, degrading along the chain when unavailable.
-    pub fn request(tier: Tier) -> Self {
-        TierPolicy {
-            requested: tier,
-            fallback: true,
-        }
-    }
-
-    /// Requests the functional tier (batched native execution).
-    pub fn functional() -> Self {
-        Self::request(Tier::Functional)
-    }
-
-    /// Requests the decoded engine with certificate-gated promotion to
-    /// the unchecked access path (the default).
-    pub fn decoded_certified() -> Self {
-        Self::request(Tier::DecodedCertified)
-    }
-
-    /// Requests the decoded engine on the always-bounds-checked path.
-    pub fn decoded() -> Self {
-        Self::request(Tier::Decoded)
-    }
-
-    /// Requests the interpreted reference engine.
-    pub fn interpreted() -> Self {
-        Self::request(Tier::Interpreted)
-    }
-
-    /// Disables fallback: execution fails with
-    /// [`SimError::TierUnavailable`](crate::SimError::TierUnavailable)
-    /// instead of degrading when the requested tier cannot run.
-    pub fn strict(mut self) -> Self {
-        self.fallback = false;
-        self
-    }
-
-    /// The tier this policy asks for.
-    pub fn requested(&self) -> Tier {
-        self.requested
-    }
-
-    /// True when the policy refuses to degrade below the requested tier.
-    pub fn is_strict(&self) -> bool {
-        !self.fallback
-    }
-
-    /// The tiers this policy may run, fastest first: the chain suffix
-    /// starting at the requested tier, or just the requested tier when
-    /// [`strict`](Self::strict).
-    pub fn chain(&self) -> &'static [Tier] {
-        let from = self.requested.rank();
-        if self.fallback {
-            &Tier::CHAIN[from..]
-        } else {
-            &Tier::CHAIN[from..=from]
-        }
-    }
-
-    /// True when this policy may execute on `tier`.
-    pub fn admits(&self, tier: Tier) -> bool {
-        self.chain().contains(&tier)
-    }
-
-    /// The per-cycle simulation engine backing this policy when the
-    /// functional tier does not engage: interpreted only when explicitly
-    /// requested, decoded otherwise (a raw array cannot run functionally,
-    /// so `Functional` degrades to its decoded fallback here).
-    pub fn sim_engine(&self) -> Engine {
-        match self.requested {
-            Tier::Interpreted => Engine::Interpreted,
-            _ => Engine::Decoded,
-        }
-    }
-}
-
-impl Default for TierPolicy {
-    fn default() -> Self {
-        Self::decoded_certified()
-    }
-}
+/// The tier a configuration requests (see [`Tier`] for how a request
+/// that cannot run degrades). The default requests [`Tier::Decoded`].
+pub type TierPolicy = Tier;
 
 /// Configuration of one simulated PE array.
 ///
@@ -219,17 +108,9 @@ pub struct PeArrayConfig {
     /// first cycle; error diagnostics abort the run with
     /// [`SimError::Verify`](crate::SimError::Verify). On by default.
     pub verify: bool,
-    /// Let a safe certificate switch the decoded engine onto the
-    /// certified-unchecked access path. On by default; turning it off
-    /// keeps the bounds-checked path even for certified programs (A/B
-    /// measurement, debugging). Redundant with requesting
-    /// [`Tier::Decoded`], kept for `force_checked`-style toggling after
-    /// construction.
-    pub certify: bool,
-    /// Execution-tier selection policy. A raw `PeArray` resolves among
-    /// the simulated tiers (a functional request degrades to its decoded
-    /// fallback here — only kernel drivers in `gendp-core` can lower
-    /// functionally).
+    /// The requested execution tier. A raw `PeArray` only simulates: a
+    /// functional request runs decoded here (only kernel drivers in
+    /// `gendp-core` lower functionally).
     pub tiers: TierPolicy,
 }
 
@@ -251,7 +132,6 @@ impl PeArrayConfig {
             luts: Luts::default(),
             fifo_broadcast: false,
             verify: true,
-            certify: true,
             tiers: TierPolicy::default(),
         }
     }
@@ -282,14 +162,7 @@ impl PeArrayConfig {
         self
     }
 
-    /// Keeps the bounds-checked access path even when the certificate
-    /// would allow the unchecked one, returning `self` for chaining.
-    pub fn no_certify(mut self) -> Self {
-        self.certify = false;
-        self
-    }
-
-    /// Sets the execution-tier policy, returning `self` for chaining.
+    /// Sets the requested execution tier, returning `self` for chaining.
     pub fn tiers(mut self, tiers: TierPolicy) -> Self {
         self.tiers = tiers;
         self
@@ -325,59 +198,35 @@ mod tests {
     }
 
     #[test]
-    fn default_policy_is_certified_decoded_with_fallback() {
+    fn default_requests_the_decoded_tier() {
         let c = PeArrayConfig::new();
-        assert_eq!(c.tiers.requested(), Tier::DecodedCertified);
-        assert!(!c.tiers.is_strict());
-        assert_eq!(c.tiers.sim_engine(), Engine::Decoded);
-    }
-
-    #[test]
-    fn chains_are_suffixes_of_the_full_chain() {
-        assert_eq!(TierPolicy::functional().chain(), &Tier::CHAIN[..]);
-        assert_eq!(
-            TierPolicy::decoded_certified().chain(),
-            &[Tier::DecodedCertified, Tier::Decoded, Tier::Interpreted]
-        );
-        assert_eq!(
-            TierPolicy::decoded().chain(),
-            &[Tier::Decoded, Tier::Interpreted]
-        );
-        assert_eq!(TierPolicy::interpreted().chain(), &[Tier::Interpreted]);
-        assert_eq!(
-            TierPolicy::functional().strict().chain(),
-            &[Tier::Functional]
-        );
-    }
-
-    #[test]
-    fn admits_follows_the_chain() {
-        let p = TierPolicy::functional();
-        assert!(p.admits(Tier::Functional));
-        assert!(p.admits(Tier::DecodedCertified));
-        assert!(p.admits(Tier::Interpreted));
-        let strict = TierPolicy::decoded().strict();
-        assert!(strict.admits(Tier::Decoded));
-        assert!(!strict.admits(Tier::Interpreted));
-        assert!(!strict.admits(Tier::DecodedCertified));
+        assert_eq!(c.tiers, Tier::Decoded);
+        assert_eq!(TierPolicy::default(), Tier::Decoded);
+        assert_eq!(c.tiers(TierPolicy::interpreted()).tiers, Tier::Interpreted);
     }
 
     #[test]
     fn sim_engine_resolution() {
-        assert_eq!(TierPolicy::functional().sim_engine(), Engine::Decoded);
-        assert_eq!(
-            TierPolicy::decoded_certified().sim_engine(),
-            Engine::Decoded
-        );
-        assert_eq!(TierPolicy::decoded().sim_engine(), Engine::Decoded);
-        assert_eq!(TierPolicy::interpreted().sim_engine(), Engine::Interpreted);
+        // A raw array only simulates: functional runs the decoded engine.
+        for (requested, runs) in [
+            (Tier::Functional, Tier::Decoded),
+            (Tier::Decoded, Tier::Decoded),
+            (Tier::Interpreted, Tier::Interpreted),
+        ] {
+            let array = crate::PeArray::new(PeArrayConfig::new().tiers(requested));
+            assert_eq!(array.resolved_tier(), runs, "{requested}");
+        }
     }
 
     #[test]
     fn tier_names_are_stable() {
-        for t in Tier::CHAIN {
+        let tiers = [Tier::Functional, Tier::Decoded, Tier::Interpreted];
+        for t in tiers {
             assert_eq!(t.to_string(), t.name());
         }
-        assert_eq!(Tier::DecodedCertified.name(), "decoded_certified");
+        assert_eq!(
+            tiers.map(Tier::name),
+            ["functional", "decoded", "interpreted"]
+        );
     }
 }

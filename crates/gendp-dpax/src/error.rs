@@ -1,8 +1,6 @@
 use std::error::Error;
 use std::fmt;
 
-use crate::config::Tier;
-
 /// Error returned by [`PeArray::run`](crate::PeArray::run).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SimError {
@@ -24,15 +22,6 @@ pub enum SimError {
     /// diagnostic report. Disable with
     /// [`PeArrayConfig::no_verify`](crate::PeArrayConfig::no_verify).
     Verify(gendp_verify::Report),
-    /// A strict [`TierPolicy`](crate::TierPolicy) requested an execution
-    /// tier that is not available for this task (kernel not functionally
-    /// lowerable, certificate not `safe()`, …) and fallback was disabled.
-    TierUnavailable {
-        /// The tier the policy demanded.
-        requested: Tier,
-        /// The best tier the task could actually run.
-        available: Tier,
-    },
 }
 
 /// How a batch runtime should treat a [`SimError`] when deciding whether
@@ -55,10 +44,9 @@ impl SimError {
     pub fn retryability(&self) -> Retryability {
         match self {
             SimError::Timeout { .. } => Retryability::EscalateBudget,
-            SimError::Deadlock(_)
-            | SimError::BadAccess(_)
-            | SimError::Verify(_)
-            | SimError::TierUnavailable { .. } => Retryability::Redispatch,
+            SimError::Deadlock(_) | SimError::BadAccess(_) | SimError::Verify(_) => {
+                Retryability::Redispatch
+            }
         }
     }
 
@@ -86,14 +74,6 @@ impl fmt::Display for SimError {
                     .next()
                     .map(|d| d.to_string())
                     .unwrap_or_default()
-            ),
-            SimError::TierUnavailable {
-                requested,
-                available,
-            } => write!(
-                f,
-                "requested execution tier {requested} is unavailable \
-                 (best available: {available}) and the policy is strict"
             ),
         }
     }
@@ -134,17 +114,5 @@ mod tests {
             Retryability::Redispatch
         );
         assert!(!SimError::Deadlock("pe0".into()).is_budget_bound());
-    }
-
-    #[test]
-    fn tier_unavailable_is_redispatch_and_names_both_tiers() {
-        let e = SimError::TierUnavailable {
-            requested: Tier::Functional,
-            available: Tier::Decoded,
-        };
-        assert_eq!(e.retryability(), Retryability::Redispatch);
-        assert!(!e.is_budget_bound());
-        let msg = e.to_string();
-        assert!(msg.contains("functional") && msg.contains("decoded"));
     }
 }

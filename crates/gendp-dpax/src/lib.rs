@@ -45,6 +45,8 @@
 //! assert!(stats.cycles > 0);
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod array;
 mod config;
 mod error;
@@ -53,7 +55,7 @@ mod stats;
 mod trace;
 
 pub use array::PeArray;
-pub use config::{Engine, PeArrayConfig, Tier, TierPolicy};
+pub use config::{PeArrayConfig, Tier, TierPolicy};
 pub use error::{Retryability, SimError};
 pub use stats::{PeStats, RunStats};
 pub use trace::{Trace, TraceEvent};

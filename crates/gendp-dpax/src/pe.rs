@@ -1,16 +1,17 @@
 //! One processing element: a control thread and a compute thread sharing a
 //! register file (paper §4.2, Fig. 6).
 //!
-//! The PE executes through one of two engines selected by
-//! [`Engine`](crate::Engine): the **decoded** fast path runs pre-lowered
+//! The PE executes through one of two engines, chosen by the configured
+//! tier: the **decoded** engine (every tier but
+//! [`Tier::Interpreted`](crate::Tier::Interpreted)) runs pre-lowered
 //! [`DecodedControlProgram`]/[`DecodedComputeProgram`] forms with no
 //! per-cycle allocation and no re-matching on the assembly encoding, while
-//! the **interpreted** reference path executes [`ControlProgram`]/
-//! [`ComputeProgram`] directly. The two are cycle- and statistics-exact
-//! with respect to each other (covered by the engine-equivalence suite);
-//! instruction forms the decoder cannot represent fall back to the
-//! interpreter per instruction, so even error diagnostics and their timing
-//! match.
+//! the **interpreted** reference engine executes [`ControlProgram`]/
+//! [`ComputeProgram`] directly. Both bounds-check every access and are
+//! cycle- and statistics-exact with respect to each other (covered by the
+//! engine-equivalence suite); instruction forms the decoder cannot
+//! represent fall back to the interpreter per instruction, so even error
+//! diagnostics and their timing match.
 
 use std::sync::Arc;
 
@@ -20,7 +21,7 @@ use gendp_isa::{
     DecodedOperand, DecodedVliw, Loc, Mode, Operand, SetTarget, Space, Word, CU_PER_PE,
 };
 
-use crate::config::{Engine, PeArrayConfig};
+use crate::config::{PeArrayConfig, Tier};
 use crate::error::SimError;
 use crate::stats::PeStats;
 
@@ -72,37 +73,10 @@ pub(crate) struct Pe {
     compute: Arc<ComputeProgram>,
     dcompute: Arc<DecodedComputeProgram>,
     compute_pc: Option<usize>,
-    engine: Engine,
-    /// Certified-unchecked mode: the array proved (via
-    /// [`gendp_verify::Certificate::safe`]) that every access is in
-    /// bounds, so the decoded engine runs with debug-assert-only bounds.
-    /// Cleared by every program load; set again by the array's
-    /// verification gate.
-    unchecked: bool,
+    /// Runs the interpreted reference engine instead of the decoded one.
+    interpreted: bool,
     index: usize,
     pub stats: PeStats,
-}
-
-/// Indexes `mem` — checked normally, `get_unchecked` in the certified
-/// instantiation (the preceding [`Pe::bound_g`] already debug-asserted).
-#[inline(always)]
-fn read_at<const U: bool, T: Copy>(mem: &[T], idx: usize) -> T {
-    if U {
-        unsafe { *mem.get_unchecked(idx) }
-    } else {
-        mem[idx]
-    }
-}
-
-/// Writes `mem[idx]` — checked normally, `get_unchecked_mut` in the
-/// certified instantiation.
-#[inline(always)]
-fn write_at<const U: bool, T>(mem: &mut [T], idx: usize, v: T) {
-    if U {
-        unsafe { *mem.get_unchecked_mut(idx) = v }
-    } else {
-        mem[idx] = v;
-    }
 }
 
 /// Resolved source value plus its external cost.
@@ -126,24 +100,10 @@ impl Pe {
             compute: Arc::new(ComputeProgram::new()),
             dcompute: Arc::new(DecodedComputeProgram::default()),
             compute_pc: None,
-            engine: cfg.tiers.sim_engine(),
-            unchecked: false,
+            interpreted: cfg.tiers == Tier::Interpreted,
             index,
             stats: PeStats::default(),
         }
-    }
-
-    /// Switches the decoded engine between the checked and the
-    /// certified-unchecked access path. Only the array's verification
-    /// gate may enable this, and only with a safety certificate in hand.
-    pub(crate) fn set_unchecked(&mut self, on: bool) {
-        self.unchecked = on;
-    }
-
-    /// Whether the decoded control program needed any per-instruction
-    /// interpreter fallback (which the unchecked path must not take).
-    pub(crate) fn decoded_has_interp(&self) -> bool {
-        self.dctrl.has_interp()
     }
 
     /// Loads a control program together with its pre-decoded form. The
@@ -158,7 +118,6 @@ impl Pe {
         self.ctrl = program;
         self.dctrl = decoded;
         self.ctrl_pc = 0;
-        self.unchecked = false;
     }
 
     /// Resets all architectural state — registers, scratchpad, address
@@ -196,7 +155,6 @@ impl Pe {
         self.compute = program;
         self.dcompute = decoded;
         self.compute_pc = None;
-        self.unchecked = false;
     }
 
     /// The loaded control program.
@@ -246,32 +204,12 @@ impl Pe {
     }
 
     /// Decoded-path address-register read (same diagnostics as
-    /// [`Self::areg`]). The `U = true` instantiation is the certified
-    /// path: the bound is a debug assertion backed by the certificate.
-    fn areg_at_g<const U: bool>(&self, r: u8) -> Result<i32, SimError> {
-        if U {
-            debug_assert!(
-                (r as usize) < self.aregs.len(),
-                "certificate violated: areg a{r}"
-            );
-            Ok(read_at::<U, _>(&self.aregs, r as usize))
-        } else {
-            self.aregs
-                .get(r as usize)
-                .copied()
-                .ok_or_else(|| SimError::BadAccess(format!("pe{}: areg a{r}", self.index)))
-        }
-    }
-
-    /// Bounds gate for the decoded path: a real check normally, a debug
-    /// assertion in the certified-unchecked instantiation.
-    fn bound_g<const U: bool, T>(&self, mem: &[T], idx: usize, what: &str) -> Result<(), SimError> {
-        if U {
-            debug_assert!(idx < mem.len(), "certificate violated: {what}[{idx}]");
-            Ok(())
-        } else {
-            self.bound(mem, idx, what)
-        }
+    /// [`Self::areg`]).
+    fn areg_at(&self, r: u8) -> Result<i32, SimError> {
+        self.aregs
+            .get(r as usize)
+            .copied()
+            .ok_or_else(|| SimError::BadAccess(format!("pe{}: areg a{r}", self.index)))
     }
 
     fn resolve(&self, loc: Loc) -> Result<usize, SimError> {
@@ -295,19 +233,11 @@ impl Pe {
     }
 
     /// Decoded-path indirect resolution; reconstructs the assembly `Loc`
-    /// only on the cold error path. The certified instantiation skips the
-    /// negative check (the certificate proves the interval non-negative).
-    fn dresolve_g<const U: bool>(
-        &self,
-        areg: u8,
-        offset: i16,
-        space: Space,
-    ) -> Result<usize, SimError> {
-        let base = self.areg_at_g::<U>(areg)?;
+    /// only on the cold error path.
+    fn dresolve(&self, areg: u8, offset: i16, space: Space) -> Result<usize, SimError> {
+        let base = self.areg_at(areg)?;
         let v = base as i64 + offset as i64;
-        if U {
-            debug_assert!(v >= 0, "certificate violated: negative address {v}");
-        } else if v < 0 {
+        if v < 0 {
             return Err(SimError::BadAccess(format!(
                 "pe{}: negative address {v} for {}",
                 self.index,
@@ -375,57 +305,43 @@ impl Pe {
     }
 
     /// Decoded-path read: one flat match, no space/addressing re-dispatch.
-    /// The `U = true` instantiation is the certified-unchecked path: all
-    /// bounds become debug assertions, while the semantic stall and
-    /// permission logic (RF interlock, port readiness, FIFO roles) is
-    /// retained verbatim.
-    fn dtry_read_g<const U: bool>(
-        &self,
-        loc: DecodedLoc,
-        ext: &ExtView,
-    ) -> Result<ReadOutcome, SimError> {
+    fn dtry_read(&self, loc: DecodedLoc, ext: &ExtView) -> Result<ReadOutcome, SimError> {
         match loc {
             DecodedLoc::RfDirect(i) => {
                 let i = usize::from(i);
                 if self.compute_busy() {
                     return Ok(ReadOutcome::Stall); // RF interlock
                 }
-                self.bound_g::<U, _>(&self.rf, i, "rf")?;
-                Ok(ReadOutcome::Value(read_at::<U, _>(&self.rf, i)))
+                self.bound(&self.rf, i, "rf")?;
+                Ok(ReadOutcome::Value(self.rf[i]))
             }
             DecodedLoc::RfIndirect { areg, offset } => {
                 if self.compute_busy() {
                     return Ok(ReadOutcome::Stall);
                 }
-                let i = self.dresolve_g::<U>(areg, offset, Space::Rf)?;
-                self.bound_g::<U, _>(&self.rf, i, "rf")?;
-                Ok(ReadOutcome::Value(read_at::<U, _>(&self.rf, i)))
+                let i = self.dresolve(areg, offset, Space::Rf)?;
+                self.bound(&self.rf, i, "rf")?;
+                Ok(ReadOutcome::Value(self.rf[i]))
             }
             DecodedLoc::SpmDirect(i) => {
                 let i = usize::from(i);
-                self.bound_g::<U, _>(&self.spm, i, "spm")?;
-                Ok(ReadOutcome::Value(read_at::<U, _>(&self.spm, i)))
+                self.bound(&self.spm, i, "spm")?;
+                Ok(ReadOutcome::Value(self.spm[i]))
             }
             DecodedLoc::SpmIndirect { areg, offset } => {
-                let i = self.dresolve_g::<U>(areg, offset, Space::Spm)?;
-                self.bound_g::<U, _>(&self.spm, i, "spm")?;
-                Ok(ReadOutcome::Value(read_at::<U, _>(&self.spm, i)))
+                let i = self.dresolve(areg, offset, Space::Spm)?;
+                self.bound(&self.spm, i, "spm")?;
+                Ok(ReadOutcome::Value(self.spm[i]))
             }
             DecodedLoc::AregDirect(i) => {
                 let i = usize::from(i);
-                self.bound_g::<U, _>(&self.aregs, i, "areg")?;
-                Ok(ReadOutcome::Value(Word::from_i32(read_at::<U, _>(
-                    &self.aregs,
-                    i,
-                ))))
+                self.bound(&self.aregs, i, "areg")?;
+                Ok(ReadOutcome::Value(Word::from_i32(self.aregs[i])))
             }
             DecodedLoc::AregIndirect { areg, offset } => {
-                let i = self.dresolve_g::<U>(areg, offset, Space::Areg)?;
-                self.bound_g::<U, _>(&self.aregs, i, "areg")?;
-                Ok(ReadOutcome::Value(Word::from_i32(read_at::<U, _>(
-                    &self.aregs,
-                    i,
-                ))))
+                let i = self.dresolve(areg, offset, Space::Areg)?;
+                self.bound(&self.aregs, i, "areg")?;
+                Ok(ReadOutcome::Value(Word::from_i32(self.aregs[i])))
             }
             DecodedLoc::In => match ext.in_avail {
                 Some(w) => Ok(ReadOutcome::Value(w)),
@@ -523,45 +439,41 @@ impl Pe {
         Ok(eff)
     }
 
-    /// Decoded-path write commit (`U` as in [`Self::dtry_read_g`]).
-    fn dcommit_write_g<const U: bool>(
-        &mut self,
-        loc: DecodedLoc,
-        w: Word,
-    ) -> Result<ExtEffect, SimError> {
+    /// Decoded-path write commit.
+    fn dcommit_write(&mut self, loc: DecodedLoc, w: Word) -> Result<ExtEffect, SimError> {
         let mut eff = ExtEffect::default();
         match loc {
             DecodedLoc::RfDirect(i) => {
                 let i = usize::from(i);
-                self.bound_g::<U, _>(&self.rf, i, "rf")?;
-                write_at::<U, _>(&mut self.rf, i, w);
+                self.bound(&self.rf, i, "rf")?;
+                self.rf[i] = w;
             }
             DecodedLoc::RfIndirect { areg, offset } => {
-                let i = self.dresolve_g::<U>(areg, offset, Space::Rf)?;
-                self.bound_g::<U, _>(&self.rf, i, "rf")?;
-                write_at::<U, _>(&mut self.rf, i, w);
+                let i = self.dresolve(areg, offset, Space::Rf)?;
+                self.bound(&self.rf, i, "rf")?;
+                self.rf[i] = w;
             }
             DecodedLoc::SpmDirect(i) => {
                 let i = usize::from(i);
-                self.bound_g::<U, _>(&self.spm, i, "spm")?;
-                write_at::<U, _>(&mut self.spm, i, w);
+                self.bound(&self.spm, i, "spm")?;
+                self.spm[i] = w;
                 self.stats.spm_accesses += 1;
             }
             DecodedLoc::SpmIndirect { areg, offset } => {
-                let i = self.dresolve_g::<U>(areg, offset, Space::Spm)?;
-                self.bound_g::<U, _>(&self.spm, i, "spm")?;
-                write_at::<U, _>(&mut self.spm, i, w);
+                let i = self.dresolve(areg, offset, Space::Spm)?;
+                self.bound(&self.spm, i, "spm")?;
+                self.spm[i] = w;
                 self.stats.spm_accesses += 1;
             }
             DecodedLoc::AregDirect(i) => {
                 let i = usize::from(i);
-                self.bound_g::<U, _>(&self.aregs, i, "areg")?;
-                write_at::<U, _>(&mut self.aregs, i, w.as_i32());
+                self.bound(&self.aregs, i, "areg")?;
+                self.aregs[i] = w.as_i32();
             }
             DecodedLoc::AregIndirect { areg, offset } => {
-                let i = self.dresolve_g::<U>(areg, offset, Space::Areg)?;
-                self.bound_g::<U, _>(&self.aregs, i, "areg")?;
-                write_at::<U, _>(&mut self.aregs, i, w.as_i32());
+                let i = self.dresolve(areg, offset, Space::Areg)?;
+                self.bound(&self.aregs, i, "areg")?;
+                self.aregs[i] = w.as_i32();
             }
             DecodedLoc::Out => {
                 eff.wrote_out = Some(w);
@@ -580,12 +492,10 @@ impl Pe {
         if self.halted {
             return Ok((Progress::Halted, ExtEffect::default()));
         }
-        match self.engine {
-            // A PE never runs "functionally" — the functional tier executes
-            // above the array; if the variant ever reaches a PE it means
-            // the fallback already resolved to the decoded engine.
-            Engine::Decoded | Engine::Functional => self.step_ctrl_decoded(ext),
-            Engine::Interpreted => self.step_ctrl_interp(ext),
+        if self.interpreted {
+            self.step_ctrl_interp(ext)
+        } else {
+            self.step_ctrl_decoded(ext)
         }
     }
 
@@ -718,20 +628,7 @@ impl Pe {
 
     /// The decoded engine's control step: same semantics and statistics as
     /// [`Self::exec_ctrl_interp`], without re-decoding the encoding.
-    /// Dispatches once per step to the checked or the certified-unchecked
-    /// monomorphization.
     fn step_ctrl_decoded(&mut self, ext: &ExtView) -> Result<(Progress, ExtEffect), SimError> {
-        if self.unchecked {
-            self.step_ctrl_decoded_g::<true>(ext)
-        } else {
-            self.step_ctrl_decoded_g::<false>(ext)
-        }
-    }
-
-    fn step_ctrl_decoded_g<const U: bool>(
-        &mut self,
-        ext: &ExtView,
-    ) -> Result<(Progress, ExtEffect), SimError> {
         let inst = match self.dctrl.get(self.ctrl_pc) {
             Some(i) => *i,
             None => {
@@ -748,18 +645,16 @@ impl Pe {
                 return Ok((Progress::Halted, eff));
             }
             DecodedCtrlInst::Add { rd, rs1, rs2 } => {
-                let v = self
-                    .areg_at_g::<U>(rs1)?
-                    .wrapping_add(self.areg_at_g::<U>(rs2)?);
+                let v = self.areg_at(rs1)?.wrapping_add(self.areg_at(rs2)?);
                 let i = rd as usize;
-                self.bound_g::<U, _>(&self.aregs, i, "areg")?;
-                write_at::<U, _>(&mut self.aregs, i, v);
+                self.bound(&self.aregs, i, "areg")?;
+                self.aregs[i] = v;
             }
             DecodedCtrlInst::Addi { rd, rs1, imm } => {
-                let v = self.areg_at_g::<U>(rs1)?.wrapping_add(imm);
+                let v = self.areg_at(rs1)?.wrapping_add(imm);
                 let i = rd as usize;
-                self.bound_g::<U, _>(&self.aregs, i, "areg")?;
-                write_at::<U, _>(&mut self.aregs, i, v);
+                self.bound(&self.aregs, i, "areg")?;
+                self.aregs[i] = v;
             }
             DecodedCtrlInst::Branch {
                 cond,
@@ -768,7 +663,7 @@ impl Pe {
                 target,
             } => {
                 self.stats.ctrl_insts += 1;
-                if cond.eval(self.areg_at_g::<U>(rs1)?, self.areg_at_g::<U>(rs2)?) {
+                if cond.eval(self.areg_at(rs1)?, self.areg_at(rs2)?) {
                     if target < 0 {
                         return Err(SimError::BadAccess(format!(
                             "pe{}: branch to negative pc {target}",
@@ -786,10 +681,10 @@ impl Pe {
                     self.stats.ctrl_stalls += 1;
                     return Ok((Progress::Stalled, eff));
                 }
-                eff = self.dcommit_write_g::<U>(dest, word)?;
+                eff = self.dcommit_write(dest, word)?;
             }
             DecodedCtrlInst::Mv { dest, src } => {
-                let value = match self.dtry_read_g::<U>(src, ext)? {
+                let value = match self.dtry_read(src, ext)? {
                     ReadOutcome::Stall => {
                         self.stats.ctrl_stalls += 1;
                         return Ok((Progress::Stalled, eff));
@@ -812,7 +707,7 @@ impl Pe {
                     }
                     _ => {}
                 }
-                let weff = self.dcommit_write_g::<U>(dest, value)?;
+                let weff = self.dcommit_write(dest, value)?;
                 eff.wrote_out = weff.wrote_out;
                 eff.pushed_fifo = weff.pushed_fifo;
             }
@@ -838,7 +733,6 @@ impl Pe {
                 self.stats.cells += 1;
             }
             DecodedCtrlInst::Interp => {
-                debug_assert!(!U, "certified arrays exclude interpreter-fallback programs");
                 let orig = *self
                     .ctrl
                     .get(self.ctrl_pc)
@@ -854,9 +748,10 @@ impl Pe {
     /// Executes one VLIW compute instruction if the compute thread runs.
     /// Returns true if an instruction was issued.
     pub fn step_compute(&mut self) -> Result<bool, SimError> {
-        match self.engine {
-            Engine::Decoded | Engine::Functional => self.step_compute_decoded(),
-            Engine::Interpreted => self.step_compute_interp(),
+        if self.interpreted {
+            self.step_compute_interp()
+        } else {
+            self.step_compute_decoded()
         }
     }
 
@@ -922,14 +817,6 @@ impl Pe {
     /// ALU input scratch live on the stack), with per-instruction
     /// statistics read from the decoded word instead of recounted.
     fn step_compute_decoded(&mut self) -> Result<bool, SimError> {
-        if self.unchecked {
-            self.step_compute_decoded_g::<true>()
-        } else {
-            self.step_compute_decoded_g::<false>()
-        }
-    }
-
-    fn step_compute_decoded_g<const U: bool>(&mut self) -> Result<bool, SimError> {
         let pc = match self.compute_pc {
             Some(pc) => pc,
             None => return Ok(false),
@@ -943,8 +830,8 @@ impl Pe {
             match slot {
                 DecodedCu::Nop => {}
                 DecodedCu::Mul { a, b, dest } => {
-                    let av = self.doperand_g::<U>(*a)?;
-                    let bv = self.doperand_g::<U>(*b)?;
+                    let av = self.doperand(*a)?;
+                    let bv = self.doperand(*b)?;
                     let r = apply(ComputeOp::Mul, self.mode, &[av, bv], &self.luts);
                     writes[n_writes] = (*dest, r);
                     n_writes += 1;
@@ -953,7 +840,7 @@ impl Pe {
                     let wn = t.wide_n as usize;
                     let mut wide = [Word::ZERO; 4];
                     for (k, o) in t.wide_ins[..wn].iter().enumerate() {
-                        wide[k] = self.doperand_g::<U>(*o)?;
+                        wide[k] = self.doperand(*o)?;
                     }
                     let a_out = if t.wide_op == ComputeOp::Nop {
                         Word::ZERO
@@ -963,7 +850,7 @@ impl Pe {
                     let nn = t.narrow_n as usize;
                     let mut narrow = [Word::ZERO; 2];
                     for (k, o) in t.narrow_ins[..nn].iter().enumerate() {
-                        narrow[k] = self.doperand_g::<U>(*o)?;
+                        narrow[k] = self.doperand(*o)?;
                     }
                     let b_out = if t.narrow_op == ComputeOp::Nop {
                         Word::ZERO
@@ -980,8 +867,8 @@ impl Pe {
         self.stats.rf_accesses += rf_accesses as u64;
         for &(d, w) in &writes[..n_writes] {
             let i = d as usize;
-            self.bound_g::<U, _>(&self.rf, i, "rf")?;
-            write_at::<U, _>(&mut self.rf, i, w);
+            self.bound(&self.rf, i, "rf")?;
+            self.rf[i] = w;
         }
         self.stats.vliw_issued += 1;
         self.stats.cu_slots_active += active_slots as u64;
@@ -1005,12 +892,12 @@ impl Pe {
         }
     }
 
-    fn doperand_g<const U: bool>(&self, o: DecodedOperand) -> Result<Word, SimError> {
+    fn doperand(&self, o: DecodedOperand) -> Result<Word, SimError> {
         match o {
             DecodedOperand::Reg(r) => {
                 let i = r as usize;
-                self.bound_g::<U, _>(&self.rf, i, "rf")?;
-                Ok(read_at::<U, _>(&self.rf, i))
+                self.bound(&self.rf, i, "rf")?;
+                Ok(self.rf[i])
             }
             DecodedOperand::Imm(w) => Ok(w),
         }
@@ -1043,18 +930,18 @@ mod tests {
         pe.load_compute(Arc::new(prog), decoded);
     }
 
-    fn pe_with_engine(prog: &str, engine: Engine) -> Pe {
-        let tiers = match engine {
-            Engine::Interpreted => crate::TierPolicy::interpreted(),
-            Engine::Decoded | Engine::Functional => crate::TierPolicy::decoded(),
-        };
-        let mut pe = Pe::new(&PeArrayConfig::with_pes(1).tiers(tiers), 0);
+    /// Both per-cycle engines: the decoded one and its interpreted
+    /// reference.
+    const ENGINES: [Tier; 2] = [Tier::Decoded, Tier::Interpreted];
+
+    fn pe_with_engine(prog: &str, tier: Tier) -> Pe {
+        let mut pe = Pe::new(&PeArrayConfig::with_pes(1).tiers(tier), 0);
         load_ctrl(&mut pe, prog.parse().unwrap());
         pe
     }
 
     fn pe_with(prog: &str) -> Pe {
-        pe_with_engine(prog, Engine::Decoded)
+        pe_with_engine(prog, Tier::Decoded)
     }
 
     fn run_to_halt(pe: &mut Pe, ext: &ExtView) {
@@ -1069,7 +956,7 @@ mod tests {
 
     #[test]
     fn li_and_mv_between_rf_and_spm() {
-        for engine in [Engine::Decoded, Engine::Interpreted] {
+        for engine in ENGINES {
             let mut pe = pe_with_engine(
                 "li rf[3] 42\nmv spm[7] rf[3]\nmv rf[4] spm[7]\nhalt",
                 engine,
@@ -1083,7 +970,7 @@ mod tests {
 
     #[test]
     fn areg_loop_counts() {
-        for engine in [Engine::Decoded, Engine::Interpreted] {
+        for engine in ENGINES {
             let mut pe = pe_with_engine(
                 "li a[0] 0\nli a[1] 5\naddi a0 a0 1\nblt a0 a1 -1\nmv rf[0] a[0]\nhalt",
                 engine,
@@ -1143,7 +1030,7 @@ mod tests {
 
     #[test]
     fn set_runs_compute_and_interlocks_rf() {
-        for engine in [Engine::Decoded, Engine::Interpreted] {
+        for engine in ENGINES {
             let mut pe = pe_with_engine(
                 "li rf[0] 20\nli rf[1] 22\nset cu 0\nmv rf[3] rf[2]\nhalt",
                 engine,
@@ -1173,7 +1060,7 @@ mod tests {
 
     #[test]
     fn set_without_program_is_an_error() {
-        for engine in [Engine::Decoded, Engine::Interpreted] {
+        for engine in ENGINES {
             let mut pe = pe_with_engine("set cu 0\nhalt", engine);
             let err = pe.step_ctrl(&idle_ext()).unwrap_err();
             assert!(matches!(err, SimError::BadAccess(_)));
@@ -1182,7 +1069,7 @@ mod tests {
 
     #[test]
     fn rf_out_of_range_is_an_error() {
-        for engine in [Engine::Decoded, Engine::Interpreted] {
+        for engine in ENGINES {
             let mut pe = pe_with_engine("li rf[9999] 1\nhalt", engine);
             let err = pe.step_ctrl(&idle_ext()).unwrap_err();
             assert!(err.to_string().contains("rf"));
@@ -1201,7 +1088,7 @@ mod tests {
 
     #[test]
     fn indirect_addressing_walks_spm() {
-        for engine in [Engine::Decoded, Engine::Interpreted] {
+        for engine in ENGINES {
             let mut pe = pe_with_engine(
                 "li a[0] 0\nli a[1] 4\nli spm[a0] 5\naddi a0 a0 1\nblt a0 a1 -2\n\
                  li a[0] 0\nmv rf[a0+1] spm[a0]\nhalt",
@@ -1217,8 +1104,8 @@ mod tests {
         // `set pe` and buffer moves decode to the interpreter fallback; both
         // engines must produce byte-identical diagnostics.
         for prog in ["set pe1 0\nhalt", "mv rf[0] out\nhalt", "mv in rf[0]\nhalt"] {
-            let mut a = pe_with_engine(prog, Engine::Decoded);
-            let mut b = pe_with_engine(prog, Engine::Interpreted);
+            let mut a = pe_with_engine(prog, Tier::Decoded);
+            let mut b = pe_with_engine(prog, Tier::Interpreted);
             let ea = a.step_ctrl(&idle_ext()).unwrap_err();
             let eb = b.step_ctrl(&idle_ext()).unwrap_err();
             assert_eq!(ea.to_string(), eb.to_string(), "program {prog:?}");
@@ -1229,8 +1116,8 @@ mod tests {
     fn engines_match_on_a_looping_program() {
         let prog = "li a[0] 0\nli a[1] 6\nli spm[a0] 3\nmv rf[a0] spm[a0]\n\
                     addi a0 a0 1\nblt a0 a1 -3\nmv out rf[2]\nhalt";
-        let mut a = pe_with_engine(prog, Engine::Decoded);
-        let mut b = pe_with_engine(prog, Engine::Interpreted);
+        let mut a = pe_with_engine(prog, Tier::Decoded);
+        let mut b = pe_with_engine(prog, Tier::Interpreted);
         let ext = idle_ext();
         loop {
             let ra = a.step_ctrl(&ext).unwrap();

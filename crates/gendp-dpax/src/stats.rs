@@ -45,9 +45,9 @@ pub struct RunStats {
     pub fifo_high_water: usize,
     /// Per-PE counters, indexed by position in the chain.
     pub per_pe: Vec<PeStats>,
-    /// Which execution tier actually ran (engine provenance). Callers that
-    /// request a tier through a [`TierPolicy`](crate::TierPolicy) with
-    /// fallback enabled read this to learn what they really got.
+    /// Which execution tier actually ran (engine provenance). A
+    /// functional request that cannot run functionally runs decoded, so
+    /// callers read this to learn what they really got.
     pub tier: Tier,
     /// True when [`cycles`](Self::cycles) is an analytic *bound* rather
     /// than an exact count — the functional tier on a kernel whose

@@ -9,17 +9,15 @@
 //! path. A second property pins the functional tier's cell evaluator to
 //! the simulators: for random *in-bounds* compute programs, one
 //! simulated compute activation commits exactly the register file
-//! [`eval_cell`] computes (checked and certified-unchecked variants
-//! both), which is the arithmetic bit-identity the batched wavefront
-//! sweep in `gendp-core` is built on. Tier selection goes through
-//! [`TierPolicy`]; the raw-`Engine` fallback chain is covered by the
-//! resolution tests at the bottom.
+//! [`eval_cell`] computes, which is the arithmetic bit-identity the
+//! batched wavefront sweep in `gendp-core` is built on. Tier selection
+//! goes through [`TierPolicy`]; what a raw array runs for each request is
+//! covered by the resolution test at the bottom.
 
-use gendp_dpax::{PeArray, PeArrayConfig, SimError, Tier, TierPolicy};
+use gendp_dpax::{PeArray, PeArrayConfig, Tier, TierPolicy};
 use gendp_isa::{
-    eval_cell, eval_cell_certified, AddrReg, BranchCond, ComputeOp, ComputeProgram, ControlInst,
-    ControlProgram, CuInst, DecodedComputeProgram, Loc, Luts, Mode, Operand, Space, TreeSlots,
-    VliwInst, Word,
+    eval_cell, AddrReg, BranchCond, ComputeOp, ComputeProgram, ControlInst, ControlProgram, CuInst,
+    DecodedComputeProgram, Loc, Luts, Mode, Operand, Space, TreeSlots, VliwInst, Word,
 };
 use proptest::prelude::*;
 
@@ -273,7 +271,7 @@ proptest! {
         ctrl in control_program(),
         compute in compute_program(),
     ) {
-        let (decoded, out_decoded) = run_tier(TierPolicy::decoded().strict(), &ctrl, &compute);
+        let (decoded, out_decoded) = run_tier(TierPolicy::decoded(), &ctrl, &compute);
         let (interpreted, out_interpreted) =
             run_tier(TierPolicy::interpreted(), &ctrl, &compute);
         prop_assert_eq!(decoded, interpreted, "run outcomes diverge for:\n{}", ctrl);
@@ -283,15 +281,14 @@ proptest! {
     /// Three-way bit-identity at the activation level: for random
     /// in-bounds compute programs over random register files, the
     /// interpreted engine, the decoded engine and the functional cell
-    /// evaluator (checked *and* certified-unchecked) commit exactly the
-    /// same register file.
+    /// evaluator commit exactly the same register file.
     #[test]
     fn compute_activation_matches_functional_eval(
         compute in valid_compute_program(),
         vals in proptest::collection::vec(-50..=100i32, RF_SLOTS),
     ) {
         let ctrl = activation_program(&vals);
-        let (decoded, out_decoded) = run_tier(TierPolicy::decoded().strict(), &ctrl, &compute);
+        let (decoded, out_decoded) = run_tier(TierPolicy::decoded(), &ctrl, &compute);
         let (interpreted, out_interpreted) =
             run_tier(TierPolicy::interpreted(), &ctrl, &compute);
         prop_assert!(decoded.is_ok(), "staged activation failed: {:?}", decoded);
@@ -301,20 +298,16 @@ proptest! {
         let program = DecodedComputeProgram::decode(&compute);
         let luts = Luts::default();
         let mut rf: Vec<Word> = vals.iter().map(|&v| Word::from_i32(v)).collect();
-        let mut rf_certified = rf.clone();
         eval_cell(&program, Mode::Int32, &luts, &mut rf);
-        eval_cell_certified(&program, Mode::Int32, &luts, &mut rf_certified);
-        prop_assert_eq!(&rf, &rf_certified, "certified evaluator diverges for:\n{}", &compute);
         prop_assert_eq!(&rf, &out_decoded, "functional evaluator diverges for:\n{}", &compute);
     }
 }
 
-/// Fallback-chain resolution at the raw-array level: a PE array has no
-/// functional lowering (that exists only for prepared wavefront tasks in
-/// `gendp-core`), so a functional request must degrade down the chain —
-/// with the resolved tier recorded in the run's provenance — and a
-/// *strict* functional request must be refused rather than silently
-/// simulated.
+/// Tier resolution at the raw-array level: a PE array has no functional
+/// lowering (that exists only for prepared wavefront tasks in
+/// `gendp-core`), so a functional request resolves down to decoded, while
+/// the decoded and interpreted requests run as asked — each with the tier
+/// that ran recorded in the run's provenance.
 #[test]
 fn tier_requests_resolve_down_the_chain() {
     let run = |tiers: TierPolicy| {
@@ -331,26 +324,12 @@ fn tier_requests_resolve_down_the_chain() {
         let cfg = PeArrayConfig::with_pes(1).no_verify().tiers(tiers);
         let mut array = PeArray::new(cfg);
         array.load_pe_control(0, prog);
-        array.run(BUDGET)
+        let stats = array.run(BUDGET).expect("every tier request runs");
+        assert_eq!(array.resolved_tier(), stats.tier);
+        assert_eq!(array.output(), [Word::from_i32(7)]);
+        stats.tier
     };
-    // Unverified array: no certificate, so the chain bottoms out at the
-    // plain decoded engine.
-    let stats = run(TierPolicy::functional()).expect("fallback chain must run");
-    assert_eq!(stats.tier, Tier::Decoded);
-    let stats = run(TierPolicy::decoded_certified()).expect("fallback chain must run");
-    assert_eq!(stats.tier, Tier::Decoded);
-    // Strict requests refuse to degrade.
-    match run(TierPolicy::functional().strict()) {
-        Err(SimError::TierUnavailable {
-            requested,
-            available,
-        }) => {
-            assert_eq!(requested, Tier::Functional);
-            assert_eq!(available, Tier::Decoded);
-        }
-        other => panic!("strict functional on a raw array must be refused, got {other:?}"),
-    }
-    // A strict request the array *can* satisfy still runs.
-    let stats = run(TierPolicy::interpreted().strict()).expect("interpreted is always available");
-    assert_eq!(stats.tier, Tier::Interpreted);
+    assert_eq!(run(TierPolicy::functional()), Tier::Decoded);
+    assert_eq!(run(TierPolicy::decoded()), Tier::Decoded);
+    assert_eq!(run(TierPolicy::interpreted()), Tier::Interpreted);
 }

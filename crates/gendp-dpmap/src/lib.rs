@@ -39,6 +39,8 @@
 //! assert!(mapping.layout.output_slot("h").is_some());
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod codegen;
 mod phases;
 mod stats;

@@ -141,23 +141,18 @@ pub enum DecodedCtrlInst {
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct DecodedControlProgram {
     insts: Vec<DecodedCtrlInst>,
-    /// Whether any instruction lowered to [`DecodedCtrlInst::Interp`],
-    /// pre-computed at decode so certified-unchecked execution can refuse
-    /// programs with interpreter fallbacks without rescanning.
-    has_interp: bool,
 }
 
 impl DecodedControlProgram {
     /// Lowers a control program. Infallible; see the module docs for how
     /// erroring instruction forms are represented.
     pub fn decode(program: &ControlProgram) -> Self {
-        let insts: Vec<DecodedCtrlInst> = program
+        let insts = program
             .iter()
             .enumerate()
             .map(|(pc, inst)| Self::decode_inst(pc, *inst))
             .collect();
-        let has_interp = insts.iter().any(|i| matches!(i, DecodedCtrlInst::Interp));
-        DecodedControlProgram { insts, has_interp }
+        DecodedControlProgram { insts }
     }
 
     fn decode_inst(pc: usize, inst: ControlInst) -> DecodedCtrlInst {
@@ -229,13 +224,6 @@ impl DecodedControlProgram {
     /// True if the program has no instructions.
     pub fn is_empty(&self) -> bool {
         self.insts.is_empty()
-    }
-
-    /// True when any instruction falls back to the interpreter
-    /// ([`DecodedCtrlInst::Interp`]); such programs are never eligible
-    /// for the certified-unchecked access path.
-    pub fn has_interp(&self) -> bool {
-        self.has_interp
     }
 }
 

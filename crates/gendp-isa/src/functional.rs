@@ -79,14 +79,10 @@ fn eval_vliw(inst: &DecodedVliw, mode: Mode, luts: &Luts, rf: &mut [Word]) {
     }
 }
 
-/// Reads one operand — checked normally, `get_unchecked` in the
-/// certified variant (a safe certificate proved every register index in
-/// bounds, the same entitlement the decoded engine's unchecked access
-/// path runs on).
+/// Reads one operand as a scalar.
 #[inline]
-fn operand_i32<const U: bool>(rf: &[Word], o: DecodedOperand) -> i32 {
+fn operand_i32(rf: &[Word], o: DecodedOperand) -> i32 {
     match o {
-        DecodedOperand::Reg(r) if U => unsafe { rf.get_unchecked(r as usize).as_i32() },
         DecodedOperand::Reg(r) => rf[r as usize].as_i32(),
         DecodedOperand::Imm(w) => w.as_i32(),
     }
@@ -127,56 +123,45 @@ fn apply2_i32(op: ComputeOp, a: i32, b: i32, luts: &Luts) -> i32 {
 /// Evaluates one compute-unit slot against the pre-write register file,
 /// returning its `(dest, value)` write (`None` for a `nop` slot).
 #[inline(always)]
-fn eval_slot_i32<const U: bool>(slot: &DecodedCu, luts: &Luts, rf: &[Word]) -> Option<(u16, i32)> {
+fn eval_slot_i32(slot: &DecodedCu, luts: &Luts, rf: &[Word]) -> Option<(u16, i32)> {
     match slot {
         DecodedCu::Nop => None,
         DecodedCu::Mul { a, b, dest } => {
-            let av = operand_i32::<U>(rf, *a);
-            let bv = operand_i32::<U>(rf, *b);
+            let av = operand_i32(rf, *a);
+            let bv = operand_i32(rf, *b);
             Some((*dest, av.wrapping_mul(bv)))
         }
         DecodedCu::Tree(t) => {
             let a_out = match (t.wide_op, t.wide_n) {
                 (ComputeOp::Nop, _) => 0,
-                (op, 1) => apply2_i32(op, operand_i32::<U>(rf, t.wide_ins[0]), 0, luts),
+                (op, 1) => apply2_i32(op, operand_i32(rf, t.wide_ins[0]), 0, luts),
                 (op, 2) => apply2_i32(
                     op,
-                    operand_i32::<U>(rf, t.wide_ins[0]),
-                    operand_i32::<U>(rf, t.wide_ins[1]),
+                    operand_i32(rf, t.wide_ins[0]),
+                    operand_i32(rf, t.wide_ins[1]),
                     luts,
                 ),
                 (op, wn) => {
                     let wn = wn as usize;
                     let mut wide = [0i32; 4];
                     for (k, o) in t.wide_ins[..wn].iter().enumerate() {
-                        wide[k] = operand_i32::<U>(rf, *o);
+                        wide[k] = operand_i32(rf, *o);
                     }
                     apply_i32(op, &wide[..wn], luts)
                 }
             };
             let b_out = match (t.narrow_op, t.narrow_n) {
                 (ComputeOp::Nop, _) => 0,
-                (op, 1) => apply2_i32(op, operand_i32::<U>(rf, t.narrow_ins[0]), 0, luts),
+                (op, 1) => apply2_i32(op, operand_i32(rf, t.narrow_ins[0]), 0, luts),
                 (op, _) => apply2_i32(
                     op,
-                    operand_i32::<U>(rf, t.narrow_ins[0]),
-                    operand_i32::<U>(rf, t.narrow_ins[1]),
+                    operand_i32(rf, t.narrow_ins[0]),
+                    operand_i32(rf, t.narrow_ins[1]),
                     luts,
                 ),
             };
             Some((t.dest, apply2_i32(t.root_op, a_out, b_out, luts)))
         }
-    }
-}
-
-/// Commits one register-file write — checked, or `get_unchecked` on the
-/// certified path (the certificate proved every destination in bounds).
-#[inline(always)]
-fn commit_i32<const U: bool>(rf: &mut [Word], d: u16, w: i32) {
-    if U {
-        unsafe { *rf.get_unchecked_mut(d as usize) = Word::from_i32(w) };
-    } else {
-        rf[d as usize] = Word::from_i32(w);
     }
 }
 
@@ -191,39 +176,21 @@ fn commit_i32<const U: bool>(rf: &mut [Word], d: u16, w: i32) {
 /// `Word::from_i32` / `Word::as_i32` are free casts, so the results are
 /// bit-identical to the generic evaluation by construction.
 #[inline]
-fn eval_vliw_i32<const U: bool>(inst: &DecodedVliw, luts: &Luts, rf: &mut [Word]) {
+fn eval_vliw_i32(inst: &DecodedVliw, luts: &Luts, rf: &mut [Word]) {
     let [s0, s1] = &inst.slots;
     if matches!(s1, DecodedCu::Nop) {
-        if let Some((d, w)) = eval_slot_i32::<U>(s0, luts, rf) {
-            commit_i32::<U>(rf, d, w);
+        if let Some((d, w)) = eval_slot_i32(s0, luts, rf) {
+            rf[d as usize] = Word::from_i32(w);
         }
         return;
     }
-    let w0 = eval_slot_i32::<U>(s0, luts, rf);
-    let w1 = eval_slot_i32::<U>(s1, luts, rf);
+    let w0 = eval_slot_i32(s0, luts, rf);
+    let w1 = eval_slot_i32(s1, luts, rf);
     if let Some((d, w)) = w0 {
-        commit_i32::<U>(rf, d, w);
+        rf[d as usize] = Word::from_i32(w);
     }
     if let Some((d, w)) = w1 {
-        commit_i32::<U>(rf, d, w);
-    }
-}
-
-#[inline]
-fn eval_cell_g<const U: bool>(
-    program: &DecodedComputeProgram,
-    mode: Mode,
-    luts: &Luts,
-    rf: &mut [Word],
-) {
-    if mode == Mode::Int32 {
-        for inst in program.words() {
-            eval_vliw_i32::<U>(inst, luts, rf);
-        }
-        return;
-    }
-    for inst in program.words() {
-        eval_vliw(inst, mode, luts, rf);
+        rf[d as usize] = Word::from_i32(w);
     }
 }
 
@@ -234,27 +201,15 @@ fn eval_cell_g<const U: bool>(
 /// SIMD modes evaluate through the same [`apply`] the simulators use.
 #[inline]
 pub fn eval_cell(program: &DecodedComputeProgram, mode: Mode, luts: &Luts, rf: &mut [Word]) {
-    eval_cell_g::<false>(program, mode, luts, rf)
-}
-
-/// [`eval_cell`] on the certified-unchecked register-file access path:
-/// scalar `Int32` operand reads and writes skip their bounds checks.
-///
-/// Callers must hold a *safe* certificate for the loaded programs (every
-/// register access proven in bounds over a register file of the
-/// certified size) — the same entitlement that unlocks the decoded
-/// engine's unchecked access path. With a certificate this is
-/// bit-identical to [`eval_cell`]; without one, an out-of-range slot is
-/// undefined behavior, which is why the functional tier only engages
-/// when `Certificate::safe()` holds.
-#[inline]
-pub fn eval_cell_certified(
-    program: &DecodedComputeProgram,
-    mode: Mode,
-    luts: &Luts,
-    rf: &mut [Word],
-) {
-    eval_cell_g::<true>(program, mode, luts, rf)
+    if mode == Mode::Int32 {
+        for inst in program.words() {
+            eval_vliw_i32(inst, luts, rf);
+        }
+        return;
+    }
+    for inst in program.words() {
+        eval_vliw(inst, mode, luts, rf);
+    }
 }
 
 /// Per-activation statistic weights of a compute program, pre-summed so

@@ -30,6 +30,8 @@
 //! assert_eq!(inst, inst.to_string().parse().unwrap());
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod compute;
 mod control;
 mod decoded;
@@ -47,7 +49,7 @@ pub use decoded::{
     DecodedOperand, DecodedTree, DecodedVliw,
 };
 pub use error::ParseInstError;
-pub use functional::{cell_stat_weights, eval_cell, eval_cell_certified};
+pub use functional::{cell_stat_weights, eval_cell};
 pub use loc::{Addr, Loc, Space};
 pub use program::{ComputeProgram, ControlProgram};
 pub use sem::{apply, ilog2_half, Luts};

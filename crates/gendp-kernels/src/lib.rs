@@ -23,6 +23,8 @@
 //! The [`dfgs`] module holds one DFG builder per kernel; unit tests pin the
 //! DFG semantics to the scalar inner loops cell by cell.
 
+#![forbid(unsafe_code)]
+
 pub mod align;
 pub mod bellman_ford;
 pub mod bsw;

@@ -23,6 +23,8 @@
 //! * [`throughput`] — MCUPS / GCUPS / per-area / per-watt arithmetic;
 //! * [`scalability`] — the DRAM-bandwidth tile-scaling model (Table 12).
 
+#![forbid(unsafe_code)]
+
 pub mod area;
 pub mod baselines;
 pub mod dram;

@@ -75,6 +75,8 @@
 //! # }
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod batch;
 mod device;
 mod fault;

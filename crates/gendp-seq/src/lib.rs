@@ -24,6 +24,8 @@
 //! assert_eq!(reads[0].seq.len(), 101);
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod anchors;
 mod base;
 pub mod fasta;

@@ -72,6 +72,8 @@
 //! assert_eq!(server.stats().totals.completed, 1);
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod admission;
 mod lifecycle;
 mod metrics;

@@ -48,7 +48,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
-use gendp_dpax::{RunStats, TierPolicy};
+use gendp_dpax::RunStats;
 use gendp_runtime::{
     ArrayClass, CertifiedCost, Device, DeviceConfig, DeviceSnapshot, Heartbeat, KernelKind,
     RecoveryReport, RuntimeError, Task, TaskFailure, TaskShape, TaskValue,
@@ -393,15 +393,15 @@ struct Inner {
     /// fault plans distinct from every shard before them.
     next_fault_seed: AtomicU64,
     lifecycle: LifecycleCounters,
-    /// Certified-cost memo keyed by task shape and the shards' tier
-    /// policy, so the admission path certifies each distinct shape once
-    /// instead of running program generation plus the verifier fixpoint
-    /// per request. Equal [`TaskShape`]s generate identical programs and
-    /// so identical certificates; the policy is part of the key so a
-    /// server reconfigured onto a different tier never reuses an entry
-    /// certified under another. POA and Bellman-Ford have no shape —
-    /// their programs follow the graph — and are certified per request.
-    cost_cache: Mutex<HashMap<(TaskShape, TierPolicy), Option<CertifiedCost>>>,
+    /// Certified-cost memo keyed by task shape, so the admission path
+    /// certifies each distinct shape once instead of running program
+    /// generation plus the verifier fixpoint per request. Equal
+    /// [`TaskShape`]s generate identical programs and so identical
+    /// certificates, and [`Task::certified_cost`] prices under the default
+    /// configuration whatever tier the shards run, so the shape alone is
+    /// the key. POA and Bellman-Ford have no shape — their programs
+    /// follow the graph — and are certified per request.
+    cost_cache: Mutex<HashMap<TaskShape, Option<CertifiedCost>>>,
 }
 
 /// Bound on [`Inner::cost_cache`]; a pathological shape churn clears
@@ -427,8 +427,7 @@ impl Inner {
         let Some(shape) = task.shape(n_pes) else {
             return task.certified_cost(n_pes);
         };
-        let key = (shape, self.config.shard_config.tiers);
-        if let Some(hit) = self.cost_cache.lock().expect("cost cache").get(&key) {
+        if let Some(hit) = self.cost_cache.lock().expect("cost cache").get(&shape) {
             return *hit;
         }
         let cost = task.certified_cost(n_pes);
@@ -436,7 +435,7 @@ impl Inner {
         if cache.len() >= COST_CACHE_MAX {
             cache.clear();
         }
-        cache.insert(key, cost);
+        cache.insert(shape, cost);
         cost
     }
 

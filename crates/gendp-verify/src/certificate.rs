@@ -15,10 +15,10 @@
 //! * **FIFO traffic bounds** — per-PE push/pop intervals, aggregated into
 //!   a peak-occupancy bound.
 //!
-//! Consumers: `gendp-dpax` runs certified-safe programs through an
-//! unchecked decoded access path (debug-assert only), and `gendp-serve`
-//! costs and admits requests by certified DP-cell counts and cycle bounds
-//! instead of a heuristic estimate.
+//! Consumers: `gendp-core` runs a task on the functional tier only when
+//! its programs certify safe and reports that tier's cycles from the
+//! cycle model, and `gendp-serve` costs and admits requests by certified
+//! DP-cell counts and cycle bounds instead of a heuristic estimate.
 //!
 //! # Soundness of the cycle model
 //!
@@ -215,8 +215,8 @@ impl Certificate {
     }
 
     /// True when every access of every PE is proven in bounds and the
-    /// unfiltered report had no errors: the unchecked decoded access path
-    /// is legal for this array.
+    /// unfiltered report had no errors: the functional tier may run these
+    /// programs.
     pub fn safe(&self) -> bool {
         self.safe
     }

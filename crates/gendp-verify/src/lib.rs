@@ -54,6 +54,8 @@
 //! assert_eq!(report.of_rule(Rule::AddrBounds).count(), 1);
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod certificate;
 mod compute;
 mod contract;

@@ -50,6 +50,8 @@
 //! # }
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub use gendp_core as core;
 pub use gendp_core::{AccelConfig, Accelerator, PreparedTask, TaskOutput};
 pub use gendp_dfg as dfg;

@@ -33,8 +33,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 workers: 4,
                 policy,
                 // Functional tier where a task lowers to one (2-D
-                // wavefronts do), automatic fallback everywhere else;
-                // results are bit-identical on every tier.
+                // wavefronts do), decoded everywhere else; results are
+                // bit-identical on every tier.
                 tiers: TierPolicy::functional(),
                 ..DeviceConfig::default()
             },

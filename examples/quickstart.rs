@@ -64,10 +64,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         run.gcups(16, 1)
     );
 
-    // 5. The functional fast path: the same task through the tier policy,
-    //    skipping per-cycle simulation. Outputs are bit-identical; cycles
-    //    come from the certificate's analytic model, and the run's
-    //    provenance records which tier actually executed.
+    // 5. The functional fast path: the same task with the functional tier
+    //    requested, skipping per-cycle simulation. Outputs are
+    //    bit-identical; cycles come from the certificate's analytic model,
+    //    and the run's provenance records which tier actually executed.
     let fast = GendpPipeline::bsw(&scoring).tiers(TierPolicy::functional());
     let fout = fast.run(&rows, &cols, 4)?;
     assert_eq!(bsw_score(&fout), reference.score);

@@ -12,9 +12,9 @@
 //!   certificate claims the count is exact;
 //! * **FIFO** — the observed high-water mark never exceeds the certified
 //!   peak;
-//! * **unchecked path** — when the certificate proves every access in
-//!   bounds (`is_certified`), the bounds-check-free decoded hot loop
-//!   must produce output words bit-identical to the checked interpreter.
+//! * **safety** — every kernel certifies `safe()` (the functional tier's
+//!   gate), and the default decoded engine's output words are
+//!   bit-identical to the interpreter's.
 
 use gendp::core::{GendpPipeline, Wavefront2d};
 use gendp::dpax::{PeArray, PeArrayConfig, Tier, TierPolicy};
@@ -35,7 +35,7 @@ fn codes(s: &DnaSeq) -> Vec<i32> {
 }
 
 /// Prepares one task, reads its certificate, executes on the default
-/// (decoded) engine, and checks every certified bound against the run.
+/// (decoded) tier, and checks every certified bound against the run.
 /// Returns the output words for the cross-engine comparison.
 fn assert_certificate_sound<A, F>(name: &str, build: F, task: &A::Task<'_>) -> Vec<Word>
 where
@@ -43,17 +43,15 @@ where
     F: Fn() -> A,
 {
     let mut prepared = build()
-        .configure(AccelConfig::new().tiers(TierPolicy::decoded_certified()))
+        .configure(AccelConfig::new().tiers(TierPolicy::default()))
         .prepare(task);
     let cert = prepared
         .certificate()
         .unwrap_or_else(|| panic!("{name}: no certificate"))
         .clone();
-    assert!(
-        prepared.is_certified(),
-        "{name}: kernel programs must certify safe (unchecked path engages)"
-    );
+    assert!(cert.safe(), "{name}: kernel programs must certify safe");
     let stats = prepared.execute().unwrap_or_else(|e| panic!("{name}: {e}"));
+    assert_eq!(stats.tier, Tier::Decoded, "{name}: the default tier");
 
     assert!(
         cert.cycle_floor() <= stats.cycles,
@@ -98,26 +96,27 @@ where
         );
     }
 
-    let unchecked = prepared.output().to_vec();
+    let decoded = prepared.output().to_vec();
 
-    // The checked interpreter is the semantic reference; the certified
-    // bounds-check-free path must be bit-identical to it.
-    let mut checked = build()
+    // The interpreter is the semantic reference; the decoded engine must
+    // be bit-identical to it.
+    let mut reference = build()
         .configure(AccelConfig::new().tiers(TierPolicy::interpreted()))
         .prepare(task);
-    assert!(
-        !checked.is_certified(),
-        "{name}: only the decoded engine may take the unchecked path"
-    );
-    checked
+    let stats = reference
         .execute()
         .unwrap_or_else(|e| panic!("{name} (interpreted): {e}"));
     assert_eq!(
-        unchecked,
-        checked.output(),
-        "{name}: unchecked output diverges from the checked interpreter"
+        stats.tier,
+        Tier::Interpreted,
+        "{name}: interpreted provenance"
     );
-    unchecked
+    assert_eq!(
+        decoded,
+        reference.output(),
+        "{name}: decoded output diverges from the interpreter"
+    );
+    decoded
 }
 
 fn wavefront_case(name: &str, build: impl Fn() -> Wavefront2d, rows: &[i32], cols: &[i32]) {
@@ -245,7 +244,11 @@ fn certificate_survives_replay() {
         let stats = prepared.execute().expect("replay");
         assert!(cert.cycle_floor() <= stats.cycles);
         assert!(stats.cycles <= cert.cycle_bound().expect("bounded kernel"));
-        assert!(prepared.is_certified(), "replay keeps the unchecked path");
+        assert_eq!(
+            prepared.certificate(),
+            Some(&cert),
+            "replay keeps the certificate"
+        );
     }
 }
 
@@ -279,7 +282,7 @@ proptest! {
         steps in prop::collection::vec((0u8..3, 0u8..2, 0i16..64), 0..24),
     ) {
         let program = straight_line_program(&steps);
-        for tiers in [TierPolicy::decoded_certified(), TierPolicy::interpreted()] {
+        for tiers in [TierPolicy::default(), TierPolicy::interpreted()] {
             let mut array = PeArray::new(PeArrayConfig::with_pes(1).tiers(tiers));
             array.load_pe_control(0, program.clone());
             let stats = array.run(100_000).expect("straight line runs");
@@ -291,7 +294,7 @@ proptest! {
                 Some(stats.cycles),
                 "stall-free straight-line programs promise exact cycles"
             );
-            prop_assert_eq!(array.is_certified(), tiers.requested() == Tier::DecodedCertified);
+            prop_assert_eq!(stats.tier, tiers);
         }
     }
 

@@ -11,12 +11,11 @@
 //! Task shapes mirror `verify_sweep.rs` so the equivalence evidence
 //! covers exactly the program set the verifier acceptance contract
 //! covers. Tier selection goes exclusively through
-//! [`TierPolicy`](gendp::dpax::TierPolicy); the fallback-chain tests at
-//! the bottom pin the resolution rules (strict vs. fallback, provenance
-//! stamping) the redesigned API promises.
+//! [`TierPolicy`](gendp::dpax::TierPolicy); the resolution test at the
+//! bottom pins which tier a request runs and the provenance it stamps.
 
 use gendp::core::{pack_halves, pack_lanes, GendpPipeline, Wavefront2d};
-use gendp::dpax::{SimError, Tier, TierPolicy};
+use gendp::dpax::{Tier, TierPolicy};
 use gendp::kernels::bellman_ford::random_roadmap;
 use gendp::kernels::chain::ChainParams;
 use gendp::kernels::pairhmm::PairHmmParams;
@@ -82,8 +81,8 @@ where
         "{name}: interpreted provenance"
     );
 
-    // Prepared decoded-certified reference: the output words the
-    // functional tier must reproduce bit-exactly.
+    // Prepared decoded reference: the output words the functional tier
+    // must reproduce bit-exactly.
     let mut reference = Accelerator::prepare(&with_tiers(build(), TierPolicy::default()), task);
     let ref_stats = reference
         .execute()
@@ -116,13 +115,14 @@ where
             "{name}: functional DP-cell count diverges"
         );
     } else {
-        // Drivers without a functional lowering fall back down the chain:
-        // identical results, simulated provenance.
-        assert_ne!(
+        // Drivers without a functional lowering run decoded: identical
+        // results, decoded provenance.
+        assert_eq!(
             func.resolved_tier(),
-            Tier::Functional,
+            Tier::Decoded,
             "{name}: unexpected functional engagement"
         );
+        assert_eq!(func_stats.tier, Tier::Decoded, "{name}: decoded provenance");
         assert_eq!(
             func.output(),
             &ref_out[..],
@@ -230,7 +230,7 @@ fn wavefront_kernels_tier_equivalent() {
 /// Chain, POA and Bellman-Ford: decoded == interpreted on their own
 /// drivers (FIFO broadcast, graph-structured flow, scratchpad
 /// residency). These patterns have no functional lowering yet, so a
-/// functional request falls back down the chain bit-identically.
+/// functional request runs decoded, bit-identically.
 #[test]
 fn chain_poa_bellman_ford_tier_equivalent() {
     let mut rng = SmallRng::seed_from_u64(72);
@@ -288,9 +288,9 @@ fn chain_poa_bellman_ford_tier_equivalent() {
     assert_tiers_agree("bellman_ford", GendpPipeline::bellman_ford, &bf_task, false);
 }
 
-/// The redesigned selection API's resolution rules: fallback chains
-/// resolve to the best available tier and stamp provenance; strict
-/// policies fail loudly instead of falling back.
+/// Tier resolution: each request runs the tier it names where that tier
+/// can run, a functional request without a lowering runs decoded, and
+/// every run stamps the tier that actually executed.
 #[test]
 fn tier_policy_resolution_and_provenance() {
     let scoring = Scoring::bwa_mem();
@@ -305,7 +305,7 @@ fn tier_policy_resolution_and_provenance() {
         band: None,
     };
 
-    // Functional requested with fallback on a wavefront kernel: engages,
+    // Functional requested on a wavefront kernel: engages,
     // and reports analytic (estimated) cycles because wavefront
     // certificates are never stall-free.
     let accel = with_tiers(GendpPipeline::bsw(&scoring), TierPolicy::functional());
@@ -319,30 +319,25 @@ fn tier_policy_resolution_and_provenance() {
     );
     assert!(stats.cycles > 0, "analytic cycle model must be populated");
 
-    // The default policy resolves to the certified decoded tier.
+    // The default requests, and runs, the decoded tier.
     let mut prep = Accelerator::prepare(
         &with_tiers(GendpPipeline::bsw(&scoring), TierPolicy::default()),
         &task,
     );
-    let stats = prep.execute().expect("certified decoded execution");
-    assert_eq!(prep.resolved_tier(), Tier::DecodedCertified);
-    assert_eq!(stats.tier, Tier::DecodedCertified);
+    let stats = prep.execute().expect("decoded execution");
+    assert_eq!(prep.resolved_tier(), Tier::Decoded);
+    assert_eq!(stats.tier, Tier::Decoded);
     assert!(!stats.cycles_estimated, "simulated cycles are exact");
 
-    // force_checked drops both the certified access path and the
-    // functional plan: the run degrades to plain decoded simulation.
-    let mut prep = Accelerator::prepare(
-        &with_tiers(GendpPipeline::bsw(&scoring), TierPolicy::functional()),
-        &task,
-    );
-    prep.force_checked();
-    let stats = prep.execute().expect("checked decoded execution");
-    assert_ne!(prep.resolved_tier(), Tier::Functional);
-    assert_eq!(stats.tier, Tier::Decoded);
+    // Interpreted is honoured as requested.
+    let accel = with_tiers(GendpPipeline::bsw(&scoring), TierPolicy::interpreted());
+    let mut prep = Accelerator::prepare(&accel, &task);
+    let stats = prep.execute().expect("interpreted execution");
+    assert_eq!(prep.resolved_tier(), Tier::Interpreted);
+    assert_eq!(stats.tier, Tier::Interpreted);
 
-    // Strict functional on a driver with no functional lowering fails
-    // with the tier-unavailability error instead of silently falling
-    // back.
+    // Functional on a driver with no functional lowering runs decoded and
+    // says so.
     let chain_params = ChainParams::minimap2(15.0);
     let anchors = [gendp::seq::Anchor {
         qpos: 5,
@@ -353,26 +348,11 @@ fn tier_policy_resolution_and_provenance() {
         anchors: &anchors,
         n_pes: 4,
     };
-    let accel = with_tiers(
-        GendpPipeline::chain(chain_params),
-        TierPolicy::functional().strict(),
-    );
+    let accel = with_tiers(GendpPipeline::chain(chain_params), TierPolicy::functional());
     let mut prep = Accelerator::prepare(&accel, &chain_task);
-    match prep.execute() {
-        Err(SimError::TierUnavailable {
-            requested,
-            available,
-        }) => {
-            assert_eq!(requested, Tier::Functional);
-            assert_ne!(available, Tier::Functional);
-        }
-        other => panic!("strict functional on chain should fail, got {other:?}"),
-    }
-
-    // Strict decoded on a wavefront kernel succeeds (the tier is
-    // available) and stamps its provenance.
-    let accel = with_tiers(GendpPipeline::bsw(&scoring), TierPolicy::decoded().strict());
-    let mut prep = Accelerator::prepare(&accel, &task);
-    let stats = prep.execute().expect("strict decoded");
+    assert_eq!(prep.resolved_tier(), Tier::Decoded);
+    let stats = prep
+        .execute()
+        .expect("functional request on chain runs decoded");
     assert_eq!(stats.tier, Tier::Decoded);
 }
