@@ -14,24 +14,24 @@
 //!   repetition pays only `PreparedTask::execute`, i.e. the alloc-free
 //!   simulation loop itself.
 //! * **functional** (where the driver lowers one): the batched
-//!   wavefront sweep that skips per-cycle simulation entirely. Outputs
-//!   and DP-cell counts are bit-identical to the simulated tiers
-//!   (asserted here); cycles come from the certificate's analytic model
-//!   and are reported separately. Kernels whose dependency pattern has
-//!   no functional lowering yet run decoded under a functional request
-//!   and emit no functional row.
+//!   wavefront sweep that skips per-cycle simulation entirely. The
+//!   prepared task's first execution simulates and keeps its statistics
+//!   (untimed, outside the samples); every timed execution after it is
+//!   functional and reports those statistics, so its DP cells and cycles
+//!   equal the decoded side's (asserted here). Kernels whose dependency
+//!   pattern has no functional lowering yet run decoded under a
+//!   functional request and emit no functional row.
 //!
-//! All tiers produce bit-identical functional results (asserted here and
-//! covered by the engine-equivalence and certificate-soundness suites);
-//! only the host-side cost — and, for the functional tier, the cycle
-//! provenance — differs.
+//! All tiers produce bit-identical functional results and statistics
+//! (asserted here and covered by the engine-equivalence and
+//! certificate-soundness suites); only the host-side cost differs.
 //!
 //! Each timed sample runs one side back to back as many times as its
 //! warm-up run says fill [`SAMPLE_SECONDS`], and the report gives the
 //! best sample's time per execution: a side that executes in
 //! microseconds is still timed over milliseconds.
 //!
-//! Emits `BENCH_kernels.json` (schema `gendp-bench-kernels/v3`) with,
+//! Emits `BENCH_kernels.json` (schema `gendp-bench-kernels/v4`) with,
 //! per kernel: DP cells, simulated cycles, cells/cycle
 //! (machine-independent), and per tier the resolved-tier tag, host wall
 //! time per execution, executions per timed sample, host cells/sec and
@@ -104,13 +104,6 @@ struct TierSide {
     allocs_per_cycle: f64,
 }
 
-/// The functional tier's extra cycle provenance: its cycles come from
-/// the certificate's analytic model, not a simulation.
-struct FunctionalCycles {
-    cycles: u64,
-    estimated: bool,
-}
-
 /// One kernel's benchmark row.
 struct KernelBench {
     name: &'static str,
@@ -120,7 +113,7 @@ struct KernelBench {
     decoded: TierSide,
     interpreted: TierSide,
     /// Present only when the functional tier engages for this kernel.
-    functional: Option<(TierSide, FunctionalCycles)>,
+    functional: Option<TierSide>,
     speedup: f64,
     functional_speedup: Option<f64>,
 }
@@ -226,19 +219,14 @@ where
     // Decoded: the decoded hot loop.
     let accel = build().configure(AccelConfig::new().tiers(TierPolicy::decoded()));
     let mut prep_dec = accel.prepare(task);
-    // Functional fast path, where the driver lowers one. Runs decoded
-    // otherwise — detected through the resolved provenance, so this
-    // harness stays engine-generic.
+    // Functional fast path, where the driver lowers one: its first
+    // execution simulates and keeps the statistics later functional
+    // executions report. Runs decoded otherwise — detected through the
+    // resolved provenance, so this harness stays engine-generic.
     let accel = build().configure(AccelConfig::new().tiers(TierPolicy::functional()));
     let mut prep_fun = accel.prepare(task);
+    prep_fun.execute().unwrap_or_else(|e| panic!("{name}: {e}"));
     let fun_engages = prep_fun.resolved_tier() == Tier::Functional;
-    let fcycles = fun_engages.then(|| {
-        let probe = prep_fun.execute().unwrap_or_else(|e| panic!("{name}: {e}"));
-        FunctionalCycles {
-            cycles: probe.cycles,
-            estimated: probe.cycles_estimated,
-        }
-    });
     // Before: the one-shot path, regenerating and re-verifying per run.
     let accel_int = build().configure(AccelConfig::new().tiers(TierPolicy::interpreted()));
 
@@ -273,22 +261,16 @@ where
         (interpreted_r.cells, interpreted_r.cycles),
         "{name}: tiers disagree on simulated work"
     );
-    // Cells-only cross-check: the functional tier reports analytic
-    // cycles, so simulated-cycle equality is not expected.
     if let Some(f) = &functional_r {
         assert_eq!(
-            cells, f.cells,
-            "{name}: the functional tier disagrees on DP cells"
+            (cells, cycles),
+            (f.cells, f.cycles),
+            "{name}: the functional tier disagrees on simulated work"
         );
     }
     let decoded = decoded_r.side(reps);
     let interpreted = interpreted_r.side(reps);
-    let functional = functional_r.map(|f| {
-        (
-            f.side(reps),
-            fcycles.expect("probe ran when the tier engages"),
-        )
-    });
+    let functional = functional_r.map(|f| f.side(reps));
     assert_eq!(decoded.tier, Tier::Decoded, "{name}: decoded provenance");
     assert_eq!(
         interpreted.tier,
@@ -303,7 +285,7 @@ where
         speedup: interpreted.wall_seconds / decoded.wall_seconds,
         functional_speedup: functional
             .as_ref()
-            .map(|(f, _)| decoded.wall_seconds / f.wall_seconds),
+            .map(|f| decoded.wall_seconds / f.wall_seconds),
         decoded,
         interpreted,
         functional,
@@ -444,25 +426,11 @@ fn render_json(quick: bool, rows: &[KernelBench]) -> String {
     };
     let mut s = String::new();
     s.push_str("{\n");
-    s.push_str("  \"schema\": \"gendp-bench-kernels/v3\",\n");
+    s.push_str("  \"schema\": \"gendp-bench-kernels/v4\",\n");
     s.push_str(&format!("  \"quick\": {quick},\n"));
     s.push_str("  \"kernels\": [\n");
     for (i, r) in rows.iter().enumerate() {
-        let functional = match &r.functional {
-            Some((f, fc)) => format!(
-                "{{ \"tier\": \"{}\", \"cycles\": {}, \"cycles_estimated\": {}, \
-                 \"wall_seconds\": {:.7}, \"execs_per_sample\": {}, \"cells_per_sec\": {:.1}, \
-                 \"allocs_per_cycle\": {:.4} }}",
-                f.tier,
-                fc.cycles,
-                fc.estimated,
-                f.wall_seconds,
-                f.execs,
-                f.cells_per_sec,
-                f.allocs_per_cycle
-            ),
-            None => "null".to_string(),
-        };
+        let functional = r.functional.as_ref().map_or("null".to_string(), side);
         let functional_speedup = match r.functional_speedup {
             Some(v) => format!("{v:.3}"),
             None => "null".to_string(),
@@ -605,9 +573,7 @@ fn main() {
     );
     for r in &rows {
         let (func_rate, func_ratio) = match (&r.functional, r.functional_speedup) {
-            (Some((f, _)), Some(ratio)) => {
-                (format!("{:.0}", f.cells_per_sec), format!("{ratio:.1}x"))
-            }
+            (Some(f), Some(ratio)) => (format!("{:.0}", f.cells_per_sec), format!("{ratio:.1}x")),
             _ => ("-".to_string(), "-".to_string()),
         };
         println!(
@@ -632,8 +598,8 @@ fn main() {
         let baseline =
             std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("reading {path}: {e}"));
         // Schema sanity: the baseline must be a bench-kernels report.
-        if !baseline.contains("\"schema\": \"gendp-bench-kernels/v3\"") {
-            eprintln!("baseline {path} is not a gendp-bench-kernels/v3 report");
+        if !baseline.contains("\"schema\": \"gendp-bench-kernels/v4\"") {
+            eprintln!("baseline {path} is not a gendp-bench-kernels/v4 report");
             std::process::exit(2);
         }
         match check_baseline(&baseline, &rows) {

@@ -171,6 +171,12 @@ pub struct BellmanFordTask<'a> {
 /// fills. [`Accelerator::bind`] swaps in the content of another task of
 /// the same shape, so one prepared task serves a stream of them.
 ///
+/// A prepared task's [`RunStats`] are a fact of its shape: the same
+/// programs run the same cycles whatever content is staged. So a task
+/// that may run functionally keeps the statistics of its first simulated
+/// execution and reports them for every functional execution after it,
+/// across [`Accelerator::bind`] too.
+///
 /// `run_task` is exactly [`Accelerator::prepare`] + one `execute` +
 /// [`Accelerator::parse`], so a prepared execution is bit- and
 /// cycle-identical to the one-shot path.
@@ -188,6 +194,10 @@ pub struct PreparedTask {
     /// one (the configuration requested [`Tier::Functional`] and the
     /// pattern supports the batched sweep).
     pub(crate) plan: Option<FunctionalPlan>,
+    /// Statistics of the first simulated execution, kept only when a plan
+    /// exists and the certificate proved the programs safe. Their presence
+    /// is what routes later executions to the plan.
+    kept: Option<RunStats>,
     /// Whether the most recent `execute` ran the functional tier (routes
     /// `output()` to the plan's buffer instead of the array's).
     functional_ran: bool,
@@ -197,7 +207,7 @@ impl PreparedTask {
     /// Wraps a loaded array with no content staged and budget scale 1.
     pub(crate) fn new(mut array: PeArray, budget: u64, plan: Option<FunctionalPlan>) -> Self {
         // Run the verification gate eagerly so the certificate — cycle
-        // bounds, certified DP-cell cost, safety — is readable *before*
+        // floor, certified DP-cell cost, safety — is readable *before*
         // the first execution (schedulers admit on it). A verification
         // failure is deferred: `execute` re-runs the gate and reports it
         // exactly as the one-shot path always has.
@@ -209,6 +219,7 @@ impl PreparedTask {
             budget,
             budget_scale: 1,
             plan,
+            kept: None,
             functional_ran: false,
         }
     }
@@ -218,18 +229,12 @@ impl PreparedTask {
         self.array.config().n_pes
     }
 
-    /// True when `execute` will take the functional fast path: the driver
-    /// lowered a plan (it does so only when the functional tier is
-    /// requested) and the certificate proved the programs safe.
-    fn functional_available(&self) -> bool {
-        self.plan.is_some() && self.array.certificate().is_some_and(|c| c.safe())
-    }
-
-    /// The execution tier `execute` runs under the requested
-    /// [`TierPolicy`]: a functional request without a plan or a safe
-    /// certificate runs decoded.
+    /// The execution tier the next `execute` runs under the requested
+    /// [`TierPolicy`]: functional once a plan and kept statistics exist.
+    /// A functional request runs decoded first, and for good when the
+    /// pattern has no plan or the certificate is not `safe()`.
     pub fn resolved_tier(&self) -> Tier {
-        if self.functional_available() {
+        if self.kept.is_some() {
             Tier::Functional
         } else {
             self.array.resolved_tier()
@@ -257,23 +262,24 @@ impl PreparedTask {
     ///
     /// On the functional tier this replays the prepared lowering directly
     /// — batched wavefront loops over flat buffers, no per-cycle
-    /// simulation — with cycles reported from the certificate's analytic
-    /// model. On the simulated tiers it resets the array's architectural
-    /// state, stages the scratchpad images, feeds the input stream and
-    /// runs to completion.
+    /// simulation — and reports the kept statistics of the first
+    /// simulated execution, stamped [`Tier::Functional`]. On the
+    /// simulated tiers it resets the array's architectural state, stages
+    /// the scratchpad images, feeds the input stream and runs to
+    /// completion.
     ///
     /// # Errors
     ///
     /// Propagates simulator errors ([`SimError`]), exactly as
     /// [`Accelerator::run_task`] does.
     pub fn execute(&mut self) -> Result<RunStats, SimError> {
-        if self.functional_available() {
+        if let (Some(plan), Some(kept)) = (self.plan.as_mut(), &self.kept) {
             self.functional_ran = true;
-            // Disjoint borrows: the certificate lives on the array, the
-            // plan's execute mutates only the plan.
-            let cert = self.array.certificate();
-            let plan = self.plan.as_mut().expect("functional_available checked");
-            return Ok(plan.execute(cert));
+            plan.execute();
+            return Ok(RunStats {
+                tier: Tier::Functional,
+                ..kept.clone()
+            });
         }
         self.functional_ran = false;
         self.array.reset();
@@ -281,7 +287,11 @@ impl PreparedTask {
             self.array.stage_spm(pe, image);
         }
         self.array.feed_input(self.inputs.iter().copied());
-        self.array.run(self.budget())
+        let stats = self.array.run(self.budget())?;
+        if self.plan.is_some() && self.array.certificate().is_some_and(|c| c.safe()) {
+            self.kept = Some(stats.clone());
+        }
+        Ok(stats)
     }
 
     /// The output words of the most recent [`execute`](Self::execute).

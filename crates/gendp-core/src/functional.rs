@@ -25,17 +25,15 @@
 //! assumed from the input), so a kernel whose compute program overwrites
 //! the column-character slot still streams identically.
 //!
-//! # Cycle reporting
+//! # Statistics
 //!
-//! Nothing is simulated, so cycles come from the certificate's analytic
-//! model: `cycle_exact` when the model proves exactness, otherwise the
-//! proven `cycle_bound` with [`RunStats::cycles_estimated`] set (wavefront
-//! programs touch ports and FIFOs, so they are never stall-free and
-//! `cycle_exact` is `None` in practice).
+//! Nothing is simulated, so the sweep counts nothing. A prepared task's
+//! statistics depend on its shape alone, so
+//! [`PreparedTask`](crate::PreparedTask) runs its first execution
+//! simulated and hands out that run's statistics for every functional
+//! execution after it.
 
-use gendp_dpax::{PeStats, RunStats, Tier};
 use gendp_isa::{eval_cell, DecodedComputeProgram, Luts, Mode, Word};
-use gendp_verify::Certificate;
 
 use crate::wavefront2d::Border;
 
@@ -94,15 +92,12 @@ pub(crate) struct Workspace {
     cur: Vec<Word>,
     /// Output words in simulator order: last-row collects, then drains.
     out: Vec<Word>,
-    /// Cells computed per PE.
-    cells: Vec<u64>,
 }
 
 /// A wavefront task lowered for functional execution: role slots
-/// resolved, compute program pre-decoded, per-cell statistic weights
-/// pre-summed. Built with the prepared task of a shape when the
-/// configuration requests [`Tier::Functional`]; `Wavefront2d::bind` sets
-/// its rows and columns.
+/// resolved, compute program pre-decoded. Built with the prepared task of
+/// a shape when the configuration requests [`Tier::Functional`];
+/// `Wavefront2d::bind` sets its rows and columns.
 #[derive(Debug)]
 pub struct FunctionalPlan {
     pub(crate) program: DecodedComputeProgram,
@@ -117,8 +112,6 @@ pub struct FunctionalPlan {
     /// `Some(width)` for banded tasks.
     pub(crate) band: Option<usize>,
     pub(crate) roles: RoleSlots,
-    /// Per-activation `(vliw_issued, cu_slots_active, rf_accesses)`.
-    pub(crate) weights: (u64, u64, u64),
     pub(crate) ws: Workspace,
 }
 
@@ -130,17 +123,15 @@ impl FunctionalPlan {
         &self.ws.out
     }
 
-    /// Runs the task functionally and reports statistics with analytic
-    /// cycles from `cert` (see the module docs). Infallible: the sweep
-    /// has no ports to deadlock, no budget to exhaust, and runs only
-    /// statically verified programs.
-    pub fn execute(&mut self, cert: Option<&Certificate>) -> RunStats {
+    /// Runs the task functionally, leaving its words in
+    /// [`output`](Self::output). Infallible: the sweep has no ports to
+    /// deadlock, no budget to exhaust, and runs only statically verified
+    /// programs.
+    pub fn execute(&mut self) {
         let mut ws = std::mem::take(&mut self.ws);
         ws.rfs.clear();
         ws.rfs.resize(self.n_pes * self.rf_slots, Word::ZERO);
         ws.out.clear();
-        ws.cells.clear();
-        ws.cells.resize(self.n_pes, 0);
         match self.band {
             None => self.sweep_streamed(&mut ws),
             Some(width) => self.sweep_banded(&mut ws, width),
@@ -154,9 +145,7 @@ impl FunctionalPlan {
                 ws.out.push(rf[slot]);
             }
         }
-        let stats = self.stats(&ws.cells, cert);
         self.ws = ws;
-        stats
     }
 
     /// The full-table sweep, mirroring `Wavefront2d::pe_program`.
@@ -209,7 +198,6 @@ impl FunctionalPlan {
                     rf[j] = Word::from_i32(c as i32);
                 }
                 eval_cell(&self.program, self.mode, &self.luts, rf);
-                ws.cells[p] += 1;
                 if last {
                     for &slot in &self.roles.collects {
                         ws.out.push(rf[slot]);
@@ -284,7 +272,6 @@ impl FunctionalPlan {
                     rf[j] = Word::from_i32((r + k + 1) as i32);
                 }
                 eval_cell(&self.program, self.mode, &self.luts, rf);
-                ws.cells[p] += 1;
                 if !last {
                     for (v, s) in self.roles.streams.iter().enumerate() {
                         ws.cur[v * width + k] = rf[s.out];
@@ -297,40 +284,6 @@ impl FunctionalPlan {
             if !last {
                 std::mem::swap(&mut ws.prev, &mut ws.cur);
             }
-        }
-    }
-
-    /// Builds the run statistics: per-PE cell counts from the sweep,
-    /// compute-side counters from the pre-summed per-activation weights,
-    /// cycles from the certificate's analytic model. Control-thread and
-    /// FIFO counters are zero — nothing was simulated.
-    fn stats(&self, cells: &[u64], cert: Option<&Certificate>) -> RunStats {
-        let (cycles, estimated) = match cert {
-            Some(c) => match (c.cycle_exact(), c.cycle_bound()) {
-                (Some(exact), _) => (exact, false),
-                (None, Some(bound)) => (bound, true),
-                (None, None) => (c.cycle_floor(), true),
-            },
-            None => (0, true),
-        };
-        let (w_vliw, w_slots, w_rf) = self.weights;
-        RunStats {
-            cycles,
-            fifo_pushes: 0,
-            fifo_pops: 0,
-            fifo_high_water: 0,
-            per_pe: cells
-                .iter()
-                .map(|&cells| PeStats {
-                    cells,
-                    vliw_issued: cells * w_vliw,
-                    cu_slots_active: cells * w_slots,
-                    rf_accesses: cells * w_rf,
-                    ..PeStats::default()
-                })
-                .collect(),
-            tier: Tier::Functional,
-            cycles_estimated: estimated,
         }
     }
 }

@@ -202,7 +202,8 @@ impl Wavefront2d {
     }
 
     /// Sets the requested execution tier (all tiers produce bit-identical
-    /// outputs; the functional tier reports analytic cycles).
+    /// outputs and statistics; a functional request simulates a prepared
+    /// task's first execution).
     pub fn tiers(mut self, tiers: TierPolicy) -> Self {
         self.tiers = tiers;
         self
@@ -774,7 +775,6 @@ impl Wavefront2d {
             cols: Vec::new(),
             band,
             roles: self.roles().clone(),
-            weights: gendp_isa::cell_stat_weights(&self.mapping.program),
             ws: Default::default(),
         });
         let mut prep = PreparedTask::new(array, budget, plan);

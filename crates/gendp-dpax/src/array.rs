@@ -196,11 +196,6 @@ impl PeArray {
         &self.out_sink
     }
 
-    /// Words still waiting in the input stream.
-    pub fn pending_input(&self) -> usize {
-        self.in_stream.len()
-    }
-
     /// Statically verifies the loaded programs against this array's
     /// configuration. Returns the full report (including warnings); the
     /// pre-run gate in [`run`](Self::run) only rejects on errors.
@@ -409,7 +404,6 @@ impl PeArray {
     }
 
     /// Current statistics snapshot, stamped with the resolved tier.
-    /// Simulated cycles are always exact.
     pub fn stats(&self) -> RunStats {
         RunStats {
             cycles: self.cycles,
@@ -418,7 +412,6 @@ impl PeArray {
             fifo_high_water: self.fifo_high_water,
             per_pe: self.pes.iter().map(|p| p.stats).collect(),
             tier: self.resolved_tier(),
-            cycles_estimated: false,
         }
     }
 }

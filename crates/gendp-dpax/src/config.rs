@@ -1,7 +1,7 @@
 //! Array configuration and execution-tier selection.
 //!
 //! A configuration requests one of three [`Tier`]s: the functional tier
-//! (batched native loops, analytic cycles), the decoded engine (the
+//! (batched native loops, no per-cycle simulation), the decoded engine (the
 //! default: per-cycle simulation of programs lowered once at load through
 //! [`gendp_isa::DecodedControlProgram`] and
 //! [`gendp_isa::DecodedComputeProgram`]) or the interpreted engine (the
@@ -27,8 +27,9 @@ use gendp_isa::{Luts, Mode};
 /// array.
 #[derive(Debug, Copy, Clone, PartialEq, Eq, Hash, Default)]
 pub enum Tier {
-    /// Batched native execution of the kernel semantics with analytic
-    /// cycle reporting (no per-cycle simulation).
+    /// Batched native execution of the kernel semantics, no per-cycle
+    /// simulation. It reports the statistics of the prepared task's first
+    /// execution, which runs decoded.
     Functional,
     /// Per-cycle simulation of pre-decoded programs (the default).
     #[default]

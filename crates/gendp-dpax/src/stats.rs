@@ -26,16 +26,13 @@ pub struct PeStats {
 
 /// Aggregate result of one [`PeArray::run`](crate::PeArray::run).
 ///
-/// Equality compares the *counters* only — the provenance fields
-/// ([`tier`](Self::tier), [`cycles_estimated`](Self::cycles_estimated))
-/// describe *how* the run executed, not *what* it computed, and two tiers
-/// that agree on every counter are considered equal runs.
+/// Equality compares the *counters* only — the provenance field
+/// [`tier`](Self::tier) describes *how* the run executed, not *what* it
+/// computed, and two tiers that agree on every counter are equal runs.
 #[derive(Debug, Clone, Default)]
 pub struct RunStats {
-    /// Total simulated cycles until every thread halted. For the
-    /// functional tier this is the certificate's analytic count (exact
-    /// when the model proves exactness, otherwise the proven upper bound
-    /// with [`cycles_estimated`](Self::cycles_estimated) set).
+    /// Total simulated cycles until every thread halted. The functional
+    /// tier reports the cycles its shape's first (simulated) run took.
     pub cycles: u64,
     /// FIFO pushes (last PE → FIFO).
     pub fifo_pushes: u64,
@@ -49,11 +46,6 @@ pub struct RunStats {
     /// functional request that cannot run functionally runs decoded, so
     /// callers read this to learn what they really got.
     pub tier: Tier,
-    /// True when [`cycles`](Self::cycles) is an analytic *bound* rather
-    /// than an exact count — the functional tier on a kernel whose
-    /// certificate has `cycle_exact == None`. Simulated tiers always
-    /// report exact cycles and leave this false.
-    pub cycles_estimated: bool,
 }
 
 impl PartialEq for RunStats {
@@ -91,13 +83,11 @@ impl RunStats {
     ///
     /// Provenance: an empty aggregate adopts the first run's tier and a
     /// mixed-tier aggregate keeps the first tier it saw (the per-run tier
-    /// is the meaningful signal); `cycles_estimated` is sticky — an
-    /// aggregate containing any estimated run is itself estimated.
+    /// is the meaningful signal).
     pub fn absorb(&mut self, other: &RunStats) {
         if self.per_pe.is_empty() && self.cycles == 0 {
             self.tier = other.tier;
         }
-        self.cycles_estimated |= other.cycles_estimated;
         self.cycles += other.cycles;
         self.fifo_pushes += other.fifo_pushes;
         self.fifo_pops += other.fifo_pops;
@@ -269,7 +259,6 @@ mod tests {
                 },
             ],
             tier: Tier::Functional,
-            cycles_estimated: true,
         };
         let total = RunStats::merged([&a, &b]);
         assert_eq!(total.cycles, 150);
@@ -279,9 +268,8 @@ mod tests {
         assert_eq!(total.per_pe[0].ctrl_insts, 14);
         assert_eq!(total.per_pe[1].ctrl_insts, 6);
         assert_eq!(total.cells(), 6);
-        // Provenance: first run's tier sticks, estimation is sticky.
+        // Provenance: first run's tier sticks.
         assert_eq!(total.tier, Tier::Decoded);
-        assert!(total.cycles_estimated);
         assert_eq!(
             RunStats::merged([&b]).tier,
             Tier::Functional,
@@ -298,7 +286,6 @@ mod tests {
         let b = RunStats {
             cycles: 10,
             tier: Tier::Functional,
-            cycles_estimated: true,
             ..RunStats::default()
         };
         assert_eq!(a, b);

@@ -212,22 +212,6 @@ pub fn eval_cell(program: &DecodedComputeProgram, mode: Mode, luts: &Luts, rf: &
     }
 }
 
-/// Per-activation statistic weights of a compute program, pre-summed so
-/// the functional tier can report the same compute-side counters the
-/// simulators count per step: `(vliw_issued, cu_slots_active,
-/// rf_accesses)` for one full activation.
-pub fn cell_stat_weights(program: &crate::ComputeProgram) -> (u64, u64, u64) {
-    let mut vliw = 0u64;
-    let mut slots = 0u64;
-    let mut rf = 0u64;
-    for inst in program.iter() {
-        vliw += 1;
-        slots += inst.active_slots() as u64;
-        rf += inst.rf_accesses() as u64;
-    }
-    (vliw, slots, rf)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -305,23 +289,5 @@ mod tests {
 
     fn luts_zero() -> Luts {
         Luts::default()
-    }
-
-    #[test]
-    fn stat_weights_sum_per_activation() {
-        let mut p = ComputeProgram::new();
-        let mul = CuInst::Mul {
-            a: Operand::Reg(0),
-            b: Operand::Imm(3),
-            dest: 1,
-        };
-        p.push(VliwInst::single(mul));
-        p.push(VliwInst::pair(mul, mul));
-        p.finish();
-        let (vliw, slots, rf) = cell_stat_weights(&p);
-        assert_eq!(vliw, 2);
-        assert_eq!(slots, 3);
-        let per_mul = VliwInst::single(mul).rf_accesses() as u64;
-        assert_eq!(rf, 3 * per_mul);
     }
 }

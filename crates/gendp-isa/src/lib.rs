@@ -49,7 +49,7 @@ pub use decoded::{
     DecodedOperand, DecodedTree, DecodedVliw,
 };
 pub use error::ParseInstError;
-pub use functional::{cell_stat_weights, eval_cell};
+pub use functional::eval_cell;
 pub use loc::{Addr, Loc, Space};
 pub use program::{ComputeProgram, ControlProgram};
 pub use sem::{apply, ilog2_half, Luts};

@@ -99,11 +99,6 @@ impl Word {
             (self.0 >> 16) as u16 as i16,
         ]
     }
-
-    /// True if every bit is zero.
-    pub fn is_zero(self) -> bool {
-        self.0 == 0
-    }
 }
 
 impl fmt::Debug for Word {

@@ -13,7 +13,7 @@ use gendp_dfg::Dfg;
 use gendp_isa::{ComputeOp, Luts};
 
 use crate::chain::ChainParams;
-use crate::pairhmm::{PairHmmParams, LOG_NEG_INF};
+use crate::pairhmm::{priors_f32, PairHmmParams, LOG_NEG_INF};
 use crate::scoring::{GapModel, Scoring};
 
 /// The BSW cell (paper Fig. 2a): affine-gap banded Smith-Waterman with the
@@ -470,8 +470,8 @@ pub fn pairhmm_float_dfg(params: &PairHmmParams) -> Dfg {
 /// The lookup tables the floating-point PairHMM DFG expects: `f32`
 /// emission priors in the score table.
 pub fn pairhmm_float_luts(qual: u8) -> Luts {
-    let eps = 10f64.powf(-(qual as f64) / 10.0);
-    Luts::with_scores_f32((1.0 - eps) as f32, (eps / 3.0) as f32)
+    let (prior_eq, prior_ne) = priors_f32(qual);
+    Luts::with_scores_f32(prior_eq, prior_ne)
 }
 
 /// The POA cell for a node with two predecessors (paper Fig. 2c), with the

@@ -201,6 +201,16 @@ pub fn forward_log_fixed(
     total
 }
 
+/// The single-precision emission priors `(match, mismatch)` of a base at
+/// Phred quality `qual`: `1 - eps` and `eps / 3`, each rounded to f32 once
+/// from f64, the more accurate constant. The FP array's lookup tables
+/// ([`crate::dfgs::pairhmm_float_luts`]) and [`forward_f32`] both take
+/// their priors from here, so their results agree bit for bit.
+pub fn priors_f32(qual: u8) -> (f32, f32) {
+    let eps = base_error(qual);
+    ((1.0 - eps) as f32, (eps / 3.0) as f32)
+}
+
 /// Likelihood `P(read | haplotype)` via a single-precision forward pass
 /// whose per-cell operation order mirrors the FP-array DFG
 /// ([`crate::dfgs::pairhmm_float_dfg`]) exactly, so the accelerator's
@@ -233,8 +243,7 @@ pub fn forward_f32(read: &DnaSeq, quals: &[u8], haplotype: &DnaSeq, params: &Pai
     let mut fd = vec![vec![0f32; n + 1]; m + 1];
     fd[0].fill(1.0f32 / n as f32);
     for i in 1..=m {
-        let eps = base_error(quals[i - 1]) as f32;
-        let (prior_eq, prior_ne) = (1.0 - eps, eps / 3.0);
+        let (prior_eq, prior_ne) = priors_f32(quals[i - 1]);
         for j in 1..=n {
             let prior = if read[i - 1] == haplotype[j - 1] {
                 prior_eq

@@ -46,8 +46,11 @@ pub struct DeviceConfig {
     /// default) injects nothing and costs nothing.
     pub fault: Option<FaultConfig>,
     /// Execution-tier selection applied to every task the device runs.
-    /// All tiers are bit-identical, so results never depend on this; the
-    /// functional tier reports analytic cycles instead of simulated ones.
+    /// All tiers are bit-identical in outputs and statistics, so results
+    /// never depend on this. Under the functional tier each worker
+    /// simulates a shape's first task and runs the shape's later tasks
+    /// functionally on its kept template, reporting the simulated
+    /// statistics.
     pub tiers: TierPolicy,
 }
 
@@ -329,11 +332,6 @@ impl DeviceSnapshot {
     /// Total slots of `class` on the device, healthy or not.
     pub fn total_slots(&self, class: ArrayClass) -> usize {
         self.slots.iter().filter(|s| s.class == class).count()
-    }
-
-    /// All slots, across classes, currently quarantined.
-    pub fn quarantined_total(&self) -> usize {
-        self.slots.iter().filter(|s| s.quarantined).count()
     }
 
     /// True when some array class with more than one slot is down to at

@@ -298,11 +298,6 @@ pub struct CertifiedCost {
     /// Proven lower bound on simulated cycles: no successful run finishes
     /// in fewer. The deadline-infeasibility gate.
     pub cycle_floor: u64,
-    /// Proven upper bound on simulated cycles, when the control programs
-    /// are loop-bounded (`None` after widening).
-    pub cycle_bound: Option<u64>,
-    /// True when `cost_cells` is exact on every path, not just a bound.
-    pub exact: bool,
 }
 
 impl CertifiedCost {
@@ -312,8 +307,6 @@ impl CertifiedCost {
         Some(CertifiedCost {
             cost_cells: cert.cost_cells()?,
             cycle_floor: cert.cycle_floor(),
-            cycle_bound: cert.cycle_bound(),
-            exact: cert.cells_exact(),
         })
     }
 }
@@ -374,8 +367,10 @@ impl Task {
         self.kernel().array_class()
     }
 
-    /// Estimated DP cells, used by the shortest-queue policy as a load
-    /// proxy before the task has run.
+    /// The DP cells this task's run computes — its `stats.cells()`, one
+    /// compute activation each — worked out from its dimensions without
+    /// preparing anything: O(1), and O(nodes) for POA. The shortest-queue
+    /// policy's load proxy and the service's admission charge.
     pub fn cells_estimate(&self) -> u64 {
         match self {
             Task::Bsw { query, target, .. } => (query.len() * target.len()) as u64,
@@ -393,10 +388,15 @@ impl Task {
             Task::Dtw { xs, ys } => (xs.len() * ys.len()) as u64,
             Task::DtwBanded { xs, width, .. } => (xs.len() * width) as u64,
             Task::Chain { anchors, params } => (anchors.len() * params.n_prev.max(1)) as u64,
-            Task::Poa { graph, probe, .. } => (graph.node_count() * probe.len()) as u64,
-            Task::BellmanFord { graph, rounds, .. } => {
-                (graph.edge_count() * (*rounds).max(1)) as u64
+            // The code generator folds a node's predecessors in pairs, one
+            // compute activation per pair and column.
+            Task::Poa { graph, probe, .. } => {
+                let rows: usize = (0..graph.node_count())
+                    .map(|v| graph.preds(v).len().div_ceil(2).max(1))
+                    .sum();
+                (rows * probe.len()) as u64
             }
+            Task::BellmanFord { graph, rounds, .. } => (graph.edge_count() * rounds) as u64,
         }
     }
 
@@ -517,8 +517,7 @@ impl Task {
     /// The certified cost of this task on an `n_pes`-wide array: prepares
     /// the task (program generation + the verify/certify gate, no
     /// simulation) and distills the resulting certificate. `None` when
-    /// certification could not bound the cost — schedulers then fall back
-    /// to [`cells_estimate`](Self::cells_estimate).
+    /// certification could not bound the cost.
     pub fn certified_cost(&self, n_pes: usize) -> Option<CertifiedCost> {
         struct Price;
         impl Lowering for Price {
@@ -887,7 +886,119 @@ pub(crate) trait Lowering {
 mod tests {
     use super::*;
     use gendp_kernels::bsw_i32;
-    use rand::{rngs::SmallRng, SeedableRng};
+    use gendp_seq::MutationProfile;
+    use proptest::prelude::*;
+    use rand::{rngs::SmallRng, Rng, SeedableRng};
+
+    /// A random task of kind `kind` (one of the nine) with small dimensions.
+    fn random_task(kind: usize, rng: &mut SmallRng) -> Task {
+        let seq = |rng: &mut SmallRng, hi| DnaSeq::random(rng.gen_range(1..hi), rng);
+        let ints = |rng: &mut SmallRng, n| (0..n).map(|_| rng.gen_range(0..500)).collect();
+        let (read, hap) = (seq(rng, 12), seq(rng, 16));
+        let (m, n) = (read.len(), hap.len());
+        let params = PairHmmParams::gatk();
+        match kind {
+            0 => {
+                let modes = [AlignMode::Local, AlignMode::Global, AlignMode::SemiGlobal];
+                let mode = modes[rng.gen_range(0..3)];
+                let scoring = Scoring::bwa_mem();
+                Task::Bsw {
+                    query: read,
+                    target: hap,
+                    scoring,
+                    mode,
+                }
+            }
+            1 => {
+                let pairs = (0..4).map(|_| (seq(rng, 12), seq(rng, 12))).collect();
+                Task::bsw_simd(pairs, Scoring::bwa_mem())
+            }
+            2 => Task::PairHmm {
+                read,
+                haplotype: hap,
+                qual: 30,
+                scale: 1024,
+                params,
+            },
+            3 => Task::PairHmmFloat {
+                read,
+                haplotype: hap,
+                qual: 30,
+                params,
+            },
+            4 => Task::dtw(ints(rng, m), ints(rng, n)),
+            5 => {
+                let width = rng.gen_range(1..6);
+                let n = m + rng.gen_range(0..width);
+                let ys = ints(rng, n);
+                Task::DtwBanded {
+                    xs: ints(rng, m),
+                    ys,
+                    width,
+                }
+            }
+            6 => {
+                let mut rpos = 0;
+                let mut anchor = |rng: &mut SmallRng| {
+                    rpos += rng.gen_range(1..60);
+                    Anchor {
+                        rpos,
+                        qpos: rpos - rng.gen_range(0..8),
+                        span: 15,
+                    }
+                };
+                let anchors = (0..n).map(|_| anchor(rng)).collect();
+                let n_prev = rng.gen_range(1..8);
+                let params = ChainParams {
+                    n_prev,
+                    ..ChainParams::minimap2(15.0)
+                };
+                Task::Chain { anchors, params }
+            }
+            7 => {
+                // Several mutated copies, so nodes gain many predecessors.
+                let mut graph = Poa::new();
+                for _ in 0..rng.gen_range(2..7) {
+                    let copy = MutationProfile::nanopore().apply(&hap, rng);
+                    graph.add_sequence(&copy, &Scoring::racon());
+                }
+                Task::Poa {
+                    graph,
+                    probe: read,
+                    scoring: Scoring::racon(),
+                }
+            }
+            _ => {
+                let mut graph = Graph::new(m + 1);
+                for _ in 0..n {
+                    let (u, v) = (rng.gen_range(0..=m), rng.gen_range(0..=m));
+                    graph.add_edge(u, v, rng.gen_range(-3..20));
+                }
+                Task::BellmanFord {
+                    graph,
+                    source: 0,
+                    rounds: rng.gen_range(0..4),
+                }
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(144))]
+
+        /// `cells_estimate` is exact: it equals the certificate's cell
+        /// cost and the simulated cell count on every task kind.
+        #[test]
+        fn cells_estimate_is_the_simulated_cell_count(kind in 0usize..9, seed in any::<u64>()) {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let task = random_task(kind, &mut rng);
+            prop_assume!(!task.preflight().has_errors());
+            let certified = task.certified_cost(4).expect("small tasks certify");
+            let (_, stats) = task.execute(4).expect("simulation");
+            prop_assert_eq!(task.cells_estimate(), certified.cost_cells, "{}", task.kernel().name());
+            prop_assert_eq!(task.cells_estimate(), stats.cells(), "{}", task.kernel().name());
+        }
+    }
 
     #[test]
     fn bsw_task_matches_reference_kernel() {

@@ -10,9 +10,10 @@
 //!    rejected with a diagnostic instead of occupying a slot and
 //!    failing later;
 //! 3. **deadline feasibility** — when the server has a cycle-rate
-//!    budget and the task carries a certificate, a request whose
-//!    certified cycle *lower bound* already exceeds its deadline is
-//!    rejected up front instead of being admitted only to expire;
+//!    budget and the request a deadline, a request whose certified
+//!    cycle *lower bound* already exceeds its deadline is rejected up
+//!    front instead of being admitted only to expire. The caller's check
+//!    runs only here, after preflight, because it may prepare the task;
 //! 4. **queued quota**, then **in-flight quota** — bounded per-tenant
 //!    memory; both use optimistic increment-check-undo so concurrent
 //!    submitters never overshoot;
@@ -77,7 +78,7 @@ impl fmt::Display for AdmissionError {
             AdmissionError::OverQuota => f.write_str("in-flight quota exceeded"),
             AdmissionError::QueueFull => f.write_str("tenant queue full"),
             AdmissionError::DeadlineInfeasible => {
-                f.write_str("certified cycle bound cannot meet the deadline")
+                f.write_str("certified cycle floor cannot meet the deadline")
             }
             AdmissionError::ShuttingDown => f.write_str("server is shutting down"),
         }
@@ -126,17 +127,17 @@ impl TenantState {
     /// scheduler decrements `queued` at dispatch and the shard
     /// decrements `in_flight` at delivery. On `Err` nothing is held.
     ///
-    /// `infeasible` is the caller's deadline-infeasibility verdict
+    /// `infeasible` is the caller's deadline-infeasibility check
     /// (certified cycle lower bound exceeds the remaining deadline); it
-    /// is checked after preflight — a malformed task reports its
-    /// diagnostics — but before the quotas and the token bucket, so a
-    /// provably-late request never spends a token.
+    /// runs after preflight — a malformed task reports its diagnostics
+    /// and is never prepared — but before the quotas and the token
+    /// bucket, so a provably-late request never spends a token.
     pub fn admit(
         &self,
         task: &Task,
         now_nanos: u64,
         shutting_down: bool,
-        infeasible: bool,
+        infeasible: impl FnOnce() -> bool,
     ) -> Result<(), AdmissionError> {
         self.counters.submitted.fetch_add(1, Ordering::Relaxed);
         if shutting_down {
@@ -149,7 +150,7 @@ impl TenantState {
                 .fetch_add(1, Ordering::Relaxed);
             return Err(AdmissionError::Invalid(report.to_string()));
         }
-        if infeasible {
+        if infeasible() {
             self.counters
                 .rejected_infeasible
                 .fetch_add(1, Ordering::Relaxed);
@@ -206,16 +207,16 @@ mod tests {
     #[test]
     fn admit_holds_quota_and_rejects_at_limits() {
         let state = TenantState::new(TenantConfig::new("t").quotas(2, 2));
-        assert_eq!(state.admit(&small_task(), 0, false, false), Ok(()));
-        assert_eq!(state.admit(&small_task(), 0, false, false), Ok(()));
+        assert_eq!(state.admit(&small_task(), 0, false, || false), Ok(()));
+        assert_eq!(state.admit(&small_task(), 0, false, || false), Ok(()));
         assert_eq!(
-            state.admit(&small_task(), 0, false, false),
+            state.admit(&small_task(), 0, false, || false),
             Err(AdmissionError::QueueFull)
         );
         // Dispatch frees a queue slot but not the in-flight slot.
         state.queued.fetch_sub(1, Ordering::AcqRel);
         assert_eq!(
-            state.admit(&small_task(), 0, false, false),
+            state.admit(&small_task(), 0, false, || false),
             Err(AdmissionError::OverQuota)
         );
         assert_eq!(
@@ -225,7 +226,7 @@ mod tests {
         );
         // Delivery frees the in-flight slot too.
         state.in_flight.fetch_sub(1, Ordering::AcqRel);
-        assert_eq!(state.admit(&small_task(), 0, false, false), Ok(()));
+        assert_eq!(state.admit(&small_task(), 0, false, || false), Ok(()));
         let snap = state.counters.snapshot();
         assert_eq!(snap.accepted, 3);
         assert_eq!(snap.rejected_quota, 2);
@@ -238,7 +239,7 @@ mod tests {
             burst: 1.0,
         }));
         let bad = Task::bsw_local(DnaSeq::default(), DnaSeq::default(), Scoring::bwa_mem());
-        match state.admit(&bad, 0, false, false) {
+        match state.admit(&bad, 0, false, || false) {
             Err(AdmissionError::Invalid(report)) => {
                 assert!(report.contains("empty"), "report: {report}");
             }
@@ -246,7 +247,7 @@ mod tests {
         }
         assert_eq!(state.queued.load(Ordering::Acquire), 0);
         // The single burst token is still there for a valid request.
-        assert_eq!(state.admit(&small_task(), 0, false, false), Ok(()));
+        assert_eq!(state.admit(&small_task(), 0, false, || false), Ok(()));
     }
 
     #[test]
@@ -255,17 +256,17 @@ mod tests {
             requests_per_sec: 2.0,
             burst: 2.0,
         }));
-        assert_eq!(state.admit(&small_task(), 0, false, false), Ok(()));
-        assert_eq!(state.admit(&small_task(), 0, false, false), Ok(()));
+        assert_eq!(state.admit(&small_task(), 0, false, || false), Ok(()));
+        assert_eq!(state.admit(&small_task(), 0, false, || false), Ok(()));
         assert_eq!(
-            state.admit(&small_task(), 0, false, false),
+            state.admit(&small_task(), 0, false, || false),
             Err(AdmissionError::RateLimited)
         );
         assert_eq!(state.queued.load(Ordering::Acquire), 2, "rejected undo");
         assert_eq!(state.in_flight.load(Ordering::Acquire), 2);
         // Half a second refills one token at 2/s.
         assert_eq!(
-            state.admit(&small_task(), 500_000_000, false, false),
+            state.admit(&small_task(), 500_000_000, false, || false),
             Ok(())
         );
     }
@@ -274,7 +275,7 @@ mod tests {
     fn shutdown_rejects_everything() {
         let state = TenantState::new(TenantConfig::new("t"));
         assert_eq!(
-            state.admit(&small_task(), 0, true, false),
+            state.admit(&small_task(), 0, true, || false),
             Err(AdmissionError::ShuttingDown)
         );
         assert_eq!(state.counters.snapshot().accepted, 0);

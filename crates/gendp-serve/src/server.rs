@@ -50,8 +50,8 @@ use std::time::{Duration, Instant};
 
 use gendp_dpax::RunStats;
 use gendp_runtime::{
-    ArrayClass, CertifiedCost, Device, DeviceConfig, DeviceSnapshot, Heartbeat, KernelKind,
-    RecoveryReport, RuntimeError, Task, TaskFailure, TaskShape, TaskValue,
+    ArrayClass, Device, DeviceConfig, DeviceSnapshot, Heartbeat, KernelKind, RecoveryReport,
+    RuntimeError, Task, TaskFailure, TaskShape, TaskValue,
 };
 
 use crate::admission::{AdmissionError, TenantState};
@@ -393,50 +393,60 @@ struct Inner {
     /// fault plans distinct from every shard before them.
     next_fault_seed: AtomicU64,
     lifecycle: LifecycleCounters,
-    /// Certified-cost memo keyed by task shape, so the admission path
-    /// certifies each distinct shape once instead of running program
-    /// generation plus the verifier fixpoint per request. Equal
+    /// Certified cycle floors of the deadline gate, keyed by task shape,
+    /// so the gate certifies each distinct shape once instead of running
+    /// program generation plus the verifier fixpoint per request. Equal
     /// [`TaskShape`]s generate identical programs and so identical
-    /// certificates, and [`Task::certified_cost`] prices under the default
-    /// configuration whatever tier the shards run, so the shape alone is
-    /// the key. POA and Bellman-Ford have no shape — their programs
-    /// follow the graph — and are certified per request.
-    cost_cache: Mutex<HashMap<TaskShape, Option<CertifiedCost>>>,
+    /// certificates, and [`Task::certified_cost`] certifies under the
+    /// default configuration whatever tier the shards run, so the shape
+    /// alone is the key. POA and Bellman-Ford have no shape — their
+    /// programs follow the graph — and are certified per request. Empty
+    /// unless [`ServeConfig::cycle_rate`] is set.
+    floor_cache: Mutex<HashMap<TaskShape, Option<u64>>>,
 }
 
-/// Bound on [`Inner::cost_cache`]; a pathological shape churn clears
+/// Bound on [`Inner::floor_cache`]; a pathological shape churn clears
 /// the memo rather than growing without limit.
-const COST_CACHE_MAX: usize = 4096;
+const FLOOR_CACHE_MAX: usize = 4096;
 
 impl Inner {
     fn now_nanos(&self) -> u64 {
         self.epoch.elapsed().as_nanos() as u64
     }
 
-    /// Certified cost of one task on this server's array width,
-    /// memoized by its [`TaskShape`]. `None` means the task doesn't
-    /// certify (malformed, unbounded, or a shape the certifier can't
-    /// price) — callers fall back to the heuristic estimate.
-    fn certified_cost(&self, task: &Task) -> Option<CertifiedCost> {
+    /// Certified cycle floor of one task on this server's array width,
+    /// memoized by its [`TaskShape`]; `None` when the task doesn't
+    /// certify. The task must have passed preflight: a SIMD task without
+    /// four lanes has no shape.
+    fn cycle_floor(&self, task: &Task) -> Option<u64> {
         let n_pes = self.config.shard_config.pes_per_array;
-        // Preflight first: a malformed task (a SIMD task without four
-        // lanes) has no lowering, so no shape either.
-        if task.preflight().has_errors() {
-            return None;
-        }
         let Some(shape) = task.shape(n_pes) else {
-            return task.certified_cost(n_pes);
+            return task.certified_cost(n_pes).map(|c| c.cycle_floor);
         };
-        if let Some(hit) = self.cost_cache.lock().expect("cost cache").get(&shape) {
+        if let Some(hit) = self.floor_cache.lock().expect("floor cache").get(&shape) {
             return *hit;
         }
-        let cost = task.certified_cost(n_pes);
-        let mut cache = self.cost_cache.lock().expect("cost cache");
-        if cache.len() >= COST_CACHE_MAX {
+        let floor = task.certified_cost(n_pes).map(|c| c.cycle_floor);
+        let mut cache = self.floor_cache.lock().expect("floor cache");
+        if cache.len() >= FLOOR_CACHE_MAX {
             cache.clear();
         }
-        cache.insert(shape, cost);
-        cost
+        cache.insert(shape, floor);
+        floor
+    }
+
+    /// The opt-in deadline gate: with a configured
+    /// [`ServeConfig::cycle_rate`] and a request deadline, true when the
+    /// task's certified cycle floor needs more wall-clock than the
+    /// deadline allows, so the request is provably late. Only here does
+    /// admission prepare a task, once per [`TaskShape`].
+    fn deadline_infeasible(&self, task: &Task, deadline: Option<Duration>) -> bool {
+        let (Some(rate), Some(deadline)) = (self.config.cycle_rate.filter(|&r| r > 0), deadline)
+        else {
+            return false;
+        };
+        self.cycle_floor(task)
+            .is_some_and(|f| f as u128 * 1_000_000_000 > deadline.as_nanos() * rate as u128)
     }
 
     /// Snapshot of the shard table (cheap: clones the `Arc`s).
@@ -535,7 +545,7 @@ impl Server {
             // there.
             next_fault_seed: AtomicU64::new(base_seed),
             lifecycle: LifecycleCounters::default(),
-            cost_cache: Mutex::new(HashMap::new()),
+            floor_cache: Mutex::new(HashMap::new()),
         });
 
         // Spawn the initial pool up front so a bad DeviceConfig fails
@@ -766,11 +776,6 @@ pub struct TenantClient {
 }
 
 impl TenantClient {
-    /// The tenant this handle submits as.
-    pub fn tenant_name(&self) -> &str {
-        &self.inner.tenants[self.tenant].config.name
-    }
-
     /// Submits one task through admission control, with the tenant's
     /// configured default deadline (if any). On `Ok` the returned
     /// ticket will always resolve — completion, device failure,
@@ -796,27 +801,16 @@ impl TenantClient {
         self.submit_inner(task, Some(deadline))
     }
 
-    /// Prices one task for DRR scheduling and the deadline gate.
-    ///
-    /// The charge is the *certified* DP-cell cost from the task's
-    /// `gendp-verify` certificate when one exists, falling back to the
-    /// heuristic `cells_estimate` for shapes that don't certify. The
-    /// second value is the infeasibility verdict: with a configured
-    /// [`ServeConfig::cycle_rate`], a certified cycle lower bound that
-    /// needs more wall-clock than the deadline allows is provably late.
-    fn price(&self, task: &Task, deadline: Option<Duration>) -> (u64, bool) {
-        let certified = self.inner.certified_cost(task);
-        let cost = certified
-            .map(|c| c.cost_cells)
-            .unwrap_or_else(|| task.cells_estimate())
-            .max(1);
-        let infeasible = match (self.inner.config.cycle_rate, deadline, certified) {
-            (Some(rate), Some(d), Some(c)) if rate > 0 => {
-                c.cycle_floor as u128 * 1_000_000_000 > d.as_nanos() * rate as u128
-            }
-            _ => false,
-        };
-        (cost, infeasible)
+    /// Admits one task: the admission gate, with the deadline gate run
+    /// after preflight. Returns the DRR charge, the task's DP cells —
+    /// exact, and worked out without preparing it.
+    fn admit(&self, task: &Task, deadline: Option<Duration>) -> Result<u64, AdmissionError> {
+        let state = &self.inner.tenants[self.tenant];
+        let shutting_down = self.inner.closed.load(Ordering::Acquire);
+        state.admit(task, self.inner.now_nanos(), shutting_down, || {
+            self.inner.deadline_infeasible(task, deadline)
+        })?;
+        Ok(task.cells_estimate().max(1))
     }
 
     fn submit_inner(
@@ -824,13 +818,9 @@ impl TenantClient {
         task: Task,
         deadline: Option<Duration>,
     ) -> Result<Ticket, AdmissionError> {
-        // Latency counts admission pricing; the deadline starts at
-        // admission.
+        // Latency counts admission; the deadline starts at admission.
         let submitted_at = Instant::now();
-        let state = &self.inner.tenants[self.tenant];
-        let shutting_down = self.inner.closed.load(Ordering::Acquire);
-        let (cost, infeasible) = self.price(&task, deadline);
-        state.admit(&task, self.inner.now_nanos(), shutting_down, infeasible)?;
+        let cost = self.admit(&task, deadline)?;
         let (tx, rx) = mpsc::channel();
         let submitted = Submitted {
             tenant: self.tenant,
@@ -862,16 +852,14 @@ impl TenantClient {
     /// default deadline applies.
     pub(crate) fn submit_with_reply(&self, task: Task, reply: Reply) -> Result<(), AdmissionError> {
         let submitted_at = Instant::now();
-        let state = &self.inner.tenants[self.tenant];
-        let shutting_down = self.inner.closed.load(Ordering::Acquire);
-        let (cost, infeasible) = self.price(&task, state.config.deadline);
-        state.admit(&task, self.inner.now_nanos(), shutting_down, infeasible)?;
+        let deadline = self.inner.tenants[self.tenant].config.deadline;
+        let cost = self.admit(&task, deadline)?;
         self.send_admitted(Submitted {
             tenant: self.tenant,
             task,
             cost,
             submitted_at,
-            deadline: state.config.deadline.map(|d| Instant::now() + d),
+            deadline: deadline.map(|d| Instant::now() + d),
             reply,
         })
     }
@@ -1334,5 +1322,61 @@ fn shard_loop(cell: Arc<ShardCell>, mut device: Device, inner: Arc<Inner>) {
             .fetch_sub(batch_cells, Ordering::AcqRel);
         *cell.status.lock().expect("status lock") = device.snapshot();
         cell.beat.beat(inner.now_nanos());
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use gendp_kernels::bellman_ford::Graph;
+    use gendp_kernels::poa::Poa;
+    use gendp_kernels::Scoring;
+    use gendp_seq::DnaSeq;
+
+    /// Admission charges the closed-form cell count, so without the
+    /// deadline gate it prepares nothing and the floor memo stays empty;
+    /// with the gate, each shaped request is certified once.
+    #[test]
+    fn admission_prepares_only_for_the_deadline_gate() {
+        let seq = |s: &str| s.parse::<DnaSeq>().expect("bases");
+        let mut graph = Poa::new();
+        for backbone in ["ACGTTGCAAG", "ACGATGCTAG"] {
+            graph.add_sequence(&seq(backbone), &Scoring::racon());
+        }
+        let mut roads = Graph::new(3);
+        roads.add_edge(0, 1, 3);
+        roads.add_edge(1, 2, 4);
+        let scoring = Scoring::racon();
+        let tasks = [
+            Task::bsw_local(seq("ACGTACGT"), seq("ACGTTCGTAC"), Scoring::bwa_mem()),
+            Task::dtw(vec![3, 1, 4, 1, 5], vec![9, 2, 6]),
+            Task::Poa {
+                graph,
+                probe: seq("ACGTGCAG"),
+                scoring,
+            },
+            Task::BellmanFord {
+                graph: roads,
+                source: 0,
+                rounds: 2,
+            },
+        ];
+        // BSW and DTW have shapes; POA and Bellman-Ford are certified per
+        // request.
+        for (cycle_rate, memoized) in [(None, 0), (Some(1 << 40), 2)] {
+            let config = ServeConfig {
+                cycle_rate,
+                ..ServeConfig::default()
+            };
+            let mut server = Server::start(config, vec![TenantConfig::new("t")]).expect("start");
+            let client = server.client("t").expect("tenant");
+            for task in &tasks {
+                let ticket = client.submit_with_deadline(task.clone(), Duration::from_secs(60));
+                assert!(ticket.expect("admitted").wait().is_ok());
+            }
+            let memo = server.inner.floor_cache.lock().expect("floor cache").len();
+            assert_eq!(memo, memoized, "cycle rate {cycle_rate:?}");
+            server.shutdown();
+        }
     }
 }

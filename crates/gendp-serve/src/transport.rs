@@ -396,13 +396,6 @@ impl<R: Read, W: Write> WireClient<R, W> {
             )),
         }
     }
-
-    /// Closes the write half (ending the server's reader loop for this
-    /// connection) and returns the read half for draining remaining
-    /// responses.
-    pub fn into_reader(self) -> R {
-        self.reader
-    }
 }
 
 #[cfg(unix)]

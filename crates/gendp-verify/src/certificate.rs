@@ -8,46 +8,29 @@
 //! * **bounds proofs** — every register-file / scratchpad / address-register
 //!   access resolved to an interval definitely inside its space, per PE,
 //!   with the accessed footprint recorded;
-//! * **a static cycle model** — per-PE active-cycle intervals from the
-//!   fixpoint (one cycle per retired control instruction, plus the compute
-//!   steps each `set cu` triggers), aggregated into a whole-array floor,
-//!   upper bound, and — for stall-free programs — an exact count;
+//! * **a cycle floor** — per-PE active-cycle intervals from the fixpoint
+//!   (one cycle per retired control instruction), whose largest lower end
+//!   no successful run can undercut;
 //! * **FIFO traffic bounds** — per-PE push/pop intervals, aggregated into
 //!   a peak-occupancy bound.
 //!
 //! Consumers: `gendp-core` runs a task on the functional tier only when
-//! its programs certify safe and reports that tier's cycles from the
-//! cycle model, and `gendp-serve` costs and admits requests by certified
-//! DP-cell counts and cycle bounds instead of a heuristic estimate.
+//! its programs certify safe, and `gendp-serve`'s opt-in deadline gate
+//! rejects a request whose cycle floor cannot meet its deadline.
+//! Reported cycles always come from a simulation (the functional tier
+//! reuses its shape's first simulated run), never from this model.
 //!
-//! # Soundness of the cycle model
+//! # Soundness of the cycle floor
 //!
-//! The simulator counts one array cycle per iteration of its step loop and
-//! errors with a deadlock unless every counted cycle — except possibly the
-//! final all-halt cycle — sees at least one progress event (a control
-//! instruction advancing or a compute step). A PE contributes at most
-//! `issue` control retirements and `compute` compute steps, so for any
-//! successful run
-//!
-//! ```text
-//! cycles  <=  1 + sum over PEs of (issue.hi + compute.hi)
-//! ```
-//!
-//! and, since a PE retires at most one control instruction per cycle while
-//! it is live,
+//! A PE's control thread retires at most one instruction per cycle while
+//! it is live, and a successful run ends only once every PE has halted,
+//! so for any successful run
 //!
 //! ```text
 //! cycles  >=  max over PEs of issue.lo
 //! ```
-//!
-//! When every PE is *stall-free* — no port, FIFO, or `set cu` instruction,
-//! so nothing can ever block and the compute unit never runs — each PE
-//! retires exactly one instruction per cycle and the array runs for
-//! exactly `max over PEs of issue` cycles, which the certificate reports
-//! as [`Certificate::cycle_exact`]. Loops survived only by widening leave
-//! `issue.hi` at infinity and the upper bound becomes `None`.
 
-use gendp_isa::{ComputeProgram, ControlInst, ControlProgram, CuInst, Loc, Operand, Space};
+use gendp_isa::{ComputeProgram, CuInst, Operand};
 
 use crate::interval::Interval;
 
@@ -60,9 +43,6 @@ pub struct PeCertificate {
     /// when the pc runs off the program end. `Interval::TOP` when no exit
     /// is reachable.
     pub issue: Interval,
-    /// Compute-unit steps triggered along any exiting path (each
-    /// `set cu t` contributes `compute_len - t` steps).
-    pub compute: Interval,
     /// `set cu` executions along any exiting path — one DP cell each.
     pub cu_sets: Interval,
     /// FIFO words pushed over all exits.
@@ -80,21 +60,16 @@ pub struct PeCertificate {
     /// Some exit (halt or running off the end) is reachable; `false`
     /// means every path loops forever.
     pub terminates: bool,
-    /// The program contains no port, FIFO, or `set cu` instruction, so no
-    /// cycle can stall and the per-PE cycle count is exact.
-    pub stall_free: bool,
 }
 
 /// A machine-checkable summary of what static analysis proved about a
-/// loaded PE array: address-safety, cycle bounds, DP-cell cost, and FIFO
+/// loaded PE array: address-safety, a cycle floor, DP-cell cost, and FIFO
 /// traffic. Produced by
 /// [`Verifier::certify_array`](crate::Verifier::certify_array).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Certificate {
     per_pe: Vec<PeCertificate>,
     cycle_floor: u64,
-    cycle_bound: Option<u64>,
-    cycle_exact: Option<u64>,
     cost_cells: Option<u64>,
     cells_exact: bool,
     fifo_peak: Option<u64>,
@@ -115,33 +90,6 @@ impl Certificate {
             .max()
             .unwrap_or(0);
 
-        let cycle_exact = (all_terminate
-            && per_pe
-                .iter()
-                .all(|p| p.stall_free && p.issue.lo == p.issue.hi))
-        .then(|| {
-            per_pe
-                .iter()
-                .map(|p| p.issue.lo.max(0) as u64)
-                .max()
-                .unwrap_or(0)
-        });
-
-        let cycle_bound = match cycle_exact {
-            Some(exact) => Some(exact),
-            None if all_terminate
-                && per_pe
-                    .iter()
-                    .all(|p| p.issue.hi < i64::MAX && p.compute.hi < i64::MAX) =>
-            {
-                Some(per_pe.iter().fold(1u64, |acc, p| {
-                    acc.saturating_add(p.issue.hi.max(0) as u64)
-                        .saturating_add(p.compute.hi.max(0) as u64)
-                }))
-            }
-            None => None,
-        };
-
         let cost_cells =
             (all_terminate && per_pe.iter().all(|p| p.cu_sets.hi < i64::MAX)).then(|| {
                 per_pe.iter().fold(0u64, |acc, p| {
@@ -161,8 +109,6 @@ impl Certificate {
         Certificate {
             per_pe,
             cycle_floor,
-            cycle_bound,
-            cycle_exact,
             cost_cells,
             cells_exact,
             fifo_peak,
@@ -181,24 +127,8 @@ impl Certificate {
         self.cycle_floor
     }
 
-    /// Proven upper bound on whole-array cycles of any successful run, or
-    /// `None` when widening (a loop) or an unreachable exit left a bound
-    /// at infinity.
-    pub fn cycle_bound(&self) -> Option<u64> {
-        self.cycle_bound
-    }
-
-    /// The exact whole-array cycle count, when every PE is stall-free and
-    /// its issue count is a single value. `None` does not mean the bounds
-    /// are wrong — only that the model cannot promise exactness.
-    pub fn cycle_exact(&self) -> Option<u64> {
-        self.cycle_exact
-    }
-
     /// Certified DP-cell count (total `set cu` executions across the
-    /// array): the upper bound, or `None` when unbounded. This is the
-    /// cost the serve scheduler charges instead of its heuristic
-    /// estimate.
+    /// array): the upper bound, or `None` when unbounded.
     pub fn cost_cells(&self) -> Option<u64> {
         self.cost_cells
     }
@@ -220,25 +150,6 @@ impl Certificate {
     pub fn safe(&self) -> bool {
         self.safe
     }
-}
-
-/// True when no instruction can ever stall or start the compute unit: no
-/// port or FIFO access and no `set cu`. Such a program retires exactly
-/// one instruction per cycle.
-pub(crate) fn is_stall_free(program: &ControlProgram) -> bool {
-    fn loc_free(loc: &Loc) -> bool {
-        matches!(loc.space(), Space::Rf | Space::Spm | Space::Areg)
-    }
-    program.iter().all(|inst| match inst {
-        ControlInst::Nop
-        | ControlInst::Halt
-        | ControlInst::Add { .. }
-        | ControlInst::Addi { .. }
-        | ControlInst::Branch { .. } => true,
-        ControlInst::Set { .. } => false,
-        ControlInst::Li { dest, .. } => loc_free(dest),
-        ControlInst::Mv { dest, src } => loc_free(dest) && loc_free(src),
-    })
 }
 
 /// Hull of register-file slots the compute program reads or writes.

@@ -48,9 +48,6 @@ struct AState {
     /// instruction (including `halt`), plus one for the silent-halt
     /// discovery cycle when the pc runs off the program end.
     cycles: Interval,
-    /// Compute-unit steps triggered along this path (each `set cu t`
-    /// contributes `compute_len - t` steps, when the length is known).
-    compute: Interval,
     /// `set cu` executions along this path — one DP cell each.
     cu_sets: Interval,
 }
@@ -63,7 +60,6 @@ impl AState {
             pushes: Interval::exact(0),
             pops: Interval::exact(0),
             cycles: Interval::exact(0),
-            compute: Interval::exact(0),
             cu_sets: Interval::exact(0),
         }
     }
@@ -89,7 +85,6 @@ impl AState {
         changed |= merge(&mut self.pushes, flow.pushes);
         changed |= merge(&mut self.pops, flow.pops);
         changed |= merge(&mut self.cycles, flow.cycles);
-        changed |= merge(&mut self.compute, flow.compute);
         changed |= merge(&mut self.cu_sets, flow.cu_sets);
         changed
     }
@@ -133,8 +128,6 @@ pub(crate) struct ExitSummary {
     /// Active control-thread cycles (retired instructions plus the
     /// silent-halt discovery cycle on fall-off-the-end paths).
     pub issue: Interval,
-    /// Compute-unit steps triggered (`set cu` targets to program end).
-    pub compute: Interval,
     /// `set cu` executions — one DP cell each.
     pub cu_sets: Interval,
 }
@@ -273,7 +266,6 @@ impl<'a> ControlAnalysis<'a> {
                 }),
                 exit: Some(ExitSummary {
                     issue: Interval::exact(0),
-                    compute: Interval::exact(0),
                     cu_sets: Interval::exact(0),
                 }),
                 scan: CertScan::default(),
@@ -364,7 +356,6 @@ impl<'a> ControlAnalysis<'a> {
                 }),
                 Some(ExitSummary {
                     issue: st.cycles,
-                    compute: st.compute,
                     cu_sets: st.cu_sets,
                 }),
             ),
@@ -803,13 +794,8 @@ impl<'a> ControlAnalysis<'a> {
             }
             ControlInst::Set { target, pc: tpc } => {
                 if let SetTarget::Compute = target {
-                    // One DP cell; the compute unit then steps from the
-                    // target to the program end.
+                    // One DP cell.
                     state.cu_sets = state.cu_sets.add_const(1);
-                    if let Some(clen) = self.compute_len {
-                        let steps = clen.saturating_sub(*tpc as usize) as i64;
-                        state.compute = state.compute.add_const(steps);
-                    }
                 }
                 if let Some(report) = sink {
                     match target {

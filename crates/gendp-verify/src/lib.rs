@@ -197,8 +197,7 @@ impl Verifier {
 
     /// Like [`verify_array`](Self::verify_array), but keeps the proofs:
     /// returns the report together with a [`Certificate`] carrying
-    /// per-space bounds proofs and footprints, a static cycle model
-    /// (floor, upper bound, and exact count where the model permits),
+    /// per-space bounds proofs and footprints, a proven cycle floor,
     /// certified DP-cell cost, and FIFO traffic bounds.
     ///
     /// The certificate's [`safe`](Certificate::safe) flag is computed
@@ -255,7 +254,6 @@ impl Verifier {
             };
             per_pe_cert.push(PeCertificate {
                 issue: outcome.exit.map_or(Interval::TOP, |e| e.issue),
-                compute: outcome.exit.map_or(Interval::TOP, |e| e.compute),
                 cu_sets: outcome.exit.map_or(Interval::TOP, |e| e.cu_sets),
                 pushes: outcome.fifo.map_or(Interval::TOP, |f| f.pushes),
                 pops: outcome.fifo.map_or(Interval::TOP, |f| f.pops),
@@ -263,7 +261,6 @@ impl Verifier {
                 spm_footprint: outcome.scan.spm,
                 bounds_proven: outcome.scan.all_in_bounds,
                 terminates: outcome.exit.is_some(),
-                stall_free: certificate::is_stall_free(control),
             });
         }
 

@@ -6,12 +6,13 @@
 //! cargo run --example quickstart
 //! ```
 
-use gendp::core::{bsw_score, AcceleratorRun, GendpPipeline};
+use gendp::core::{bsw_score, AcceleratorRun, GendpPipeline, WavefrontTask};
 use gendp::dpax::TierPolicy;
 use gendp::dpmap::map_dfg;
 use gendp::kernels::dfgs::bsw_dfg;
 use gendp::kernels::{bsw_i32, AlignMode, Scoring};
 use gendp::seq::{DnaSeq, Genome, MutationProfile};
+use gendp::Accelerator;
 use rand::{rngs::SmallRng, SeedableRng};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -64,23 +65,31 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         run.gcups(16, 1)
     );
 
-    // 5. The functional fast path: the same task with the functional tier
-    //    requested, skipping per-cycle simulation. Outputs are
-    //    bit-identical; cycles come from the certificate's analytic model,
-    //    and the run's provenance records which tier actually executed.
+    // 5. The functional fast path: with the functional tier requested, a
+    //    prepared task simulates its first execution and keeps its
+    //    statistics, which depend on the task's shape alone. Later
+    //    executions skip per-cycle simulation and report those statistics;
+    //    outputs are bit-identical, and each run's provenance records which
+    //    tier actually executed.
     let fast = GendpPipeline::bsw(&scoring).tiers(TierPolicy::functional());
-    let fout = fast.run(&rows, &cols, 4)?;
+    let task = WavefrontTask {
+        rows: &rows,
+        cols: &cols,
+        n_pes: 4,
+        band: None,
+    };
+    let mut prep = Accelerator::prepare(&fast, &task);
+    let first = prep.execute()?;
+    let stats = prep.execute()?;
+    let fout = fast.parse(&task, &prep, stats);
     assert_eq!(bsw_score(&fout), reference.score);
+    assert_eq!(fout.stats, first);
     println!(
-        "\nfunctional tier: score {} on the `{}` tier, {} cycles ({})",
+        "\nfunctional tier: score {}; first run `{}`, then `{}`, {} cycles each",
         bsw_score(&fout),
+        first.tier,
         fout.stats.tier,
-        fout.stats.cycles,
-        if fout.stats.cycles_estimated {
-            "analytic bound"
-        } else {
-            "exact"
-        }
+        fout.stats.cycles
     );
     Ok(())
 }

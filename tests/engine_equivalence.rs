@@ -1,12 +1,11 @@
 //! Execution-tier equivalence sweep: for every shipped kernel, the
 //! pre-decoded execution engine, the instruction-level interpreter and —
 //! where it engages — the functional fast-path tier must be
-//! **bit-identical** on functional outputs. Decoded and interpreted must
-//! additionally agree on every
+//! **bit-identical** on functional outputs and agree on every
 //! [`RunStats`](gendp::dpax::RunStats) counter (cycles, instruction
-//! counts, port/FIFO/SPM traffic); the functional tier must agree on DP
-//! cells and carries its cycles from the certificate's analytic model
-//! instead.
+//! counts, port/FIFO/SPM traffic). A functional request simulates its
+//! first execution and reports that run's statistics for every later one,
+//! across a rebind to other content of the same shape too.
 //!
 //! Task shapes mirror `verify_sweep.rs` so the equivalence evidence
 //! covers exactly the program set the verifier acceptance contract
@@ -48,12 +47,19 @@ fn with_tiers<A: Accelerator>(accel: A, tiers: TierPolicy) -> A {
 }
 
 /// Runs one task on every execution tier through the unified
-/// [`Accelerator`] lifecycle and asserts bit-identical outputs: decoded
-/// vs. interpreted on outputs *and* statistics, then the functional tier
-/// (when the driver lowers one) vs. the prepared decoded reference on
-/// output words and DP-cell counts.
-fn assert_tiers_agree<A, F>(name: &str, build: F, task: &A::Task<'_>, expect_functional: bool)
-where
+/// [`Accelerator`] lifecycle and asserts bit-identical outputs and
+/// statistics: decoded vs. interpreted, then a functional request vs. the
+/// prepared decoded reference — its first run simulated, later runs on
+/// the functional tier when the driver lowers one — and finally the same
+/// prepared task bound to `other`, of the same shape where the driver's
+/// programs depend on the shape alone.
+fn assert_tiers_agree<A, F>(
+    name: &str,
+    build: F,
+    task: &A::Task<'_>,
+    other: &A::Task<'_>,
+    expect_functional: bool,
+) where
     A: Accelerator,
     A::Output: std::fmt::Debug + PartialEq,
     F: Fn() -> A,
@@ -89,57 +95,69 @@ where
         .unwrap_or_else(|e| panic!("{name}: {e}"));
     let ref_out = reference.output().to_vec();
 
-    let mut func = Accelerator::prepare(&with_tiers(build(), TierPolicy::functional()), task);
-    let func_stats = func
-        .execute()
-        .unwrap_or_else(|e| panic!("{name} (functional): {e}"));
-    if expect_functional {
-        assert_eq!(
-            func.resolved_tier(),
-            Tier::Functional,
-            "{name}: functional tier did not engage"
-        );
-        assert_eq!(
-            func_stats.tier,
-            Tier::Functional,
-            "{name}: functional provenance"
-        );
-        assert_eq!(
-            func.output(),
-            &ref_out[..],
-            "{name}: functional output words diverge from decoded"
-        );
-        assert_eq!(
-            func_stats.cells(),
-            ref_stats.cells(),
-            "{name}: functional DP-cell count diverges"
-        );
+    // A fresh functional request simulates first. Drivers without a
+    // functional lowering keep running decoded.
+    let accel = with_tiers(build(), TierPolicy::functional());
+    let mut func = Accelerator::prepare(&accel, task);
+    let later = if expect_functional {
+        Tier::Functional
     } else {
-        // Drivers without a functional lowering run decoded: identical
-        // results, decoded provenance.
-        assert_eq!(
-            func.resolved_tier(),
-            Tier::Decoded,
-            "{name}: unexpected functional engagement"
-        );
-        assert_eq!(func_stats.tier, Tier::Decoded, "{name}: decoded provenance");
+        Tier::Decoded
+    };
+    for (run, tier) in [(0, Tier::Decoded), (1, later), (2, later)] {
+        let stats = func
+            .execute()
+            .unwrap_or_else(|e| panic!("{name} (functional request): {e}"));
+        assert_eq!(stats.tier, tier, "{name}: provenance of run {run}");
+        // Equality covers every field but the tier.
+        assert_eq!(stats, ref_stats, "{name}: statistics of run {run} diverge");
         assert_eq!(
             func.output(),
             &ref_out[..],
-            "{name}: fallback output diverges"
+            "{name}: output words of run {run} diverge from decoded"
         );
-        assert_eq!(func_stats, ref_stats, "{name}: fallback statistics diverge");
+    }
+    assert_eq!(func.resolved_tier(), later, "{name}: resolved tier");
+
+    // Rebound to other content of the same shape: the kept statistics
+    // still hold, and the output follows the new content.
+    let expect = with_tiers(build(), TierPolicy::decoded())
+        .run_task(other)
+        .unwrap_or_else(|e| panic!("{name} (decoded, other): {e}"));
+    accel.bind(&mut func, other);
+    for _ in 0..2 {
+        let stats = func
+            .execute()
+            .unwrap_or_else(|e| panic!("{name} (functional request, other): {e}"));
+        assert_eq!(stats.tier, later, "{name}: provenance after bind");
+        let rebound = accel.parse(other, &func, stats);
+        // Outputs and statistics: the kept statistics must equal a
+        // simulation of the other content.
+        assert_eq!(rebound, expect, "{name}: rebound run diverges from decoded");
     }
 }
 
 fn wavefront_case(name: &str, build: impl Fn() -> Wavefront2d, rows: &[i32], cols: &[i32]) {
-    let task = WavefrontTask {
+    banded_case(name, build, rows, cols, None);
+}
+
+/// One table, rebound to the same shape with rows and columns reversed.
+fn banded_case(
+    name: &str,
+    build: impl Fn() -> Wavefront2d,
+    rows: &[i32],
+    cols: &[i32],
+    band: Option<BandSpec>,
+) {
+    let task = |rows, cols| WavefrontTask {
         rows,
         cols,
         n_pes: 4,
-        band: None,
+        band,
     };
-    assert_tiers_agree(name, build, &task, true);
+    let reversed = |xs: &[i32]| xs.iter().rev().copied().collect::<Vec<_>>();
+    let (rows2, cols2) = (reversed(rows), reversed(cols));
+    assert_tiers_agree(name, build, &task(rows, cols), &task(&rows2, &cols2), true);
 }
 
 /// Every wavefront kernel (BSW family, PairHMM, DTW, LCS): decoded ==
@@ -188,21 +206,12 @@ fn wavefront_kernels_tier_equivalent() {
     let xs: Vec<i32> = (0..15).map(|_| rng.gen_range(0..200)).collect();
     let ys: Vec<i32> = (0..12).map(|_| rng.gen_range(0..200)).collect();
     wavefront_case("dtw", GendpPipeline::dtw, &xs, &ys);
-    let banded = WavefrontTask {
-        rows: &ys,
-        cols: &xs,
-        n_pes: 4,
-        band: Some(BandSpec {
-            width: 5,
-            sentinel: 1 << 20,
-        }),
+    let band = BandSpec {
+        width: 5,
+        sentinel: 1 << 20,
     };
-    assert_tiers_agree(
-        "dtw_banded",
-        || GendpPipeline::dtw_banded(xs.len()),
-        &banded,
-        true,
-    );
+    let build = || GendpPipeline::dtw_banded(xs.len());
+    banded_case("dtw_banded", build, &ys, &xs, Some(band));
 
     let lanes: Vec<Vec<u8>> = (0..4)
         .map(|_| DnaSeq::random(16, &mut rng).codes())
@@ -239,10 +248,10 @@ fn chain_poa_bellman_ford_tier_equivalent() {
         n_prev: n_pes,
         ..ChainParams::minimap2(15.0)
     };
-    let anchors: Vec<gendp::seq::Anchor> = {
-        // Sorted synthetic anchors, the shape `verify_sweep` sizes for.
+    // Sorted synthetic anchors, the shape `verify_sweep` sizes for.
+    let mut anchors = || -> Vec<gendp::seq::Anchor> {
         let mut pos = 0;
-        (0..30)
+        let mut anchors: Vec<_> = (0..30)
             .map(|_| {
                 pos += rng.gen_range(1..6);
                 gendp::seq::Anchor {
@@ -251,14 +260,22 @@ fn chain_poa_bellman_ford_tier_equivalent() {
                     span: 15,
                 }
             })
-            .collect()
+            .collect();
+        anchors.sort();
+        anchors
     };
-    let chain_task = ChainTask {
-        anchors: &anchors,
-        n_pes,
-    };
-    assert_tiers_agree("chain", || GendpPipeline::chain(params), &chain_task, false);
+    let (a, b) = (anchors(), anchors());
+    let chain_task = |anchors| ChainTask { anchors, n_pes };
+    assert_tiers_agree(
+        "chain",
+        || GendpPipeline::chain(params),
+        &chain_task(&a),
+        &chain_task(&b),
+        false,
+    );
 
+    // POA and Bellman-Ford programs follow the graph, so `bind` prepares
+    // afresh; the rebound task may have any shape.
     let truth = DnaSeq::random(30, &mut rng);
     let mut poa = Poa::new();
     poa.add_sequence(&truth, &Scoring::racon());
@@ -266,26 +283,33 @@ fn chain_poa_bellman_ford_tier_equivalent() {
         &MutationProfile::nanopore().apply(&truth, &mut rng),
         &Scoring::racon(),
     );
-    let probe = MutationProfile::nanopore().apply(&truth, &mut rng);
-    let poa_task = PoaTask {
+    let probes = [(); 2].map(|_| MutationProfile::nanopore().apply(&truth, &mut rng));
+    let poa_task = |seq| PoaTask {
         graph: &poa,
-        seq: &probe,
+        seq,
         n_pes: 4,
     };
     assert_tiers_agree(
         "poa",
         || GendpPipeline::poa(Scoring::racon()),
-        &poa_task,
+        &poa_task(&probes[0]),
+        &poa_task(&probes[1]),
         false,
     );
 
     let g = random_roadmap(20, 2, 5, &mut rng);
-    let bf_task = BellmanFordTask {
+    let bf_task = |source| BellmanFordTask {
         graph: &g,
-        source: 0,
+        source,
         rounds: g.vertex_count() - 1,
     };
-    assert_tiers_agree("bellman_ford", GendpPipeline::bellman_ford, &bf_task, false);
+    assert_tiers_agree(
+        "bellman_ford",
+        GendpPipeline::bellman_ford,
+        &bf_task(0),
+        &bf_task(1),
+        false,
+    );
 }
 
 /// Tier resolution: each request runs the tier it names where that tier
@@ -305,19 +329,20 @@ fn tier_policy_resolution_and_provenance() {
         band: None,
     };
 
-    // Functional requested on a wavefront kernel: engages,
-    // and reports analytic (estimated) cycles because wavefront
-    // certificates are never stall-free.
+    // Functional requested on a wavefront kernel: the first run
+    // simulates, then the tier engages and reports that run's statistics.
     let accel = with_tiers(GendpPipeline::bsw(&scoring), TierPolicy::functional());
     let mut prep = Accelerator::prepare(&accel, &task);
-    let stats = prep.execute().expect("functional execution");
+    assert_eq!(prep.resolved_tier(), Tier::Decoded);
+    let first = prep.execute().expect("first execution");
+    assert_eq!(first.tier, Tier::Decoded);
     assert_eq!(prep.resolved_tier(), Tier::Functional);
+    let stats = prep.execute().expect("functional execution");
     assert_eq!(stats.tier, Tier::Functional);
-    assert!(
-        stats.cycles_estimated,
-        "wavefront kernels stall, so functional cycles come from the bound"
+    assert_eq!(
+        stats, first,
+        "functional runs report the simulated statistics"
     );
-    assert!(stats.cycles > 0, "analytic cycle model must be populated");
 
     // The default requests, and runs, the decoded tier.
     let mut prep = Accelerator::prepare(
@@ -327,7 +352,6 @@ fn tier_policy_resolution_and_provenance() {
     let stats = prep.execute().expect("decoded execution");
     assert_eq!(prep.resolved_tier(), Tier::Decoded);
     assert_eq!(stats.tier, Tier::Decoded);
-    assert!(!stats.cycles_estimated, "simulated cycles are exact");
 
     // Interpreted is honoured as requested.
     let accel = with_tiers(GendpPipeline::bsw(&scoring), TierPolicy::interpreted());

@@ -172,6 +172,23 @@ fn pairhmm_float_on_fp_array_is_bit_exact() {
         let f = gendp::kernels::pairhmm::forward_f64(&read, &quals, &hap, &params);
         assert!(((got as f64).ln() - f).abs() < 1e-3);
     }
+    // Random unrelated pairs at varied qualities: every mismatch reads the
+    // mismatch prior, so its rounding must agree on both sides.
+    for round in 0..40 {
+        let read = DnaSeq::random(16, &mut rng);
+        let hap = DnaSeq::random(24, &mut rng);
+        let qual = rng.gen_range(10..=40u8);
+        let accel = GendpPipeline::pairhmm_float(&params, qual, hap.len());
+        let out = accel
+            .run(&codes(&read), &codes(&hap), 4)
+            .expect("simulation");
+        let expect = forward_f32(&read, &vec![qual; read.len()], &hap, &params);
+        assert_eq!(
+            pairhmm_float_lik(&out).to_bits(),
+            expect.to_bits(),
+            "unrelated pair {round} at Q{qual}"
+        );
+    }
 }
 
 #[test]

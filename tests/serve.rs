@@ -391,9 +391,8 @@ fn wire_connection_pipelines_and_drains() {
     assert!(stats.totals.drained());
 }
 
-/// Served latency counts admission pricing, which for POA is a full
-/// prepare and verify on every request: a POA request's latency is at
-/// least as long as its own `submit` call.
+/// Served latency counts admission, pricing included: a POA request's
+/// latency is at least as long as its own `submit` call.
 #[test]
 fn served_latency_includes_admission_pricing() {
     let config = ServeConfig {

@@ -1,8 +1,9 @@
 //! Content independence, the property the device template caches rely
 //! on: two tasks of the same shape — same driver configuration, table
 //! dimensions, array width and band — get identical control programs on
-//! every PE and identical certificates, and binding one task's content
-//! into the other's prepared task reproduces the first task's own run.
+//! every PE and identical certificates, their runs report identical
+//! statistics, and binding one task's content into the other's prepared
+//! task reproduces that task's own run.
 
 use gendp::core::{
     pack_halves, pack_lanes, Accelerator, BandSpec, ChainTask, GendpPipeline, PreparedTask,
@@ -68,8 +69,9 @@ fn other(xs: &[i32]) -> Vec<i32> {
     xs.iter().map(|&x| (x + 1) % 4 + (x & !3)).collect()
 }
 
-/// Asserts the two prepared tasks share their programs and certificate,
-/// and that binding `b` into `a` reproduces `b`'s own execution.
+/// Asserts the two prepared tasks share their programs, certificate and
+/// run statistics, and that binding `b` into `a` reproduces `b`'s own
+/// execution.
 fn check_same_shape<A: Accelerator>(
     label: &str,
     accel: &A,
@@ -96,7 +98,11 @@ fn check_same_shape<A: Accelerator>(
     );
     prop_assert_eq!(prep_a.certificate(), prep_b.certificate(), "{}", label);
 
+    // Statistics are a fact of the shape: the functional tier reports a
+    // shape's first simulated run for every later task of it.
+    let own_a = prep_a.execute().expect("own run of a");
     let own = prep_b.execute().expect("own run");
+    prop_assert_eq!(&own_a, &own, "{}: same-shape stats differ", label);
     accel.bind(&mut prep_a, b);
     let bound = prep_a.execute().expect("bound run");
     prop_assert_eq!(&own, &bound, "{}: bound stats differ", label);
