@@ -32,8 +32,7 @@ fn main() {
     }
     println!(
         "(paper: 208 KB of instruction buffers across the tile = ~3 KB/PE;\n\
-         our per-task unrolled programs exceed a loop-rolled encoding by the\n\
-         loop trip counts — the rolled equivalent is the per-cell body, about\n\
-         a dozen instructions)"
+         each row a PE owns is one counted column loop, so a program grows\n\
+         with rows per PE — 15 here — not with cells)"
     );
 }

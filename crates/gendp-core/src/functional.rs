@@ -4,10 +4,11 @@
 //! # Why this is bit-identical to the simulator
 //!
 //! The control programs [`Wavefront2d`](crate::Wavefront2d) generates are
-//! fully unrolled and deterministic: the only inter-PE communication is
-//! the forwarded stream tuple (column character + streamed outputs), which
-//! travels strictly row `i` → row `i+1` in FIFO order through blocking
-//! ports. Stall timing can therefore never change *which* value a cell
+//! deterministic — their counted column loops have fixed trip counts, and
+//! each iteration moves exactly the words a straight-line cell would — and
+//! the only inter-PE communication is the forwarded stream tuple (column
+//! character + streamed outputs), which travels strictly row `i` → row
+//! `i+1` in FIFO order through blocking ports. Stall timing can therefore never change *which* value a cell
 //! reads — only *when* — so executing the rows in global row order (each
 //! PE's rows in increasing order, with that PE's register file persisting
 //! across its rows) commits exactly the same register-file values, cell

@@ -14,13 +14,16 @@
 //!   [`linear1d`] for the 1-D chaining table, [`graph2d`] for
 //!   graph-structured POA, and [`spm1d`] for scratchpad-resident
 //!   Bellman-Ford relaxation.
-//! * Control programs are generated fully unrolled per task *shape* (the
-//!   paper generates control instructions manually, §4.4); per-cell
-//!   instruction counts — the quantities the evaluation reports — are
-//!   identical to a loop-rolled encoding. The 2-D wavefront and chaining
-//!   programs never depend on sequence content, which the host stages in
-//!   the input stream and the scratchpads, so one prepared program set
-//!   serves every task of its shape ([`Accelerator::bind`]).
+//! * Control programs are generated per task *shape* (the paper writes
+//!   them by hand, §4.4). A 2-D wavefront program runs one counted column
+//!   loop per row its PE owns, and chaining one anchor loop after its
+//!   warm-up; the loop control retires in the compute shadow, so the
+//!   programs keep the cycle counts of straight-line code while growing
+//!   with rows per PE rather than with cells. POA and Bellman-Ford stay
+//!   straight-line. The 2-D wavefront and chaining programs never depend
+//!   on sequence content, which the host stages in the input stream and
+//!   the scratchpads, so one prepared program set serves every task of
+//!   its shape ([`Accelerator::bind`]).
 //!
 //! The end-to-end correctness contract, enforced by this crate's tests and
 //! the workspace integration tests: **every kernel's DPAx simulation
@@ -32,6 +35,7 @@
 #![forbid(unsafe_code)]
 
 pub mod accel;
+mod counted;
 pub mod functional;
 pub mod graph2d;
 pub mod linear1d;
@@ -49,4 +53,4 @@ pub use pipeline::{
     pack_halves, pack_lanes, pairhmm_float_lik, pairhmm_loglik, schedule_tile, AcceleratorRun,
     GendpPipeline, TileReport, NEG_SIMD,
 };
-pub use wavefront2d::{Border, RowSource, Wavefront2d, Wavefront2dOutput};
+pub use wavefront2d::{Border, Wavefront2d, Wavefront2dOutput};

@@ -15,6 +15,7 @@
 use gendp_dpax::{PeArray, PeArrayConfig, RunStats, SimError, TierPolicy};
 
 use crate::accel::{Accelerator, ChainTask, PreparedTask};
+use crate::counted::{self, At};
 use gendp_dpmap::{map_dfg, Mapping};
 use gendp_isa::{ControlInst, ControlProgram, Loc, Luts, Mode, Space, Word};
 use gendp_kernels::chain::ChainParams;
@@ -140,42 +141,60 @@ impl ChainAccelerator {
             }
         };
 
-        for i in 0..n_anchors {
+        // (c) take the next resident.
+        let take_resident = |prog: &mut ControlProgram| {
+            prog.push(ControlInst::mv(Loc::rf(qj), in_loc));
+            prog.push(ControlInst::mv(Loc::rf(rj), in_loc));
+            prog.push(ControlInst::mv(Loc::rf(spanj), in_loc));
+            prog.push(ControlInst::mv(Loc::rf(fj), in_loc));
+        };
+
+        for i in 0..n_anchors.min(warmup) {
             // (a) ship the previous resident onward first: the last PE's
             // push is the very record it pops as its next parent.
             if i > 0 {
                 send_resident(&mut prog);
             }
-            // (b) the finalized parent record for this iteration.
-            if i < warmup {
-                // Pipeline warm-up: invalid dummy parents.
+            // (b) pipeline warm-up: an invalid dummy parent.
+            for (dest, imm) in [(qi, DUMMY_POS), (ri, DUMMY_POS), (fi, 0)] {
                 prog.push(ControlInst::Li {
-                    dest: Loc::rf(qi),
-                    imm: DUMMY_POS,
+                    dest: Loc::rf(dest),
+                    imm,
                 });
-                prog.push(ControlInst::Li {
-                    dest: Loc::rf(ri),
-                    imm: DUMMY_POS,
-                });
-                prog.push(ControlInst::Li {
-                    dest: Loc::rf(fi),
-                    imm: 0,
-                });
-            } else {
-                prog.push(ControlInst::mv(Loc::rf(qi), Loc::port(Space::Fifo)));
-                prog.push(ControlInst::mv(Loc::rf(ri), Loc::port(Space::Fifo)));
-                prog.push(ControlInst::mv(Loc::rf(fi), Loc::port(Space::Fifo)));
             }
-            // (c) take the next resident.
-            prog.push(ControlInst::mv(Loc::rf(qj), in_loc));
-            prog.push(ControlInst::mv(Loc::rf(rj), in_loc));
-            prog.push(ControlInst::mv(Loc::rf(spanj), in_loc));
-            prog.push(ControlInst::mv(Loc::rf(fj), in_loc));
+            take_resident(&mut prog);
             // (d) update it.
             prog.push(ControlInst::set_compute(0));
         }
-        // Flush the final resident.
-        if n_anchors > 0 {
+        // The steady state is one counted loop whose (b) pops the
+        // finalized parent record from the broadcast FIFO.
+        let steady = n_anchors.saturating_sub(warmup);
+        if steady > 0 {
+            send_resident(&mut prog);
+            let run = counted::Run {
+                cells: steady,
+                looped: steady,
+                first: 0,
+                accs: Vec::new(),
+                reads_index: false,
+            };
+            let load = |prog: &mut ControlProgram, _k: usize, _at: At| {
+                for dest in [qi, ri, fi] {
+                    prog.push(ControlInst::mv(Loc::rf(dest), Loc::port(Space::Fifo)));
+                }
+                take_resident(prog);
+            };
+            let store = |prog: &mut ControlProgram, _k: usize| send_resident(prog);
+            counted::emit(
+                &mut prog,
+                self.mapping.program.len(),
+                &run,
+                &mut None,
+                load,
+                store,
+            );
+        } else if n_anchors > 0 {
+            // Flush the final resident.
             send_resident(&mut prog);
         }
         prog.push(ControlInst::Halt);

@@ -6,9 +6,13 @@
 //! the input data buffer, while column characters and boundary values
 //! stream through the systolic chain. The FIFO carries the boundary between
 //! row groups (last PE of group `g` → first PE of group `g+1`). Programs
-//! are generated fully unrolled per task *shape* — rows, columns, PE count
-//! and band — and never contain a sequence character: [`Accelerator::bind`]
-//! stages a task's content into a prepared task of its shape.
+//! are generated per task *shape* — rows, columns, PE count and band — and
+//! never contain a sequence character: [`Accelerator::bind`] stages a
+//! task's content into a prepared task of its shape. Each row a PE owns is
+//! a prologue and one counted column loop whose control retires in the
+//! compute shadow (module `counted`), so a program holds O(rows / PEs)
+//! instructions and runs exactly as many cycles as the straight-line code
+//! it replaces.
 
 use std::collections::BTreeMap;
 
@@ -16,6 +20,7 @@ use gendp_dfg::Dfg;
 use gendp_dpax::{PeArray, PeArrayConfig, RunStats, SimError, Tier, TierPolicy};
 
 use crate::accel::{Accelerator, BandSpec, PreparedTask, WavefrontTask};
+use crate::counted::{self, At};
 use crate::functional::{FunctionalPlan, PlanDiag, PlanLeft, PlanStream, RoleSlots};
 use gendp_dpmap::{map_dfg, Mapping};
 use gendp_isa::{ControlInst, ControlProgram, Loc, Luts, Mode, Space, Word};
@@ -53,6 +58,19 @@ pub enum Border {
 }
 
 impl Border {
+    /// `(base, step)` with `at(k) = base + step * k` for every `k >= 1`,
+    /// when the border changes along that range.
+    fn linear_tail(self) -> Option<(i32, i32)> {
+        match self {
+            Border::Linear { base, step } | Border::FirstThenLinear { base, step, .. }
+                if step != 0 =>
+            {
+                Some((base, step))
+            }
+            _ => None,
+        }
+    }
+
     /// The border value at index `k`.
     pub fn at(self, k: usize) -> i32 {
         match self {
@@ -74,17 +92,6 @@ impl Border {
             }
         }
     }
-}
-
-/// Where a row's incoming stream originates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RowSource {
-    /// Row 0: borders only, column characters from the input data buffer.
-    Borders,
-    /// From the previous PE's output port.
-    Port,
-    /// From the FIFO (first row of a later row group).
-    Fifo,
 }
 
 #[derive(Debug, Clone)]
@@ -404,103 +411,149 @@ impl Wavefront2d {
         &self.mapping
     }
 
-    /// Generates the fully unrolled control program for PE `p` of `n_pes`,
-    /// for an `m`-row, `n`-column table. The program depends only on the
-    /// shape: PE `p` reads the character of its `t`-th own row (row
-    /// `p + t * n_pes`) from `spm[t]`, which [`bind`](Self::bind) stages.
-    fn pe_program(&self, p: usize, n_pes: usize, m: usize, n: usize) -> ControlProgram {
+    /// Generates the control program of PE `p` of `n_pes` for an `m`-row,
+    /// `n`-column table. The program depends only on the shape: PE `p`
+    /// reads the character of its `t`-th own row (row `p + t * n_pes`)
+    /// from `spm[t]`, which [`bind`](Self::bind) stages. Each row is a
+    /// prologue and one counted column loop ([`counted`]); the column
+    /// index is the induction register and row-0 linear borders come from
+    /// accumulators.
+    ///
+    /// With a band width, row `i` computes columns `i..i+width` of a
+    /// column sequence padded with sentinel characters (paper §7.6.2:
+    /// static active regions), so every row has the same cell count and
+    /// the streams stay balanced with a one-tuple shift. Column characters
+    /// differ row to row inside the band, so each PE reads them from its
+    /// scratchpad: padded column `i + k` sits at `spm[rows_per_pe + i + k]`,
+    /// past the row characters. The last cell of a banded row, whose up
+    /// neighbour lies outside the band, stays out of the loop.
+    fn pe_program(
+        &self,
+        p: usize,
+        n_pes: usize,
+        m: usize,
+        n: usize,
+        band: Option<usize>,
+    ) -> ControlProgram {
         let roles = self.roles();
+        assert!(
+            band.is_none() || roles.collects.is_empty() && roles.diags.len() <= roles.streams.len(),
+            "banded mode drains per-PE state only"
+        );
+        let compute_len = self.mapping.program.len();
+        let window = m.div_ceil(n_pes);
+        let cells = band.unwrap_or(n);
         let mut prog = ControlProgram::new();
-        let last_owner = (m - 1) % n_pes;
+        let mut bound = None;
 
-        let mut row = p;
-        while row < m {
-            let source = if row == 0 {
-                RowSource::Borders
-            } else if p == 0 {
-                RowSource::Fifo
+        for row in (p..m).step_by(n_pes) {
+            let src = if row > 0 && p == 0 {
+                Loc::port(Space::Fifo)
             } else {
-                RowSource::Port
+                Loc::port(Space::In)
             };
-            let src_loc = match source {
-                RowSource::Fifo => Loc::port(Space::Fifo),
-                _ => Loc::port(Space::In),
-            };
-            let is_last_row = row == m - 1;
+            let last_row = row == m - 1;
             // Forward destination for the next row's stream.
-            let fwd_loc = if p == n_pes - 1 && !is_last_row {
+            let fwd = if p == n_pes - 1 && !last_row {
                 Loc::port(Space::Fifo)
             } else {
                 Loc::port(Space::Out)
             };
 
-            // Row prologue.
+            // Row prologue. A banded row's first diagonal is the previous
+            // row's first tuple (the band shift); row 0 preloads borders.
             prog.push(ControlInst::mv(rf(roles.row_char), spm(row / n_pes)));
-            let first_own_row = row == p;
             for l in &roles.lefts {
-                if l.per_row || first_own_row {
-                    prog.push(ControlInst::Li {
-                        dest: rf(l.ext),
-                        imm: l.col0.at(row),
-                    });
+                if l.per_row || row == p {
+                    prog.push(li(rf(l.ext), l.col0.at(row)));
                 }
             }
             for s in &roles.streams {
-                let preload = if row == 0 {
-                    s.row0.at(0)
-                } else {
-                    s.col0.at(row - 1)
-                };
-                prog.push(ControlInst::Li {
-                    dest: rf(s.landing),
-                    imm: preload,
+                prog.push(match (row, band) {
+                    (0, _) => li(rf(s.landing), s.row0.at(0)),
+                    (_, Some(_)) => ControlInst::mv(rf(s.landing), src),
+                    (_, None) => li(rf(s.landing), s.col0.at(row - 1)),
                 });
             }
 
-            for c in 1..=n {
-                // Column character.
-                prog.push(ControlInst::mv(rf(roles.col_char), src_loc));
+            // Row 0's linear borders step in accumulators.
+            let mut accs = Vec::new();
+            let acc_of: Vec<Option<usize>> = roles
+                .streams
+                .iter()
+                .map(|s| {
+                    let (base, step) = s.row0.linear_tail().filter(|_| row == 0)?;
+                    accs.push((base + step, step));
+                    Some(accs.len() - 1)
+                })
+                .collect();
+            let run = counted::Run {
+                cells,
+                // The band window is read relative to the induction
+                // register, whose offset must fit 16 bits.
+                looped: match band {
+                    None => cells,
+                    Some(_) if window <= i16::MAX as usize => cells - 1,
+                    Some(_) => 0,
+                },
+                // The column index of cell 0.
+                first: (band.map_or(0, |_| row) + 1) as i32,
+                accs,
+                reads_index: roles.col_index.is_some(),
+            };
+            let load = |prog: &mut ControlProgram, k: usize, at: At| {
+                let col = match band {
+                    None => src,
+                    Some(_) => counted::spm(window + row + k, at),
+                };
+                prog.push(ControlInst::mv(rf(roles.col_char), col));
                 // Diagonal shifts read landings before they are updated.
                 for d in &roles.diags {
                     prog.push(ControlInst::mv(rf(d.ext), rf(roles.streams[d.src].landing)));
                 }
-                // Landing updates.
-                for s in &roles.streams {
-                    if row == 0 {
-                        prog.push(ControlInst::Li {
-                            dest: rf(s.landing),
-                            imm: s.row0.at(c),
-                        });
+                // The up values: the next streamed tuple, or a border.
+                for (s, acc) in roles.streams.iter().zip(&acc_of) {
+                    prog.push(if band == Some(k + 1) {
+                        li(rf(s.landing), s.row0.at(row + k + 1))
+                    } else if row > 0 {
+                        ControlInst::mv(rf(s.landing), src)
+                    } else if let (At::Reg { .. }, Some(i)) = (at, acc) {
+                        ControlInst::mv(rf(s.landing), counted::acc(*i))
                     } else {
-                        prog.push(ControlInst::mv(rf(s.landing), src_loc));
-                    }
-                }
-                if let Some(j) = roles.col_index {
-                    prog.push(ControlInst::Li {
-                        dest: rf(j),
-                        imm: c as i32,
+                        li(rf(s.landing), s.row0.at(k + 1))
                     });
                 }
-                prog.push(ControlInst::set_compute(0));
-                if is_last_row {
+                if let Some(j) = roles.col_index {
+                    prog.push(match at {
+                        At::Imm => li(rf(j), run.first + k as i32),
+                        At::Reg { .. } => {
+                            ControlInst::mv(rf(j), Loc::areg(counted::INDUCTION.into()))
+                        }
+                    });
+                }
+            };
+            let store = |prog: &mut ControlProgram, _k: usize| {
+                if last_row {
                     for &slot in &roles.collects {
                         prog.push(ControlInst::mv(Loc::port(Space::Out), rf(slot)));
                     }
                 } else {
-                    prog.push(ControlInst::mv(fwd_loc, rf(roles.col_char)));
+                    if band.is_none() {
+                        prog.push(ControlInst::mv(fwd, rf(roles.col_char)));
+                    }
                     for s in &roles.streams {
-                        prog.push(ControlInst::mv(fwd_loc, rf(s.out)));
+                        prog.push(ControlInst::mv(fwd, rf(s.out)));
                     }
                 }
                 for l in &roles.lefts {
                     prog.push(ControlInst::mv(rf(l.ext), rf(l.out)));
                 }
-            }
-            row += n_pes;
+            };
+            counted::emit(&mut prog, compute_len, &run, &mut bound, load, store);
         }
 
         // Relay the last row's collected words if they pass through us.
-        if p > last_owner {
+        if p > (m - 1) % n_pes {
             for _ in 0..(n * roles.collects.len()) {
                 prog.push(ControlInst::mv(Loc::port(Space::Out), Loc::port(Space::In)));
             }
@@ -524,113 +577,6 @@ impl Wavefront2d {
             }
         }
         prog.push(ControlInst::Halt);
-    }
-
-    /// Generates the control program of PE `p` for an `m`-row *banded*
-    /// table (paper §7.6.2: static active regions): row `i` computes
-    /// columns `i..i+width` of a column sequence padded with sentinel
-    /// characters, so every row has the same cell count and the streams
-    /// stay balanced with a one-tuple shift. Column characters differ row
-    /// to row inside the band, so each PE reads them from its scratchpad:
-    /// padded column `i + k` sits at `spm[rows_per_pe + i + k]`, past the
-    /// row characters (see [`bind`](Self::bind)).
-    fn pe_program_banded(&self, p: usize, n_pes: usize, m: usize, width: usize) -> ControlProgram {
-        let roles = self.roles();
-        let mut prog = ControlProgram::new();
-        assert!(
-            roles.collects.is_empty() && roles.diags.len() <= roles.streams.len(),
-            "banded mode drains per-PE state only"
-        );
-        let window = m.div_ceil(n_pes);
-
-        let mut row = p;
-        while row < m {
-            let source = if row == 0 {
-                RowSource::Borders
-            } else if p == 0 {
-                RowSource::Fifo
-            } else {
-                RowSource::Port
-            };
-            let src_loc = match source {
-                RowSource::Fifo => Loc::port(Space::Fifo),
-                _ => Loc::port(Space::In),
-            };
-            let is_last_row = row == m - 1;
-            let fwd_loc = if p == n_pes - 1 && !is_last_row {
-                Loc::port(Space::Fifo)
-            } else {
-                Loc::port(Space::Out)
-            };
-
-            prog.push(ControlInst::mv(rf(roles.row_char), spm(row / n_pes)));
-            for l in &roles.lefts {
-                if l.per_row || row == p {
-                    prog.push(ControlInst::Li {
-                        dest: rf(l.ext),
-                        imm: l.col0.at(row),
-                    });
-                }
-            }
-            // Band shift: the previous row's FIRST tuple is this row's
-            // first diagonal, so it preloads the landings; row 0 preloads
-            // its borders.
-            for s in &roles.streams {
-                if row == 0 {
-                    prog.push(ControlInst::Li {
-                        dest: rf(s.landing),
-                        imm: s.row0.at(0),
-                    });
-                } else {
-                    prog.push(ControlInst::mv(rf(s.landing), src_loc));
-                }
-            }
-
-            for k in 0..width {
-                // Column character: padded column index row + k.
-                prog.push(ControlInst::mv(rf(roles.col_char), spm(window + row + k)));
-                for d in &roles.diags {
-                    prog.push(ControlInst::mv(rf(d.ext), rf(roles.streams[d.src].landing)));
-                }
-                // The up value: next streamed tuple, except the last cell of
-                // the row, whose up-neighbor sits outside the band.
-                for s in &roles.streams {
-                    if k + 1 == width {
-                        prog.push(ControlInst::Li {
-                            dest: rf(s.landing),
-                            imm: s.row0.at(row + k + 1),
-                        });
-                    } else if row == 0 {
-                        prog.push(ControlInst::Li {
-                            dest: rf(s.landing),
-                            imm: s.row0.at(k + 1),
-                        });
-                    } else {
-                        prog.push(ControlInst::mv(rf(s.landing), src_loc));
-                    }
-                }
-                if let Some(j) = roles.col_index {
-                    prog.push(ControlInst::Li {
-                        dest: rf(j),
-                        imm: (row + k + 1) as i32,
-                    });
-                }
-                prog.push(ControlInst::set_compute(0));
-                if !is_last_row {
-                    for s in &roles.streams {
-                        prog.push(ControlInst::mv(fwd_loc, rf(s.out)));
-                    }
-                }
-                for l in &roles.lefts {
-                    prog.push(ControlInst::mv(rf(l.ext), rf(l.out)));
-                }
-            }
-            row += n_pes;
-        }
-
-        // Drain per-PE state exactly as the full-table path does.
-        self.push_drains(&mut prog, p, n_pes, m);
-        prog
     }
 
     /// Runs one *banded* task (paper §7.6.2): row `i` computes `width`
@@ -678,7 +624,7 @@ impl Wavefront2d {
     ) -> Vec<ControlProgram> {
         assert!(!rows.is_empty() && !cols.is_empty(), "empty table");
         (0..n_pes)
-            .map(|p| self.pe_program(p, n_pes, rows.len(), cols.len()))
+            .map(|p| self.pe_program(p, n_pes, rows.len(), cols.len(), None))
             .collect()
     }
 
@@ -734,10 +680,7 @@ impl Wavefront2d {
         cfg.spm_words = cfg.spm_words.max(staged);
         let mut array = PeArray::new(cfg);
         for p in 0..n_pes {
-            let mut program = match band {
-                Some(width) => self.pe_program_banded(p, n_pes, m, width),
-                None => self.pe_program(p, n_pes, m, n),
-            };
+            let mut program = self.pe_program(p, n_pes, m, n, band);
             // A prepared task may stay loaded as a template.
             program.shrink_to_fit();
             array.load_pe_control(p, program);
@@ -938,6 +881,11 @@ impl Wavefront2d {
             band: None,
         })
     }
+}
+
+/// An immediate load.
+fn li(dest: Loc, imm: i32) -> ControlInst {
+    ControlInst::Li { dest, imm }
 }
 
 /// A direct register-file location.

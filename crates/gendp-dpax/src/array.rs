@@ -205,8 +205,8 @@ impl PeArray {
 
     /// Statically verifies the loaded programs and keeps the proofs: the
     /// returned [`Certificate`](gendp_verify::Certificate) carries the
-    /// bounds proofs, the static cycle model and the FIFO/footprint
-    /// bounds the fixpoint established alongside the diagnostics.
+    /// bounds proofs, the cycle floor, the DP-cell cost and the FIFO bound
+    /// the fixpoint established alongside the diagnostics.
     pub fn certify_programs(&self) -> (gendp_verify::Report, gendp_verify::Certificate) {
         let contract = gendp_verify::PeContract {
             n_pes: self.cfg.n_pes,

@@ -6,13 +6,12 @@
 //! instead of throwing them away:
 //!
 //! * **bounds proofs** — every register-file / scratchpad / address-register
-//!   access resolved to an interval definitely inside its space, per PE,
-//!   with the accessed footprint recorded;
+//!   access resolved to an interval definitely inside its space, per PE;
 //! * **a cycle floor** — per-PE active-cycle intervals from the fixpoint
 //!   (one cycle per retired control instruction), whose largest lower end
 //!   no successful run can undercut;
-//! * **FIFO traffic bounds** — per-PE push/pop intervals, aggregated into
-//!   a peak-occupancy bound.
+//! * **FIFO traffic bounds** — per-PE push intervals, aggregated into a
+//!   peak-occupancy bound.
 //!
 //! Consumers: `gendp-core` runs a task on the functional tier only when
 //! its programs certify safe, and `gendp-serve`'s opt-in deadline gate
@@ -30,14 +29,12 @@
 //! cycles  >=  max over PEs of issue.lo
 //! ```
 
-use gendp_isa::{ComputeProgram, CuInst, Operand};
-
 use crate::interval::Interval;
 
-/// The per-PE slice of a [`Certificate`]: what the fixpoint proved about
-/// one control/compute program pair at its chain position.
+/// What the fixpoint proved about one control/compute program pair at
+/// its chain position.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PeCertificate {
+pub(crate) struct PeCertificate {
     /// Active control-thread cycles: one per retired instruction
     /// (including `halt`), plus one for the silent-halt discovery cycle
     /// when the pc runs off the program end. `Interval::TOP` when no exit
@@ -47,13 +44,6 @@ pub struct PeCertificate {
     pub cu_sets: Interval,
     /// FIFO words pushed over all exits.
     pub pushes: Interval,
-    /// FIFO words popped over all exits.
-    pub pops: Interval,
-    /// Hull of register-file addresses the PE accesses (control thread
-    /// plus compute operands); `None` when the RF is never touched.
-    pub rf_footprint: Option<Interval>,
-    /// Hull of scratchpad addresses the PE accesses.
-    pub spm_footprint: Option<Interval>,
     /// Every control-thread address (direct and indirect, all spaces)
     /// resolved to an interval provably inside its space.
     pub bounds_proven: bool,
@@ -68,7 +58,6 @@ pub struct PeCertificate {
 /// [`Verifier::certify_array`](crate::Verifier::certify_array).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Certificate {
-    per_pe: Vec<PeCertificate>,
     cycle_floor: u64,
     cost_cells: Option<u64>,
     cells_exact: bool,
@@ -80,7 +69,7 @@ impl Certificate {
     /// Aggregates per-PE proofs into the whole-array certificate.
     /// `clean` is whether the *unfiltered* report was error-free —
     /// `allow`-suppressed errors must not launder a program into safety.
-    pub(crate) fn assemble(per_pe: Vec<PeCertificate>, clean: bool) -> Certificate {
+    pub(crate) fn assemble(per_pe: &[PeCertificate], clean: bool) -> Certificate {
         let safe = clean && per_pe.iter().all(|p| p.bounds_proven);
         let all_terminate = per_pe.iter().all(|p| p.terminates);
 
@@ -107,18 +96,12 @@ impl Certificate {
             });
 
         Certificate {
-            per_pe,
             cycle_floor,
             cost_cells,
             cells_exact,
             fifo_peak,
             safe,
         }
-    }
-
-    /// The per-PE proofs, in chain order.
-    pub fn per_pe(&self) -> &[PeCertificate] {
-        &self.per_pe
     }
 
     /// Proven lower bound on whole-array cycles: no successful run
@@ -150,38 +133,4 @@ impl Certificate {
     pub fn safe(&self) -> bool {
         self.safe
     }
-}
-
-/// Hull of register-file slots the compute program reads or writes.
-pub(crate) fn compute_rf_hull(program: &ComputeProgram) -> Option<Interval> {
-    let mut hull: Option<Interval> = None;
-    let mut touch = |r: u16| {
-        let iv = Interval::exact(r as i64);
-        hull = Some(match hull {
-            Some(prev) => prev.join(iv),
-            None => iv,
-        });
-    };
-    for inst in program.iter() {
-        for slot in &inst.slots {
-            match slot {
-                CuInst::Nop => {}
-                CuInst::Mul { a, b, dest } => {
-                    for op in [a, b] {
-                        if let Operand::Reg(r) = op {
-                            touch(*r);
-                        }
-                    }
-                    touch(*dest);
-                }
-                CuInst::Tree(tree) => {
-                    for r in tree.reg_reads() {
-                        touch(r);
-                    }
-                    touch(tree.dest);
-                }
-            }
-        }
-    }
-    hull
 }

@@ -15,10 +15,21 @@
 //!   register-file accesses can be bounds-checked symbolically,
 //! * interval counts of FIFO pushes and pops, for balance checking.
 //!
-//! Loops terminate the fixpoint through standard widening at their heads,
-//! which are leaders. After the fixpoint, one reporting pass walks every
-//! reachable block again from its converged entry state and emits
-//! diagnostics.
+//! A *counted loop* — a straight-line region closed by `blt aI aB` back to
+//! its own head, entered only by falling into the head, whose induction
+//! register `aI` one `addi` steps up and whose other written registers
+//! only step by constant self-`addi`s — is summarized in closed form when
+//! the registers it depends on are exact at the head: the trip count
+//! follows from them, the body is walked once for its per-iteration
+//! change in cycles, cells and FIFO traffic, and the exit state is the
+//! entry state plus the trip count times that change. The loops are found
+//! from the program alone, so the result does not depend on which pcs are
+//! leaders. Every other loop terminates the fixpoint through standard
+//! widening at its head, which is a leader. After the fixpoint, one
+//! reporting pass walks every reachable block again from its converged
+//! entry state and emits diagnostics; a summarized loop's body is
+//! reported once, each stepped register over the range it takes across
+//! the iterations.
 
 use gendp_isa::{Addr, AddrReg, BranchCond, ControlInst, ControlProgram, Loc, SetTarget, Space};
 
@@ -132,43 +143,20 @@ pub(crate) struct ExitSummary {
     pub cu_sets: Interval,
 }
 
-/// Bounds proofs and address footprints collected during the reporting
-/// pass, the raw material of a [`crate::Certificate`].
+/// Bounds proofs collected during the reporting pass, the raw material of
+/// a [`crate::Certificate`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct CertScan {
     /// Every checked address (direct and indirect, all sized spaces)
     /// resolved to an interval provably inside its space.
     pub all_in_bounds: bool,
-    /// Hull of register-file addresses accessed by the control thread.
-    pub rf: Option<Interval>,
-    /// Hull of scratchpad addresses accessed by the control thread.
-    pub spm: Option<Interval>,
 }
 
 impl Default for CertScan {
     fn default() -> Self {
         CertScan {
             all_in_bounds: true,
-            rf: None,
-            spm: None,
         }
-    }
-}
-
-impl CertScan {
-    fn record(&mut self, space: Space, addr: Interval, in_bounds: bool) {
-        if !in_bounds {
-            self.all_in_bounds = false;
-        }
-        let slot = match space {
-            Space::Rf => &mut self.rf,
-            Space::Spm => &mut self.spm,
-            _ => return,
-        };
-        *slot = Some(match *slot {
-            Some(prev) => prev.join(addr),
-            None => addr,
-        });
     }
 }
 
@@ -180,7 +168,7 @@ pub(crate) struct ControlOutcome {
     pub fifo: Option<FifoTraffic>,
     /// Cycle-model summary over all reachable exits; `None` like `fifo`.
     pub exit: Option<ExitSummary>,
-    /// Bounds proofs and footprints from the reporting pass.
+    /// Bounds proofs from the reporting pass.
     pub scan: CertScan,
 }
 
@@ -204,6 +192,89 @@ struct Edge {
 
 /// Per-register refinements of one edge: at most one per branch operand.
 type Refine = [Option<(usize, Interval)>; 2];
+
+/// A counted loop: the straight-line region `head..=end`, closed by
+/// `blt aI aB` at `end` and entered only by falling into `head`.
+#[derive(Debug)]
+struct CountedLoop {
+    head: usize,
+    end: usize,
+    /// The bound register `aB`, which the body never writes.
+    bound: usize,
+    /// Each register the body writes, with the constant its one
+    /// self-`addi` adds per iteration; the induction register `aI` comes
+    /// first, with a positive step.
+    steps: Vec<(usize, i64)>,
+}
+
+/// The counted loops of `program`, ascending by head. They depend on the
+/// program alone: a loop's region holds no other branch and no `halt`, and
+/// no branch but its own targets it.
+fn counted_loops(program: &ControlProgram) -> Vec<CountedLoop> {
+    let branches: Vec<(usize, i64)> = program
+        .iter()
+        .enumerate()
+        .filter_map(|(pc, inst)| match inst {
+            ControlInst::Branch { offset, .. } => Some((pc, pc as i64 + *offset as i64)),
+            _ => None,
+        })
+        .collect();
+    let mut targets: Vec<i64> = branches.iter().map(|&(_, t)| t).collect();
+    targets.sort_unstable();
+    let mut loops = Vec::new();
+    for (b, &(end, head)) in branches.iter().enumerate() {
+        let Some(&ControlInst::Branch {
+            cond: BranchCond::Lt,
+            rs1,
+            rs2,
+            ..
+        }) = program.get(end)
+        else {
+            continue;
+        };
+        if head < 1 || head >= end as i64 {
+            continue;
+        }
+        let after_previous = b == 0 || (branches[b - 1].0 as i64) < head;
+        let targeted =
+            targets.partition_point(|&t| t <= end as i64) - targets.partition_point(|&t| t < head);
+        if !after_previous || targeted != 1 {
+            continue;
+        }
+        let head = head as usize;
+        let mut steps: Vec<(usize, i64)> = Vec::new();
+        let straight = program
+            .iter()
+            .skip(head)
+            .take(end - head)
+            .all(|inst| match inst {
+                ControlInst::Addi { rd, rs1, imm } if rd == rs1 => {
+                    let fresh = steps.iter().all(|&(r, _)| r != rd.0 as usize);
+                    steps.push((rd.0 as usize, *imm as i64));
+                    fresh
+                }
+                ControlInst::Halt | ControlInst::Add { .. } | ControlInst::Addi { .. } => false,
+                ControlInst::Li { dest, .. } | ControlInst::Mv { dest, .. } => {
+                    dest.space() != Space::Areg
+                }
+                _ => true,
+            });
+        let (induction, bound) = (rs1.0 as usize, rs2.0 as usize);
+        let Some(i) = steps.iter().position(|&(r, k)| r == induction && k > 0) else {
+            continue;
+        };
+        if straight && steps.iter().all(|&(r, _)| r != bound) {
+            steps.swap(0, i);
+            loops.push(CountedLoop {
+                head,
+                end,
+                bound,
+                steps,
+            });
+        }
+    }
+    loops
+}
 
 /// Block leaders in ascending order: pc 0, every in-range branch target
 /// and every branch fall-through. Any other instruction can only be
@@ -272,6 +343,7 @@ impl<'a> ControlAnalysis<'a> {
             };
         }
 
+        let loops = counted_loops(program);
         // Entry states and join counts, indexed like `leaders`.
         let mut entry: Vec<Option<AState>> = vec![None; leaders.len()];
         let mut joins = vec![0u32; leaders.len()];
@@ -283,7 +355,7 @@ impl<'a> ControlAnalysis<'a> {
 
         while let Some(block) = work.pop() {
             st.clone_from(entry[block].as_ref().expect("worklist blocks have states"));
-            let (last, out) = self.walk(program, leaders, block, &mut st, None, None);
+            let (last, out) = self.walk(program, leaders, &loops, block, &mut st, None, None);
             let edges = match out {
                 Flow::Halt => {
                     absorb_exit(&mut exit_state, &st);
@@ -331,7 +403,7 @@ impl<'a> ControlAnalysis<'a> {
         }
 
         // Reporting pass over the converged entry states, which doubles
-        // as the certificate scan (footprints, bounds proofs).
+        // as the certificate scan (bounds proofs).
         let mut report = Report::new();
         let mut scan = CertScan::default();
         for (block, state) in entry.iter().enumerate() {
@@ -340,6 +412,7 @@ impl<'a> ControlAnalysis<'a> {
                 self.walk(
                     program,
                     leaders,
+                    &loops,
                     block,
                     &mut st,
                     Some(&mut report),
@@ -371,12 +444,16 @@ impl<'a> ControlAnalysis<'a> {
 
     /// Walks block `block` forward from the state in `st`, updating it in
     /// place, and stops after a branch, a `halt` or the instruction before
-    /// the next leader. Returns that last pc and its flow. With a `sink`,
-    /// also emits each instruction's diagnostics (the reporting pass).
+    /// the next leader. Returns that last pc and its flow. A block that
+    /// starts a counted loop whose preconditions hold is the whole loop,
+    /// summarized. With a `sink`, also emits each instruction's
+    /// diagnostics (the reporting pass).
+    #[allow(clippy::too_many_arguments)]
     fn walk(
         &self,
         program: &ControlProgram,
         leaders: &[usize],
+        loops: &[CountedLoop],
         block: usize,
         st: &mut AState,
         mut sink: Option<&mut Report>,
@@ -385,6 +462,11 @@ impl<'a> ControlAnalysis<'a> {
         let len = program.len();
         let end = leaders.get(block + 1).copied().unwrap_or(len);
         let mut pc = leaders[block];
+        if let Ok(i) = loops.binary_search_by_key(&pc, |l| l.head) {
+            if self.summarize(program, &loops[i], st, &mut sink, &mut cert) {
+                return (loops[i].end, Flow::Next);
+            }
+        }
         loop {
             let inst = program.get(pc).expect("pc in range");
             let out = self.transfer(pc, len, inst, st, sink.as_deref_mut(), cert.as_deref_mut());
@@ -396,6 +478,95 @@ impl<'a> ControlAnalysis<'a> {
             }
             pc += 1;
         }
+    }
+
+    /// Moves `st` from the head of `lp` past its exit in closed form, when
+    /// the bound and every stepped register are initialized and exact and
+    /// no stepped register leaves `i32` on the way; returns whether it
+    /// did. The trip count `T` is `max(1, ⌈(bound - start) / step⌉)`. The
+    /// body is walked once, each stepped register over the range it takes
+    /// across the iterations — the reporting pass's diagnostics and bounds
+    /// proofs — and that walk's change in cycles, cells and FIFO traffic,
+    /// times `T`, is added to `st`.
+    fn summarize(
+        &self,
+        program: &ControlProgram,
+        lp: &CountedLoop,
+        st: &mut AState,
+        sink: &mut Option<&mut Report>,
+        cert: &mut Option<&mut CertScan>,
+    ) -> bool {
+        let exact = |r: usize| {
+            let known = r < st.vals.len() && st.init & (1 << r) != 0;
+            known
+                .then(|| st.vals[r])
+                .filter(|v| v.lo == v.hi)
+                .map(|v| v.lo)
+        };
+        let (Some(start), Some(bound)) = (exact(lp.steps[0].0), exact(lp.bound)) else {
+            return false;
+        };
+        let (span, step) = (bound - start, lp.steps[0].1);
+        let trips = if span > 0 {
+            (span + step - 1) / step
+        } else {
+            1
+        };
+        let i32_range = i32::MIN as i64..=i32::MAX as i64;
+        let mut from = Vec::with_capacity(lp.steps.len());
+        for &(r, k) in &lp.steps {
+            let exit = |v: i64| trips.checked_mul(k).and_then(|d| d.checked_add(v));
+            match exact(r) {
+                Some(v)
+                    if i32_range.contains(&v)
+                        && exit(v).is_some_and(|e| i32_range.contains(&e)) =>
+                {
+                    from.push(v);
+                }
+                _ => return false,
+            }
+        }
+
+        let mut body = st.clone();
+        for counter in [
+            &mut body.pushes,
+            &mut body.pops,
+            &mut body.cycles,
+            &mut body.cu_sets,
+        ] {
+            *counter = Interval::exact(0);
+        }
+        for (&(r, k), &v) in lp.steps.iter().zip(&from) {
+            let last = v + (trips - 1) * k;
+            body.vals[r] = Interval {
+                lo: v.min(last),
+                hi: v.max(last),
+            };
+        }
+        let len = program.len();
+        for pc in lp.head..=lp.end {
+            let inst = program.get(pc).expect("loop in range");
+            self.transfer(
+                pc,
+                len,
+                inst,
+                &mut body,
+                sink.as_deref_mut(),
+                cert.as_deref_mut(),
+            );
+            if let Some(report) = sink.as_deref_mut() {
+                self.check_loop_termination(pc, inst, program, report);
+            }
+        }
+
+        st.pushes = st.pushes.add_const(trips * body.pushes.lo);
+        st.pops = st.pops.add_const(trips * body.pops.lo);
+        st.cycles = st.cycles.add_const(trips * body.cycles.lo);
+        st.cu_sets = st.cu_sets.add_const(trips * body.cu_sets.lo);
+        for (&(r, k), &v) in lp.steps.iter().zip(&from) {
+            st.vals[r] = Interval::exact(v + trips * k);
+        }
+        true
     }
 
     fn loc(&self, pc: usize) -> DiagLoc {
@@ -478,8 +649,8 @@ impl<'a> ControlAnalysis<'a> {
 
     /// Checks a direct or indirect address against its space, emitting
     /// addr-bounds diagnostics; reads the base register of indirect forms.
-    /// With a `cert` scan, also records the access footprint and whether
-    /// the address is provably in bounds.
+    /// With a `cert` scan, also records whether the address is provably in
+    /// bounds.
     fn check_addr(
         &self,
         loc: &Loc,
@@ -495,7 +666,7 @@ impl<'a> ControlAnalysis<'a> {
             Addr::Direct(d) => {
                 let in_bounds = (d as usize) < size;
                 if let Some(scan) = cert.as_deref_mut() {
-                    scan.record(loc.space(), Interval::exact(d as i64), in_bounds);
+                    scan.all_in_bounds &= in_bounds;
                 }
                 if !in_bounds {
                     if let Some(report) = sink {
@@ -515,7 +686,7 @@ impl<'a> ControlAnalysis<'a> {
                 let addr = base.add_const(offset as i64);
                 let verdict = addr.bounds_check(size);
                 if let Some(scan) = cert.as_deref_mut() {
-                    scan.record(loc.space(), addr, verdict == BoundsVerdict::In);
+                    scan.all_in_bounds &= verdict == BoundsVerdict::In;
                 }
                 if let Some(report) = sink {
                     match verdict {
@@ -999,7 +1170,7 @@ mod programs;
 
 #[cfg(test)]
 mod tests {
-    use super::programs::{inst_from, inst_sel, seed_program, CONDS};
+    use super::programs::{inst_from, inst_sel, seed_program, InstSel, CONDS};
     use super::*;
     use proptest::prelude::*;
 
@@ -1097,8 +1268,116 @@ mod tests {
         insts
     }
 
+    /// A loop body the closed-form summary accepts: random instructions
+    /// with branches and `halt` turned into `nop`, and every address
+    /// register write turned into a self-`addi` of a register other than
+    /// `c` and `b`, each register stepped once. Returns the body and the
+    /// stepped registers.
+    fn summarizable_body(sels: Vec<InstSel>, c: u8, b: u8) -> (Vec<ControlInst>, Vec<u8>) {
+        let mut stepped = Vec::new();
+        let body = sels
+            .into_iter()
+            .map(|sel| {
+                let inst = inst_from(sel);
+                let writes_areg = match inst {
+                    ControlInst::Add { .. } | ControlInst::Addi { .. } => true,
+                    ControlInst::Li { dest, .. } | ControlInst::Mv { dest, .. } => {
+                        dest.space() == Space::Areg
+                    }
+                    _ => false,
+                };
+                let r = sel.1 % 16;
+                match inst {
+                    ControlInst::Branch { .. } | ControlInst::Halt => ControlInst::Nop,
+                    _ if !writes_areg => inst,
+                    _ if r == c || r == b || stepped.contains(&r) => ControlInst::Nop,
+                    _ => {
+                        stepped.push(r);
+                        ControlInst::Addi {
+                            rd: AddrReg(r),
+                            rs1: AddrReg(r),
+                            imm: sel.3 % 8,
+                        }
+                    }
+                }
+            })
+            .collect();
+        (body, stepped)
+    }
+
+    /// The rules a report fired.
+    fn rules(report: &Report) -> std::collections::BTreeSet<Rule> {
+        report.diagnostics().iter().map(|d| d.rule).collect()
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// A counted loop's closed-form summary equals the analysis of its
+        /// body unrolled `T` times (the `blt` becoming a `nop`): exit
+        /// summary, FIFO traffic, bounds scan and the set of fired rules.
+        #[test]
+        fn counted_loops_summarize_like_their_unrolled_bodies(
+            sel in loop_sel(),
+            step in 1i32..5,
+            sels in prop::collection::vec(inst_sel(), 0..8),
+            tail in prop::collection::vec(inst_sel(), 0..4),
+            setting in setting(),
+        ) {
+            let (counter, bound, start, trip, _, _) = sel;
+            let c = counter % 16;
+            let b = (c + 1 + bound % 15) % 16;
+            let (body, stepped) = summarizable_body(sels, c, b);
+            let tail: Vec<ControlInst> = tail
+                .into_iter()
+                .map(inst_from)
+                .filter(|i| !matches!(i, ControlInst::Branch { .. } | ControlInst::Halt))
+                .collect();
+            let inits: Vec<ControlInst> = stepped
+                .iter()
+                .map(|&r| ControlInst::Li {
+                    dest: Loc::direct(Space::Areg, r.into()),
+                    imm: start + 3 * i32::from(r),
+                })
+                .collect();
+            let lt = CONDS.iter().position(|&k| k == BranchCond::Lt).expect("lt") as u8;
+
+            let mut rolled = inits.clone();
+            rolled.extend(counted_loop((c, b, start, trip, step, lt), body.clone()));
+            rolled.extend(tail.iter().copied());
+            rolled.push(ControlInst::Halt);
+            let rolled: ControlProgram = rolled.into_iter().collect();
+
+            let trips = if trip > 0 { (trip + step - 1) / step } else { 1 };
+            let mut unrolled = inits;
+            unrolled.extend(counted_loop((c, b, start, trip, step, lt), Vec::new()));
+            unrolled.truncate(unrolled.len() - 2);
+            for _ in 0..trips {
+                unrolled.extend(body.iter().copied());
+                unrolled.push(ControlInst::Addi {
+                    rd: AddrReg(c),
+                    rs1: AddrReg(c),
+                    imm: step,
+                });
+                unrolled.push(ControlInst::Nop);
+            }
+            unrolled.extend(tail);
+            unrolled.push(ControlInst::Halt);
+            let unrolled: ControlProgram = unrolled.into_iter().collect();
+
+            let (aregs, broadcast, position, compute_len) = setting;
+            let mut contract = PeContract::new();
+            contract.aregs = [16, 24, 200][aregs as usize % 3];
+            contract.fifo_broadcast = broadcast;
+            let (pe, n_pes) = position.map_or((None, contract.n_pes), |(pe, n)| (Some(pe), n));
+            let analysis = ControlAnalysis::new(&contract, pe, n_pes, compute_len);
+            assert_blocks_match_per_pc(&analysis, &rolled);
+            let (got, want) = (analysis.run(&rolled), analysis.run(&unrolled));
+            prop_assert_eq!(got.exit, want.exit, "exit summary of\n{}", rolled);
+            prop_assert_eq!(got.fifo, want.fifo, "fifo traffic of\n{}", rolled);
+            prop_assert_eq!(got.scan, want.scan, "scan of\n{}", rolled);
+            prop_assert_eq!(rules(&got.report), rules(&want.report), "rules of\n{}", rolled);
+        }
 
         /// Arbitrary instruction soup, backward branches included.
         #[test]

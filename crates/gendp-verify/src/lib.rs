@@ -65,7 +65,7 @@ mod diag;
 mod interval;
 mod render;
 
-pub use certificate::{Certificate, PeCertificate};
+pub use certificate::Certificate;
 pub use contract::PeContract;
 pub use diag::{DiagLoc, Diagnostic, Report, Rule, Severity};
 pub use interval::{BoundsVerdict, Interval};
@@ -75,6 +75,7 @@ use std::collections::BTreeSet;
 
 use gendp_isa::{Addr, ComputeProgram, ControlInst, ControlProgram, CuInst, Space};
 
+use crate::certificate::PeCertificate;
 use crate::control::ControlAnalysis;
 
 /// The static analyzer: a [`PeContract`] plus suppressed rules.
@@ -197,8 +198,8 @@ impl Verifier {
 
     /// Like [`verify_array`](Self::verify_array), but keeps the proofs:
     /// returns the report together with a [`Certificate`] carrying
-    /// per-space bounds proofs and footprints, a proven cycle floor,
-    /// certified DP-cell cost, and FIFO traffic bounds.
+    /// bounds proofs, a proven cycle floor, certified DP-cell cost, and
+    /// FIFO traffic bounds.
     ///
     /// The certificate's [`safe`](Certificate::safe) flag is computed
     /// from the *unfiltered* report — `allow`-suppressed errors never
@@ -248,17 +249,10 @@ impl Verifier {
                 compute,
             ));
 
-            let rf_footprint = match (outcome.scan.rf, certificate::compute_rf_hull(compute)) {
-                (Some(a), Some(b)) => Some(a.join(b)),
-                (a, b) => a.or(b),
-            };
             per_pe_cert.push(PeCertificate {
                 issue: outcome.exit.map_or(Interval::TOP, |e| e.issue),
                 cu_sets: outcome.exit.map_or(Interval::TOP, |e| e.cu_sets),
                 pushes: outcome.fifo.map_or(Interval::TOP, |f| f.pushes),
-                pops: outcome.fifo.map_or(Interval::TOP, |f| f.pops),
-                rf_footprint,
-                spm_footprint: outcome.scan.spm,
                 bounds_proven: outcome.scan.all_in_bounds,
                 terminates: outcome.exit.is_some(),
             });
@@ -306,7 +300,7 @@ impl Verifier {
         }
         // Safety is judged on the unfiltered report: `allow` hides
         // diagnostics from the caller, never from the certificate.
-        let cert = Certificate::assemble(per_pe_cert, !report.has_errors());
+        let cert = Certificate::assemble(&per_pe_cert, !report.has_errors());
         (self.filtered(report), cert)
     }
 
