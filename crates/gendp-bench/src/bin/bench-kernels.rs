@@ -11,8 +11,8 @@
 //!   `TierPolicy::interpreted()`).
 //! * **decoded**: the pre-decoded hot path — programs are generated,
 //!   lowered and verified once ([`Accelerator::prepare`]), and each
-//!   repetition pays only `PreparedTask::execute`, i.e. the alloc-free
-//!   simulation loop itself.
+//!   repetition pays only `PreparedTask::execute`, i.e. the event-driven
+//!   simulation itself.
 //! * **functional** (where the driver lowers one): the batched
 //!   wavefront sweep that skips per-cycle simulation entirely. The
 //!   prepared task's first execution simulates and keeps its statistics
@@ -31,13 +31,14 @@
 //! best sample's time per execution: a side that executes in
 //! microseconds is still timed over milliseconds.
 //!
-//! Emits `BENCH_kernels.json` (schema `gendp-bench-kernels/v4`) with,
+//! Emits `BENCH_kernels.json` (schema `gendp-bench-kernels/v5`) with,
 //! per kernel: DP cells, simulated cycles, cells/cycle
 //! (machine-independent), and per tier the resolved-tier tag, host wall
 //! time per execution, executions per timed sample, host cells/sec and
 //! heap allocations per simulated cycle. `speedup` is interpreted-wall /
 //! decoded-wall; `functional_speedup` is decoded-wall / functional-wall
-//! (absent when the tier does not engage).
+//! and `functional_vs_interpreted` is interpreted-wall / functional-wall
+//! (both absent when the tier does not engage).
 //!
 //! Flags:
 //! * `--quick` — reduced task sizes, more samples (CI smoke).
@@ -46,8 +47,11 @@
 //! * `--baseline <path>` — compare against a committed baseline and exit
 //!   non-zero if any kernel's simulated cells/cycle drifts, its
 //!   decoded-vs-interpreted speedup falls below an absolute 1.5x floor,
-//!   or the functional tier misses its floors (10x over decoded on the
-//!   gated kernels, parity anywhere it engages).
+//!   or the functional tier misses its floors (20x over interpreted on
+//!   the gated kernels, parity with decoded anywhere it engages). The
+//!   baseline is read before the report is written, and a report whose
+//!   `--out` is the baseline itself is not written: a check never
+//!   overwrites the file it checks against.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -66,8 +70,8 @@ use gendp::{AccelConfig, Accelerator, TaskOutput};
 use rand::{rngs::SmallRng, Rng, SeedableRng};
 
 /// Counts every heap allocation, so the report can show the decoded
-/// engine's alloc-free per-cycle loops against the interpreter's
-/// per-cycle temporaries.
+/// engine's allocation-free runs against the interpreter's per-cycle
+/// temporaries.
 struct CountingAlloc;
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
@@ -116,6 +120,7 @@ struct KernelBench {
     functional: Option<TierSide>,
     speedup: f64,
     functional_speedup: Option<f64>,
+    functional_vs_interpreted: Option<f64>,
 }
 
 /// Wall time one timed sample should cover. Timing a single execution
@@ -286,6 +291,9 @@ where
         functional_speedup: functional
             .as_ref()
             .map(|f| decoded.wall_seconds / f.wall_seconds),
+        functional_vs_interpreted: functional
+            .as_ref()
+            .map(|f| interpreted.wall_seconds / f.wall_seconds),
         decoded,
         interpreted,
         functional,
@@ -426,21 +434,19 @@ fn render_json(quick: bool, rows: &[KernelBench]) -> String {
     };
     let mut s = String::new();
     s.push_str("{\n");
-    s.push_str("  \"schema\": \"gendp-bench-kernels/v4\",\n");
+    s.push_str(&format!("  \"schema\": \"{SCHEMA}\",\n"));
     s.push_str(&format!("  \"quick\": {quick},\n"));
     s.push_str("  \"kernels\": [\n");
     for (i, r) in rows.iter().enumerate() {
         let functional = r.functional.as_ref().map_or("null".to_string(), side);
-        let functional_speedup = match r.functional_speedup {
-            Some(v) => format!("{v:.3}"),
-            None => "null".to_string(),
-        };
+        let ratio = |v: Option<f64>| v.map_or("null".to_string(), |v| format!("{v:.3}"));
         s.push_str(&format!(
             "    {{\n      \"name\": \"{}\",\n      \"cells\": {},\n      \
              \"cycles\": {},\n      \"cells_per_cycle\": {:.6},\n      \
              \"decoded\": {},\n      \"interpreted\": {},\n      \
              \"functional\": {},\n      \"speedup\": {:.3},\n      \
-             \"functional_speedup\": {}\n    }}{}\n",
+             \"functional_speedup\": {},\n      \
+             \"functional_vs_interpreted\": {}\n    }}{}\n",
             r.name,
             r.cells,
             r.cycles,
@@ -449,7 +455,8 @@ fn render_json(quick: bool, rows: &[KernelBench]) -> String {
             side(&r.interpreted),
             functional,
             r.speedup,
-            functional_speedup,
+            ratio(r.functional_speedup),
+            ratio(r.functional_vs_interpreted),
             if i + 1 < rows.len() { "," } else { "" },
         ));
     }
@@ -483,12 +490,16 @@ fn extract_metric(json: &str, kernel: &str, key: &str) -> Option<f64> {
 /// degenerating back to interpreter-level throughput.
 const MIN_SPEEDUP: f64 = 1.5;
 
-/// The functional tier must beat the decoded simulation by at least this
-/// factor on the gated kernels ([`FUNCTIONAL_GATED`]). Skipping the
-/// per-cycle machinery is worth orders of magnitude; a 10x floor leaves
-/// room for host noise while catching the fast path degenerating into a
-/// reimplementation of the simulator.
-const MIN_FUNCTIONAL_RATIO: f64 = 10.0;
+/// The functional tier must beat the interpreted simulation by at least
+/// this factor on the gated kernels ([`FUNCTIONAL_GATED`]). The floor is
+/// taken against the interpreted engine, a per-cycle loop, because the
+/// event-driven decoded engine runs within 3-4x of the functional sweep
+/// on bsw and dtw.
+/// In quick runs on a 2-vCPU container the functional tier measured
+/// 20.1-21.2x interpreted on bsw and 25.7-28.2x on dtw, so the floor
+/// leaves bsw little margin; it catches the fast path degenerating into
+/// a reimplementation of the simulator.
+const MIN_FUNCTIONAL_RATIO: f64 = 20.0;
 
 /// Kernels whose functional speedup is gated at [`MIN_FUNCTIONAL_RATIO`].
 /// Everywhere else the tier engages it only has to clear parity (1x).
@@ -520,17 +531,17 @@ fn check_baseline(baseline: &str, rows: &[KernelBench]) -> Result<(), String> {
             ));
         }
         let gated = FUNCTIONAL_GATED.contains(&r.name);
-        match r.functional_speedup {
-            Some(f) if gated && f < MIN_FUNCTIONAL_RATIO => problems.push(format!(
+        match (r.functional_speedup, r.functional_vs_interpreted) {
+            (Some(_), Some(f)) if gated && f < MIN_FUNCTIONAL_RATIO => problems.push(format!(
                 "{}: functional speedup {:.2}x below the {MIN_FUNCTIONAL_RATIO}x \
-                 floor vs decoded",
+                 floor vs interpreted",
                 r.name, f
             )),
-            Some(f) if !gated && f < 1.0 => problems.push(format!(
+            (Some(f), _) if !gated && f < 1.0 => problems.push(format!(
                 "{}: functional tier engaged but ran {:.2}x decoded (sub-parity)",
                 r.name, f
             )),
-            None if gated => problems.push(format!(
+            (None, _) if gated => problems.push(format!(
                 "{}: functional tier did not engage on a gated kernel",
                 r.name
             )),
@@ -551,16 +562,31 @@ fn flag_value(args: &[String], flag: &str) -> Option<String> {
         .cloned()
 }
 
+/// The report schema this binary writes and checks baselines against.
+const SCHEMA: &str = "gendp-bench-kernels/v5";
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let quick = args.iter().any(|a| a == "--quick");
     let out_path = flag_value(&args, "--out").unwrap_or_else(|| "BENCH_kernels.json".to_string());
     let baseline_path = flag_value(&args, "--baseline");
 
+    // Read the baseline before anything is written, so that a report
+    // written to the same path can never be checked against itself.
+    let baseline = baseline_path.as_ref().map(|path| {
+        let text = std::fs::read_to_string(path).unwrap_or_else(|e| panic!("reading {path}: {e}"));
+        // Schema sanity: the baseline must be a bench-kernels report.
+        if !text.contains(&format!("\"schema\": \"{SCHEMA}\"")) {
+            eprintln!("baseline {path} is not a {SCHEMA} report");
+            std::process::exit(2);
+        }
+        (path, text)
+    });
+
     let rows = run_suite(quick);
 
     println!(
-        "{:<13} {:>9} {:>9} {:>11} {:>13} {:>13} {:>13} {:>8} {:>9}",
+        "{:<13} {:>9} {:>9} {:>11} {:>13} {:>13} {:>13} {:>8} {:>9} {:>9}",
         "kernel",
         "cells",
         "cycles",
@@ -569,15 +595,17 @@ fn main() {
         "dec cells/s",
         "func cells/s",
         "speedup",
-        "func/dec"
+        "func/dec",
+        "func/int"
     );
     for r in &rows {
-        let (func_rate, func_ratio) = match (&r.functional, r.functional_speedup) {
-            (Some(f), Some(ratio)) => (format!("{:.0}", f.cells_per_sec), format!("{ratio:.1}x")),
-            _ => ("-".to_string(), "-".to_string()),
-        };
+        let fmt_ratio = |v: Option<f64>| v.map_or("-".to_string(), |v| format!("{v:.1}x"));
+        let func_rate = r
+            .functional
+            .as_ref()
+            .map_or("-".to_string(), |f| format!("{:.0}", f.cells_per_sec));
         println!(
-            "{:<13} {:>9} {:>9} {:>11.4} {:>13.0} {:>13.0} {:>13} {:>7.2}x {:>9}",
+            "{:<13} {:>9} {:>9} {:>11.4} {:>13.0} {:>13.0} {:>13} {:>7.2}x {:>9} {:>9}",
             r.name,
             r.cells,
             r.cycles,
@@ -586,28 +614,35 @@ fn main() {
             r.decoded.cells_per_sec,
             func_rate,
             r.speedup,
-            func_ratio,
+            fmt_ratio(r.functional_speedup),
+            fmt_ratio(r.functional_vs_interpreted),
         );
     }
 
-    let json = render_json(quick, &rows);
-    std::fs::write(&out_path, &json).unwrap_or_else(|e| panic!("writing {out_path}: {e}"));
-    println!("\nwrote {out_path}");
+    let check = baseline
+        .as_ref()
+        .map(|(path, text)| (path, check_baseline(text, &rows)));
+    let same_file = |a: &str, b: &str| match (std::fs::canonicalize(a), std::fs::canonicalize(b)) {
+        (Ok(a), Ok(b)) => a == b,
+        _ => false,
+    };
+    if baseline_path
+        .as_deref()
+        .is_some_and(|b| same_file(b, &out_path))
+    {
+        println!("\nnot writing {out_path}: it is the baseline being checked");
+    } else {
+        let json = render_json(quick, &rows);
+        std::fs::write(&out_path, &json).unwrap_or_else(|e| panic!("writing {out_path}: {e}"));
+        println!("\nwrote {out_path}");
+    }
 
-    if let Some(path) = baseline_path {
-        let baseline =
-            std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("reading {path}: {e}"));
-        // Schema sanity: the baseline must be a bench-kernels report.
-        if !baseline.contains("\"schema\": \"gendp-bench-kernels/v4\"") {
-            eprintln!("baseline {path} is not a gendp-bench-kernels/v4 report");
-            std::process::exit(2);
+    match check {
+        Some((path, Ok(()))) => println!("baseline check vs {path}: ok"),
+        Some((path, Err(problems))) => {
+            eprintln!("baseline check vs {path} FAILED:\n{problems}");
+            std::process::exit(1);
         }
-        match check_baseline(&baseline, &rows) {
-            Ok(()) => println!("baseline check vs {path}: ok"),
-            Err(problems) => {
-                eprintln!("baseline check vs {path} FAILED:\n{problems}");
-                std::process::exit(1);
-            }
-        }
+        None => {}
     }
 }

@@ -97,7 +97,8 @@ pub(crate) struct Workspace {
 
 /// A wavefront task lowered for functional execution: role slots
 /// resolved, compute program pre-decoded. Built with the prepared task of
-/// a shape when the configuration requests [`Tier::Functional`];
+/// a shape when the configuration requests
+/// [`Tier::Functional`](gendp_dpax::Tier::Functional);
 /// `Wavefront2d::bind` sets its rows and columns.
 #[derive(Debug)]
 pub struct FunctionalPlan {

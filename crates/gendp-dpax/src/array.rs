@@ -1,5 +1,15 @@
 //! The simulated PE array: systolic chain, FIFO, input stream, output sink
-//! and the cycle loop (paper Fig. 6).
+//! (paper Fig. 6) and the two engines that run it.
+//!
+//! [`PeArray::run`] runs the decoded tier on the event-driven engine of
+//! [`crate::events`]: every PE runs ahead on its own clock and each
+//! control instruction issues at its ready cycle. The interpreted tier runs
+//! the per-cycle reference loop, which steps every PE's control thread,
+//! first PE to last, then every compute thread, once per cycle. Before a
+//! decoded run the array copies its state; a run the event engine cannot
+//! finish exactly (any failure, or one that needs more than its cycle
+//! budget) is restored from the copy and replayed on the reference loop,
+//! so both tiers return the same outputs, statistics and errors.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -10,9 +20,9 @@ use gendp_isa::{
 
 use crate::config::{PeArrayConfig, Tier};
 use crate::error::SimError;
-use crate::pe::{ExtView, Pe, Progress};
+use crate::events::{self, Replay};
+use crate::pe::{ExtView, Pe, PeSave, Progress};
 use crate::stats::RunStats;
-use crate::trace::{Trace, TraceEvent};
 
 /// One DPAx PE array.
 ///
@@ -25,16 +35,7 @@ use crate::trace::{Trace, TraceEvent};
 pub struct PeArray {
     cfg: PeArrayConfig,
     pes: Vec<Pe>,
-    /// `ports[k]` is the input-port latch of PE `k` (one-deep).
-    ports: Vec<Option<Word>>,
-    in_stream: VecDeque<Word>,
-    out_sink: Vec<Word>,
-    /// One queue in the default mode (popped by PE 0); one skid queue per
-    /// PE in broadcast mode.
-    fifos: Vec<VecDeque<Word>>,
-    fifo_pushes: u64,
-    fifo_pops: u64,
-    fifo_high_water: usize,
+    links: Links,
     cycles: u64,
     /// Set once the loaded programs pass static verification; survives
     /// [`reset`](Self::reset) so repeated executions of one loaded array
@@ -44,7 +45,22 @@ pub struct PeArray {
     /// `None` until the gate has run (or with `no_verify`). Survives
     /// [`reset`](Self::reset); cleared by every `load_*`.
     certificate: Option<gendp_verify::Certificate>,
-    trace: Option<Trace>,
+}
+
+/// Everything that connects the PEs: the input latches, the input stream,
+/// the output sink and the FIFO ring with its counters.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Links {
+    /// `ports[k]` is the input-port latch of PE `k` (one-deep).
+    pub ports: Vec<Option<Word>>,
+    pub in_stream: VecDeque<Word>,
+    pub out_sink: Vec<Word>,
+    /// One queue in the default mode (popped by PE 0); one skid queue per
+    /// PE in broadcast mode.
+    pub fifos: Vec<VecDeque<Word>>,
+    pub fifo_pushes: u64,
+    pub fifo_pops: u64,
+    pub fifo_high_water: usize,
 }
 
 // Pe is not Debug; provide a manual impl summarizing state.
@@ -61,56 +77,41 @@ impl PeArray {
         let pes = (0..cfg.n_pes).map(|i| Pe::new(&cfg, i)).collect();
         let n_fifos = if cfg.fifo_broadcast { cfg.n_pes } else { 1 };
         PeArray {
-            ports: vec![None; cfg.n_pes],
+            links: Links {
+                ports: vec![None; cfg.n_pes],
+                fifos: vec![VecDeque::new(); n_fifos],
+                ..Links::default()
+            },
             pes,
-            in_stream: VecDeque::new(),
-            out_sink: Vec::new(),
-            fifos: vec![VecDeque::new(); n_fifos],
-            fifo_pushes: 0,
-            fifo_pops: 0,
-            fifo_high_water: 0,
             cfg,
             cycles: 0,
             verified: false,
             certificate: None,
-            trace: None,
         }
     }
 
     /// Resets all dynamic state — per-PE registers, scratchpads, program
     /// counters and statistics, plus the array's ports, FIFOs, input
-    /// stream, output sink, cycle counter and trace buffer — while keeping
-    /// the loaded programs, their decoded forms and the verification
-    /// status. One loaded array can thus execute many tasks without
-    /// re-paying program lowering or static verification; this is the
-    /// amortized hot path the decoded engine is built around.
+    /// stream, output sink and cycle counter — while keeping the loaded
+    /// programs, their decoded forms and the verification status. One
+    /// loaded array can thus execute many tasks without re-paying program
+    /// lowering or static verification; this is the amortized hot path
+    /// the decoded engine is built around.
     pub fn reset(&mut self) {
         for pe in &mut self.pes {
             pe.reset();
         }
-        self.ports.fill(None);
-        self.in_stream.clear();
-        self.out_sink.clear();
-        for fifo in &mut self.fifos {
+        let links = &mut self.links;
+        links.ports.fill(None);
+        links.in_stream.clear();
+        links.out_sink.clear();
+        for fifo in &mut links.fifos {
             fifo.clear();
         }
-        self.fifo_pushes = 0;
-        self.fifo_pops = 0;
-        self.fifo_high_water = 0;
+        links.fifo_pushes = 0;
+        links.fifo_pops = 0;
+        links.fifo_high_water = 0;
         self.cycles = 0;
-        if let Some(trace) = &mut self.trace {
-            trace.clear();
-        }
-    }
-
-    /// Enables execution tracing with a bounded event buffer.
-    pub fn enable_trace(&mut self, capacity: usize) {
-        self.trace = Some(Trace::with_capacity(capacity));
-    }
-
-    /// The recorded trace, if tracing was enabled.
-    pub fn trace(&self) -> Option<&Trace> {
-        self.trace.as_ref()
     }
 
     /// The array's configuration.
@@ -167,7 +168,7 @@ impl PeArray {
 
     /// Appends words to the input stream feeding the first PE.
     pub fn feed_input(&mut self, words: impl IntoIterator<Item = Word>) {
-        self.in_stream.extend(words);
+        self.links.in_stream.extend(words);
     }
 
     /// Writes `words` into PE `pe`'s scratchpad from address 0, as the host
@@ -193,7 +194,7 @@ impl PeArray {
 
     /// Words the last PE has written to the output data buffer, in order.
     pub fn output(&self) -> &[Word] {
-        &self.out_sink
+        &self.links.out_sink
     }
 
     /// Statically verifies the loaded programs against this array's
@@ -266,6 +267,12 @@ impl PeArray {
 
     /// Runs until every control and compute thread has halted.
     ///
+    /// The decoded tier runs the event-driven engine, in which every PE
+    /// runs ahead on its own clock; a run it cannot finish exactly — one
+    /// that ends in any of the errors below — replays from its starting
+    /// state on the interpreted per-cycle loop, so outputs, statistics and
+    /// errors are the reference's on every tier.
+    ///
     /// # Errors
     ///
     /// [`SimError::Verify`] if the loaded programs fail static
@@ -275,7 +282,39 @@ impl PeArray {
     /// [`SimError::BadAccess`] on out-of-range addressing.
     pub fn run(&mut self, max_cycles: u64) -> Result<RunStats, SimError> {
         self.ensure_verified()?;
+        if self.resolved_tier() == Tier::Decoded {
+            // The state the run starts from, for its replay.
+            let pes: Vec<PeSave> = self.pes.iter().map(Pe::save).collect();
+            let links = self.links.clone();
+            let run = events::run(
+                &mut self.pes,
+                &mut self.links,
+                self.cycles,
+                max_cycles,
+                self.cfg.fifo_capacity,
+            );
+            match run {
+                Ok(cycles) => {
+                    self.cycles = cycles;
+                    return Ok(self.stats());
+                }
+                Err(Replay) => {
+                    for (pe, saved) in self.pes.iter_mut().zip(pes) {
+                        pe.restore(saved);
+                    }
+                    self.links = links;
+                }
+            }
+        }
+        self.run_cycles(max_cycles)?;
+        Ok(self.stats())
+    }
+
+    /// The interpreted reference loop: every PE's control thread, then its
+    /// compute thread, one cycle at a time.
+    fn run_cycles(&mut self, max_cycles: u64) -> Result<(), SimError> {
         let n = self.cfg.n_pes;
+        let links = &mut self.links;
         while !self.pes.iter().all(Pe::is_halted) {
             if self.cycles >= max_cycles {
                 return Err(SimError::Timeout { max_cycles });
@@ -283,9 +322,9 @@ impl PeArray {
             let mut progressed = false;
 
             // Input data buffer feeds the first PE's port.
-            if self.ports[0].is_none() {
-                if let Some(w) = self.in_stream.pop_front() {
-                    self.ports[0] = Some(w);
+            if links.ports[0].is_none() {
+                if let Some(w) = links.in_stream.pop_front() {
+                    links.ports[0] = Some(w);
                 }
             }
 
@@ -296,89 +335,52 @@ impl PeArray {
             for k in 0..n {
                 let fifo_idx = if broadcast { k } else { 0 };
                 let ext = ExtView {
-                    in_avail: self.ports[k],
+                    in_avail: links.ports[k],
                     out_free: if k + 1 < n {
-                        self.ports[k + 1].is_none()
+                        links.ports[k + 1].is_none()
                     } else {
                         true // output data buffer never back-pressures
                     },
                     fifo_front: if broadcast || k == 0 {
-                        self.fifos[fifo_idx].front().copied()
+                        links.fifos[fifo_idx].front().copied()
                     } else {
                         None
                     },
-                    fifo_has_space: self.fifos.iter().all(|f| f.len() < self.cfg.fifo_capacity),
+                    fifo_has_space: links.fifos.iter().all(|f| f.len() < self.cfg.fifo_capacity),
                     may_pop_fifo: broadcast || k == 0,
                     may_push_fifo: k == n - 1,
                 };
-                let peek = if self.trace.is_some() {
-                    self.pes[k].ctrl_peek()
-                } else {
-                    None
-                };
                 let (progress, eff) = self.pes[k].step_ctrl(&ext)?;
-                if let Some(tr) = &mut self.trace {
-                    match (progress, peek) {
-                        (Progress::Advanced, Some((pc, text))) => tr.record(TraceEvent::Ctrl {
-                            cycle: self.cycles,
-                            pe: k,
-                            pc,
-                            text,
-                        }),
-                        (Progress::Stalled, Some((pc, _))) => tr.record(TraceEvent::Stall {
-                            cycle: self.cycles,
-                            pe: k,
-                            pc,
-                        }),
-                        (Progress::Halted, Some(_)) => {
-                            tr.record(TraceEvent::Halt {
-                                cycle: self.cycles,
-                                pe: k,
-                            });
-                        }
-                        _ => {}
-                    }
-                }
                 if progress == Progress::Advanced {
                     progressed = true;
                 }
                 if eff.consumed_in {
-                    self.ports[k] = None;
+                    links.ports[k] = None;
                 }
                 if eff.popped_fifo {
-                    self.fifos[fifo_idx].pop_front();
-                    self.fifo_pops += 1;
+                    links.fifos[fifo_idx].pop_front();
+                    links.fifo_pops += 1;
                 }
                 if let Some(w) = eff.wrote_out {
                     if k + 1 < n {
-                        debug_assert!(self.ports[k + 1].is_none());
-                        self.ports[k + 1] = Some(w);
+                        debug_assert!(links.ports[k + 1].is_none());
+                        links.ports[k + 1] = Some(w);
                     } else {
-                        self.out_sink.push(w);
+                        links.out_sink.push(w);
                     }
                 }
                 if let Some(w) = eff.pushed_fifo {
-                    for f in &mut self.fifos {
+                    for f in &mut links.fifos {
                         f.push_back(w);
-                        self.fifo_high_water = self.fifo_high_water.max(f.len());
+                        links.fifo_high_water = links.fifo_high_water.max(f.len());
                     }
-                    self.fifo_pushes += 1;
+                    links.fifo_pushes += 1;
                 }
             }
 
             // Compute threads.
-            for k in 0..n {
-                let pc = self.pes[k].compute_peek();
-                if self.pes[k].step_compute()? {
-                    progressed = true;
-                    if let (Some(tr), Some(pc)) = (&mut self.trace, pc) {
-                        tr.record(TraceEvent::Compute {
-                            cycle: self.cycles,
-                            pe: k,
-                            pc,
-                        });
-                    }
-                }
+            for pe in &mut self.pes {
+                progressed |= pe.step_compute()?;
             }
 
             self.cycles += 1;
@@ -400,19 +402,25 @@ impl PeArray {
                 )));
             }
         }
-        Ok(self.stats())
+        Ok(())
     }
 
     /// Current statistics snapshot, stamped with the resolved tier.
     pub fn stats(&self) -> RunStats {
         RunStats {
             cycles: self.cycles,
-            fifo_pushes: self.fifo_pushes,
-            fifo_pops: self.fifo_pops,
-            fifo_high_water: self.fifo_high_water,
+            fifo_pushes: self.links.fifo_pushes,
+            fifo_pops: self.links.fifo_pops,
+            fifo_high_water: self.links.fifo_high_water,
             per_pe: self.pes.iter().map(|p| p.stats).collect(),
             tier: self.resolved_tier(),
         }
+    }
+
+    /// PE `k`, for tests that inspect its registers.
+    #[cfg(test)]
+    pub(crate) fn pe(&self, k: usize) -> &Pe {
+        &self.pes[k]
     }
 }
 
@@ -615,46 +623,6 @@ mod tests {
         }
         let stats = a.run(100).unwrap();
         assert_eq!(stats.cells(), 3);
-    }
-}
-
-#[cfg(test)]
-mod trace_tests {
-    use super::*;
-    use crate::trace::TraceEvent;
-
-    #[test]
-    fn trace_records_ctrl_stall_and_halt() {
-        let mut a = PeArray::new(PeArrayConfig::with_pes(1));
-        a.enable_trace(64);
-        a.load_pe_control(0, "mv rf[0] in\nhalt".parse::<ControlProgram>().unwrap());
-        a.feed_input([Word::from_i32(5)]);
-        a.run(100).unwrap();
-        let trace = a.trace().unwrap();
-        assert!(trace
-            .events()
-            .iter()
-            .any(|e| matches!(e, TraceEvent::Ctrl { text, .. } if text.contains("mv rf[0] in"))));
-        assert!(trace
-            .events()
-            .iter()
-            .any(|e| matches!(e, TraceEvent::Halt { .. })));
-        assert!(!trace.to_string().is_empty());
-    }
-
-    #[test]
-    fn trace_is_bounded() {
-        let mut a = PeArray::new(PeArrayConfig::with_pes(1));
-        a.enable_trace(3);
-        let prog: gendp_isa::ControlProgram =
-            "li a[0] 0\nli a[1] 100\naddi a0 a0 1\nblt a0 a1 -1\nhalt"
-                .parse()
-                .unwrap();
-        a.load_pe_control(0, prog);
-        a.run(10_000).unwrap();
-        let trace = a.trace().unwrap();
-        assert_eq!(trace.events().len(), 3);
-        assert!(trace.dropped() > 0);
     }
 }
 

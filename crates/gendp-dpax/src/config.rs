@@ -1,13 +1,14 @@
 //! Array configuration and execution-tier selection.
 //!
 //! A configuration requests one of three [`Tier`]s: the functional tier
-//! (batched native loops, no per-cycle simulation), the decoded engine (the
-//! default: per-cycle simulation of programs lowered once at load through
+//! (batched native loops, no simulation), the decoded engine (the default:
+//! event-driven simulation of programs lowered once at load through
 //! [`gendp_isa::DecodedControlProgram`] and
 //! [`gendp_isa::DecodedComputeProgram`]) or the interpreted engine (the
 //! per-cycle reference that executes the assembly-level encoding). The two
-//! engines are cycle- and statistics-exact with respect to each other and
-//! both bounds-check every access. The functional tier engages only above
+//! engines are cycle- and statistics-exact with respect to each other, and
+//! a decoded run that fails is replayed on the interpreted engine, so both
+//! report the same errors. The functional tier engages only above
 //! the array, for kernel drivers that lower a task functionally under a
 //! `safe()` certificate; everywhere else a functional request runs
 //! decoded.
@@ -31,7 +32,9 @@ pub enum Tier {
     /// simulation. It reports the statistics of the prepared task's first
     /// execution, which runs decoded.
     Functional,
-    /// Per-cycle simulation of pre-decoded programs (the default).
+    /// Event-driven simulation of pre-decoded programs (the default): each
+    /// PE runs ahead on its own clock, with every cycle and counter of the
+    /// interpreted engine kept.
     #[default]
     Decoded,
     /// Per-cycle simulation interpreting the assembly-level encoding: the

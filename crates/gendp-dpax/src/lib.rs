@@ -17,6 +17,10 @@
 //! the compute thread runs) and functional model (via [`gendp_isa::apply`])
 //! are both exact with respect to the ISA semantics; kernel results are
 //! validated against the reference software kernels in `gendp-kernels`.
+//! The default decoded tier computes that timing event by event instead of
+//! stepping every cycle (the ready-cycle rules of the `events` module);
+//! the interpreted tier steps every cycle and is the reference it is
+//! tested against.
 //!
 //! The full accelerator has 16 integer PE arrays and one floating-point PE
 //! array ([`INT_ARRAYS`], [`PES_PER_ARRAY`]); arrays work on independent
@@ -50,15 +54,14 @@
 mod array;
 mod config;
 mod error;
+mod events;
 mod pe;
 mod stats;
-mod trace;
 
 pub use array::PeArray;
 pub use config::{PeArrayConfig, Tier, TierPolicy};
 pub use error::{Retryability, SimError};
 pub use stats::{PeStats, RunStats};
-pub use trace::{Trace, TraceEvent};
 
 /// Integer PE arrays in the full DPAx accelerator (paper Fig. 4).
 pub const INT_ARRAYS: usize = 16;

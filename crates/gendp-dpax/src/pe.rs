@@ -1,28 +1,41 @@
 //! One processing element: a control thread and a compute thread sharing a
 //! register file (paper §4.2, Fig. 6).
 //!
-//! The PE executes through one of two engines, chosen by the configured
-//! tier: the **decoded** engine (every tier but
-//! [`Tier::Interpreted`](crate::Tier::Interpreted)) runs pre-lowered
-//! [`DecodedControlProgram`]/[`DecodedComputeProgram`] forms with no
-//! per-cycle allocation and no re-matching on the assembly encoding, while
-//! the **interpreted** reference engine executes [`ControlProgram`]/
-//! [`ComputeProgram`] directly. Both bounds-check every access and are
-//! cycle- and statistics-exact with respect to each other (covered by the
-//! engine-equivalence suite); instruction forms the decoder cannot
-//! represent fall back to the interpreter per instruction, so even error
-//! diagnostics and their timing match.
+//! A PE runs under one of two engines, chosen by the array's tier:
+//!
+//! * The **interpreted** reference engine executes the assembly-level
+//!   [`ControlProgram`]/[`ComputeProgram`] one cycle at a time.
+//!   [`Pe::step_ctrl`] issues at most one control instruction against an
+//!   [`ExtView`] of the neighbours and [`Pe::step_compute`] at most one
+//!   VLIW word; the array's per-cycle loop drives both.
+//! * The **decoded** engine runs the pre-lowered [`DecodedControlProgram`]
+//!   ahead on the PE's own clock ([`Pe::advance`]). Each control
+//!   instruction issues at its *ready cycle*: the latest of the cycle after
+//!   the previous issue and the cycles of the events it waits for (the RF
+//!   interlock, a neighbour's word or free latch, a FIFO word or free
+//!   slot), which the [`Timeline`] records. A `set cu` evaluates its whole
+//!   compute activation at once with [`eval_activation`] and marks the RF
+//!   busy until the activation's last cycle. The PE stops when it needs an
+//!   event no neighbour has produced yet. Whatever it cannot finish exactly
+//!   — any error, or an event past the cycle budget — ends the run in a
+//!   [`Replay`] on the reference engine, so diagnostics, their timing and
+//!   the statistics of a failed run are the reference's by construction.
+//!
+//! Both engines are cycle- and statistics-exact with respect to each other
+//! (covered by the engine-equivalence suites); see [`crate::events`] for
+//! the ready-cycle rules and why they are exact.
 
 use std::sync::Arc;
 
 use gendp_isa::{
-    apply, Addr, ComputeOp, ComputeProgram, ControlInst, ControlProgram, CuInst,
-    DecodedComputeProgram, DecodedControlProgram, DecodedCtrlInst, DecodedCu, DecodedLoc,
-    DecodedOperand, DecodedVliw, Loc, Mode, Operand, SetTarget, Space, Word, CU_PER_PE,
+    apply, eval_activation, Addr, ComputeOp, ComputeProgram, ControlInst, ControlProgram, CuInst,
+    DecodedComputeProgram, DecodedControlProgram, DecodedCtrlInst, DecodedLoc, Loc, Mode, Operand,
+    SetTarget, Space, Word,
 };
 
-use crate::config::{PeArrayConfig, Tier};
+use crate::config::PeArrayConfig;
 use crate::error::SimError;
+use crate::events::{Replay, Timeline};
 use crate::stats::PeStats;
 
 /// Snapshot of the PE's external connections at the start of a control
@@ -72,11 +85,30 @@ pub(crate) struct Pe {
     halted: bool,
     compute: Arc<ComputeProgram>,
     dcompute: Arc<DecodedComputeProgram>,
+    /// Every register slot the loaded compute program names lies inside
+    /// the RF, so the decoded engine may evaluate its activations.
+    compute_in_rf: bool,
     compute_pc: Option<usize>,
-    /// Runs the interpreted reference engine instead of the decoded one.
-    interpreted: bool,
     index: usize,
+    /// Decoded engine: the first cycle the control thread may issue its
+    /// next instruction (one past its last issue or halt).
+    clock: u64,
+    /// Decoded engine: the first cycle the RF is free of the running
+    /// compute activation (one past its last word).
+    rf_free: u64,
     pub stats: PeStats,
+}
+
+/// A PE's architectural state, saved before a decoded run so that a run
+/// the event engine cannot finish replays from it.
+pub(crate) struct PeSave {
+    rf: Vec<Word>,
+    spm: Vec<Word>,
+    aregs: Vec<i32>,
+    ctrl_pc: usize,
+    halted: bool,
+    compute_pc: Option<usize>,
+    stats: PeStats,
 }
 
 /// Resolved source value plus its external cost.
@@ -99,9 +131,11 @@ impl Pe {
             halted: true, // no program loaded yet
             compute: Arc::new(ComputeProgram::new()),
             dcompute: Arc::new(DecodedComputeProgram::default()),
+            compute_in_rf: true,
             compute_pc: None,
-            interpreted: cfg.tiers == Tier::Interpreted,
             index,
+            clock: 0,
+            rf_free: 0,
             stats: PeStats::default(),
         }
     }
@@ -145,16 +179,42 @@ impl Pe {
         self.spm[..words.len()].copy_from_slice(words);
     }
 
-    /// Loads a compute program together with its pre-decoded form.
+    /// Loads a compute program together with its pre-decoded form, and
+    /// checks once that its register slots lie inside the RF.
     pub fn load_compute(
         &mut self,
         program: Arc<ComputeProgram>,
         decoded: Arc<DecodedComputeProgram>,
     ) {
         debug_assert_eq!(program.len(), decoded.len(), "decoded form out of sync");
+        self.compute_in_rf = decoded.regs_within(self.rf.len());
         self.compute = program;
         self.dcompute = decoded;
         self.compute_pc = None;
+    }
+
+    /// A copy of the architectural state.
+    pub fn save(&self) -> PeSave {
+        PeSave {
+            rf: self.rf.clone(),
+            spm: self.spm.clone(),
+            aregs: self.aregs.clone(),
+            ctrl_pc: self.ctrl_pc,
+            halted: self.halted,
+            compute_pc: self.compute_pc,
+            stats: self.stats,
+        }
+    }
+
+    /// Returns to the state [`save`](Self::save) copied.
+    pub fn restore(&mut self, saved: PeSave) {
+        self.rf = saved.rf;
+        self.spm = saved.spm;
+        self.aregs = saved.aregs;
+        self.ctrl_pc = saved.ctrl_pc;
+        self.halted = saved.halted;
+        self.compute_pc = saved.compute_pc;
+        self.stats = saved.stats;
     }
 
     /// The loaded control program.
@@ -175,21 +235,6 @@ impl Pe {
         self.compute_pc.is_some()
     }
 
-    /// The control PC and instruction text about to execute (trace hook).
-    pub fn ctrl_peek(&self) -> Option<(usize, String)> {
-        if self.halted {
-            return None;
-        }
-        self.ctrl
-            .get(self.ctrl_pc)
-            .map(|i| (self.ctrl_pc, i.to_string()))
-    }
-
-    /// The compute PC about to execute (trace hook).
-    pub fn compute_peek(&self) -> Option<usize> {
-        self.compute_pc
-    }
-
     /// Direct register-file access for test setup and result inspection.
     #[cfg(test)]
     pub fn rf(&self) -> &[Word] {
@@ -201,15 +246,6 @@ impl Pe {
             .get(r.0 as usize)
             .copied()
             .ok_or_else(|| SimError::BadAccess(format!("pe{}: areg {r}", self.index)))
-    }
-
-    /// Decoded-path address-register read (same diagnostics as
-    /// [`Self::areg`]).
-    fn areg_at(&self, r: u8) -> Result<i32, SimError> {
-        self.aregs
-            .get(r as usize)
-            .copied()
-            .ok_or_else(|| SimError::BadAccess(format!("pe{}: areg a{r}", self.index)))
     }
 
     fn resolve(&self, loc: Loc) -> Result<usize, SimError> {
@@ -227,21 +263,6 @@ impl Pe {
             return Err(SimError::BadAccess(format!(
                 "pe{}: negative address {v} for {loc}",
                 self.index
-            )));
-        }
-        Ok(v as usize)
-    }
-
-    /// Decoded-path indirect resolution; reconstructs the assembly `Loc`
-    /// only on the cold error path.
-    fn dresolve(&self, areg: u8, offset: i16, space: Space) -> Result<usize, SimError> {
-        let base = self.areg_at(areg)?;
-        let v = base as i64 + offset as i64;
-        if v < 0 {
-            return Err(SimError::BadAccess(format!(
-                "pe{}: negative address {v} for {}",
-                self.index,
-                Loc::indirect(space, areg, offset)
             )));
         }
         Ok(v as usize)
@@ -304,65 +325,6 @@ impl Pe {
         }
     }
 
-    /// Decoded-path read: one flat match, no space/addressing re-dispatch.
-    fn dtry_read(&self, loc: DecodedLoc, ext: &ExtView) -> Result<ReadOutcome, SimError> {
-        match loc {
-            DecodedLoc::RfDirect(i) => {
-                let i = usize::from(i);
-                if self.compute_busy() {
-                    return Ok(ReadOutcome::Stall); // RF interlock
-                }
-                self.bound(&self.rf, i, "rf")?;
-                Ok(ReadOutcome::Value(self.rf[i]))
-            }
-            DecodedLoc::RfIndirect { areg, offset } => {
-                if self.compute_busy() {
-                    return Ok(ReadOutcome::Stall);
-                }
-                let i = self.dresolve(areg, offset, Space::Rf)?;
-                self.bound(&self.rf, i, "rf")?;
-                Ok(ReadOutcome::Value(self.rf[i]))
-            }
-            DecodedLoc::SpmDirect(i) => {
-                let i = usize::from(i);
-                self.bound(&self.spm, i, "spm")?;
-                Ok(ReadOutcome::Value(self.spm[i]))
-            }
-            DecodedLoc::SpmIndirect { areg, offset } => {
-                let i = self.dresolve(areg, offset, Space::Spm)?;
-                self.bound(&self.spm, i, "spm")?;
-                Ok(ReadOutcome::Value(self.spm[i]))
-            }
-            DecodedLoc::AregDirect(i) => {
-                let i = usize::from(i);
-                self.bound(&self.aregs, i, "areg")?;
-                Ok(ReadOutcome::Value(Word::from_i32(self.aregs[i])))
-            }
-            DecodedLoc::AregIndirect { areg, offset } => {
-                let i = self.dresolve(areg, offset, Space::Areg)?;
-                self.bound(&self.aregs, i, "areg")?;
-                Ok(ReadOutcome::Value(Word::from_i32(self.aregs[i])))
-            }
-            DecodedLoc::In => match ext.in_avail {
-                Some(w) => Ok(ReadOutcome::Value(w)),
-                None => Ok(ReadOutcome::Stall),
-            },
-            DecodedLoc::Fifo => {
-                if !ext.may_pop_fifo {
-                    return Err(SimError::BadAccess(format!(
-                        "pe{}: only the first PE reads the FIFO",
-                        self.index
-                    )));
-                }
-                match ext.fifo_front {
-                    Some(w) => Ok(ReadOutcome::Value(w)),
-                    None => Ok(ReadOutcome::Stall),
-                }
-            }
-            DecodedLoc::Out => unreachable!("decode rejects `out` as a source"),
-        }
-    }
-
     /// Whether a write to `loc` can proceed this cycle (stall check only).
     fn write_ready(&self, loc: Loc, ext: &ExtView) -> Result<bool, SimError> {
         match loc.space() {
@@ -382,28 +344,6 @@ impl Pe {
                 "pe{}: cannot write {loc}",
                 self.index
             ))),
-        }
-    }
-
-    /// Decoded-path stall check.
-    fn dwrite_ready(&self, loc: DecodedLoc, ext: &ExtView) -> Result<bool, SimError> {
-        match loc {
-            DecodedLoc::RfDirect(_) | DecodedLoc::RfIndirect { .. } => Ok(!self.compute_busy()),
-            DecodedLoc::SpmDirect(_)
-            | DecodedLoc::SpmIndirect { .. }
-            | DecodedLoc::AregDirect(_)
-            | DecodedLoc::AregIndirect { .. } => Ok(true),
-            DecodedLoc::Out => Ok(ext.out_free),
-            DecodedLoc::Fifo => {
-                if !ext.may_push_fifo {
-                    return Err(SimError::BadAccess(format!(
-                        "pe{}: only the last PE writes the FIFO",
-                        self.index
-                    )));
-                }
-                Ok(ext.fifo_has_space)
-            }
-            DecodedLoc::In => unreachable!("decode rejects `in` as a destination"),
         }
     }
 
@@ -439,67 +379,11 @@ impl Pe {
         Ok(eff)
     }
 
-    /// Decoded-path write commit.
-    fn dcommit_write(&mut self, loc: DecodedLoc, w: Word) -> Result<ExtEffect, SimError> {
-        let mut eff = ExtEffect::default();
-        match loc {
-            DecodedLoc::RfDirect(i) => {
-                let i = usize::from(i);
-                self.bound(&self.rf, i, "rf")?;
-                self.rf[i] = w;
-            }
-            DecodedLoc::RfIndirect { areg, offset } => {
-                let i = self.dresolve(areg, offset, Space::Rf)?;
-                self.bound(&self.rf, i, "rf")?;
-                self.rf[i] = w;
-            }
-            DecodedLoc::SpmDirect(i) => {
-                let i = usize::from(i);
-                self.bound(&self.spm, i, "spm")?;
-                self.spm[i] = w;
-                self.stats.spm_accesses += 1;
-            }
-            DecodedLoc::SpmIndirect { areg, offset } => {
-                let i = self.dresolve(areg, offset, Space::Spm)?;
-                self.bound(&self.spm, i, "spm")?;
-                self.spm[i] = w;
-                self.stats.spm_accesses += 1;
-            }
-            DecodedLoc::AregDirect(i) => {
-                let i = usize::from(i);
-                self.bound(&self.aregs, i, "areg")?;
-                self.aregs[i] = w.as_i32();
-            }
-            DecodedLoc::AregIndirect { areg, offset } => {
-                let i = self.dresolve(areg, offset, Space::Areg)?;
-                self.bound(&self.aregs, i, "areg")?;
-                self.aregs[i] = w.as_i32();
-            }
-            DecodedLoc::Out => {
-                eff.wrote_out = Some(w);
-                self.stats.port_moves += 1;
-            }
-            DecodedLoc::Fifo => {
-                eff.pushed_fifo = Some(w);
-            }
-            DecodedLoc::In => unreachable!("checked in dwrite_ready"),
-        }
-        Ok(eff)
-    }
-
-    /// Executes (at most) one control instruction.
+    /// Reference engine: executes (at most) one control instruction.
     pub fn step_ctrl(&mut self, ext: &ExtView) -> Result<(Progress, ExtEffect), SimError> {
         if self.halted {
             return Ok((Progress::Halted, ExtEffect::default()));
         }
-        if self.interpreted {
-            self.step_ctrl_interp(ext)
-        } else {
-            self.step_ctrl_decoded(ext)
-        }
-    }
-
-    fn step_ctrl_interp(&mut self, ext: &ExtView) -> Result<(Progress, ExtEffect), SimError> {
         let inst = match self.ctrl.get(self.ctrl_pc) {
             Some(i) => *i,
             None => {
@@ -507,16 +391,6 @@ impl Pe {
                 return Ok((Progress::Halted, ExtEffect::default()));
             }
         };
-        self.exec_ctrl_interp(inst, ext)
-    }
-
-    /// Executes one assembly-level control instruction (the interpreted
-    /// engine's body; also the decoded engine's per-instruction fallback).
-    fn exec_ctrl_interp(
-        &mut self,
-        inst: ControlInst,
-        ext: &ExtView,
-    ) -> Result<(Progress, ExtEffect), SimError> {
         let mut eff = ExtEffect::default();
         match inst {
             ControlInst::Nop => {}
@@ -626,136 +500,9 @@ impl Pe {
         Ok((Progress::Advanced, eff))
     }
 
-    /// The decoded engine's control step: same semantics and statistics as
-    /// [`Self::exec_ctrl_interp`], without re-decoding the encoding.
-    fn step_ctrl_decoded(&mut self, ext: &ExtView) -> Result<(Progress, ExtEffect), SimError> {
-        let inst = match self.dctrl.get(self.ctrl_pc) {
-            Some(i) => *i,
-            None => {
-                self.halted = true;
-                return Ok((Progress::Halted, ExtEffect::default()));
-            }
-        };
-        let mut eff = ExtEffect::default();
-        match inst {
-            DecodedCtrlInst::Nop => {}
-            DecodedCtrlInst::Halt => {
-                self.halted = true;
-                self.stats.ctrl_insts += 1;
-                return Ok((Progress::Halted, eff));
-            }
-            DecodedCtrlInst::Add { rd, rs1, rs2 } => {
-                let v = self.areg_at(rs1)?.wrapping_add(self.areg_at(rs2)?);
-                let i = rd as usize;
-                self.bound(&self.aregs, i, "areg")?;
-                self.aregs[i] = v;
-            }
-            DecodedCtrlInst::Addi { rd, rs1, imm } => {
-                let v = self.areg_at(rs1)?.wrapping_add(imm);
-                let i = rd as usize;
-                self.bound(&self.aregs, i, "areg")?;
-                self.aregs[i] = v;
-            }
-            DecodedCtrlInst::Branch {
-                cond,
-                rs1,
-                rs2,
-                target,
-            } => {
-                self.stats.ctrl_insts += 1;
-                if cond.eval(self.areg_at(rs1)?, self.areg_at(rs2)?) {
-                    if target < 0 {
-                        return Err(SimError::BadAccess(format!(
-                            "pe{}: branch to negative pc {target}",
-                            self.index
-                        )));
-                    }
-                    self.ctrl_pc = target as usize;
-                } else {
-                    self.ctrl_pc += 1;
-                }
-                return Ok((Progress::Advanced, eff));
-            }
-            DecodedCtrlInst::Li { dest, word } => {
-                if !self.dwrite_ready(dest, ext)? {
-                    self.stats.ctrl_stalls += 1;
-                    return Ok((Progress::Stalled, eff));
-                }
-                eff = self.dcommit_write(dest, word)?;
-            }
-            DecodedCtrlInst::Mv { dest, src } => {
-                let value = match self.dtry_read(src, ext)? {
-                    ReadOutcome::Stall => {
-                        self.stats.ctrl_stalls += 1;
-                        return Ok((Progress::Stalled, eff));
-                    }
-                    ReadOutcome::Value(w) => w,
-                };
-                if !self.dwrite_ready(dest, ext)? {
-                    self.stats.ctrl_stalls += 1;
-                    return Ok((Progress::Stalled, eff));
-                }
-                // Both sides ready: commit the read's external cost.
-                match src {
-                    DecodedLoc::In => {
-                        eff.consumed_in = true;
-                        self.stats.port_moves += 1;
-                    }
-                    DecodedLoc::Fifo => eff.popped_fifo = true,
-                    DecodedLoc::SpmDirect(_) | DecodedLoc::SpmIndirect { .. } => {
-                        self.stats.spm_accesses += 1
-                    }
-                    _ => {}
-                }
-                let weff = self.dcommit_write(dest, value)?;
-                eff.wrote_out = weff.wrote_out;
-                eff.pushed_fifo = weff.pushed_fifo;
-            }
-            DecodedCtrlInst::SetCompute { pc } => {
-                if self.compute_busy() {
-                    self.stats.ctrl_stalls += 1;
-                    return Ok((Progress::Stalled, eff));
-                }
-                if usize::from(pc) >= self.compute.len() && !self.compute.is_empty() {
-                    return Err(SimError::BadAccess(format!(
-                        "pe{}: set cu {pc} beyond compute program (len {})",
-                        self.index,
-                        self.compute.len()
-                    )));
-                }
-                if self.compute.is_empty() {
-                    return Err(SimError::BadAccess(format!(
-                        "pe{}: set cu with no compute program loaded",
-                        self.index
-                    )));
-                }
-                self.compute_pc = Some(usize::from(pc));
-                self.stats.cells += 1;
-            }
-            DecodedCtrlInst::Interp => {
-                let orig = *self
-                    .ctrl
-                    .get(self.ctrl_pc)
-                    .expect("decoded program indexes its source");
-                return self.exec_ctrl_interp(orig, ext);
-            }
-        }
-        self.stats.ctrl_insts += 1;
-        self.ctrl_pc += 1;
-        Ok((Progress::Advanced, eff))
-    }
-
-    /// Executes one VLIW compute instruction if the compute thread runs.
-    /// Returns true if an instruction was issued.
+    /// Reference engine: executes one VLIW compute instruction if the
+    /// compute thread runs. Returns true if an instruction was issued.
     pub fn step_compute(&mut self) -> Result<bool, SimError> {
-        if self.interpreted {
-            self.step_compute_interp()
-        } else {
-            self.step_compute_decoded()
-        }
-    }
-
-    fn step_compute_interp(&mut self) -> Result<bool, SimError> {
         let pc = match self.compute_pc {
             Some(pc) => pc,
             None => return Ok(false),
@@ -813,74 +560,6 @@ impl Pe {
         Ok(true)
     }
 
-    /// The decoded engine's compute step: alloc-free (the write set and
-    /// ALU input scratch live on the stack), with per-instruction
-    /// statistics read from the decoded word instead of recounted.
-    fn step_compute_decoded(&mut self) -> Result<bool, SimError> {
-        let pc = match self.compute_pc {
-            Some(pc) => pc,
-            None => return Ok(false),
-        };
-        // Reads before writes within the cycle. Each VLIW slot writes at
-        // most one word, so the write set is a fixed stack array.
-        let mut writes = [(0u16, Word::ZERO); CU_PER_PE];
-        let mut n_writes = 0usize;
-        let inst = self.dcompute.get(pc).unwrap_or(&DecodedVliw::NOP);
-        for slot in &inst.slots {
-            match slot {
-                DecodedCu::Nop => {}
-                DecodedCu::Mul { a, b, dest } => {
-                    let av = self.doperand(*a)?;
-                    let bv = self.doperand(*b)?;
-                    let r = apply(ComputeOp::Mul, self.mode, &[av, bv], &self.luts);
-                    writes[n_writes] = (*dest, r);
-                    n_writes += 1;
-                }
-                DecodedCu::Tree(t) => {
-                    let wn = t.wide_n as usize;
-                    let mut wide = [Word::ZERO; 4];
-                    for (k, o) in t.wide_ins[..wn].iter().enumerate() {
-                        wide[k] = self.doperand(*o)?;
-                    }
-                    let a_out = if t.wide_op == ComputeOp::Nop {
-                        Word::ZERO
-                    } else {
-                        apply(t.wide_op, self.mode, &wide[..wn], &self.luts)
-                    };
-                    let nn = t.narrow_n as usize;
-                    let mut narrow = [Word::ZERO; 2];
-                    for (k, o) in t.narrow_ins[..nn].iter().enumerate() {
-                        narrow[k] = self.doperand(*o)?;
-                    }
-                    let b_out = if t.narrow_op == ComputeOp::Nop {
-                        Word::ZERO
-                    } else {
-                        apply(t.narrow_op, self.mode, &narrow[..nn], &self.luts)
-                    };
-                    let r = apply(t.root_op, self.mode, &[a_out, b_out], &self.luts);
-                    writes[n_writes] = (t.dest, r);
-                    n_writes += 1;
-                }
-            }
-        }
-        let (rf_accesses, active_slots) = (inst.rf_accesses, inst.active_slots);
-        self.stats.rf_accesses += rf_accesses as u64;
-        for &(d, w) in &writes[..n_writes] {
-            let i = d as usize;
-            self.bound(&self.rf, i, "rf")?;
-            self.rf[i] = w;
-        }
-        self.stats.vliw_issued += 1;
-        self.stats.cu_slots_active += active_slots as u64;
-        let next = pc + 1;
-        self.compute_pc = if next >= self.dcompute.len() {
-            None
-        } else {
-            Some(next)
-        };
-        Ok(true)
-    }
-
     fn operand(&self, o: Operand) -> Result<Word, SimError> {
         match o {
             Operand::Reg(r) => {
@@ -892,120 +571,332 @@ impl Pe {
         }
     }
 
-    fn doperand(&self, o: DecodedOperand) -> Result<Word, SimError> {
-        match o {
-            DecodedOperand::Reg(r) => {
-                let i = r as usize;
-                self.bound(&self.rf, i, "rf")?;
-                Ok(self.rf[i])
-            }
-            DecodedOperand::Imm(w) => Ok(w),
+    /// Decoded engine: puts the PE on the run's starting cycle. A compute
+    /// activation still in flight (a run resumed after a timeout) is
+    /// evaluated now; its remaining words run from `start` on.
+    pub fn start(&mut self, start: u64, tl: &Timeline<'_>) -> Result<(), Replay> {
+        self.clock = start;
+        self.rf_free = start;
+        match self.compute_pc.take() {
+            Some(pc) => self.activate(pc, start, tl),
+            None => Ok(()),
         }
+    }
+
+    /// Decoded engine: one past the last cycle the PE was active, once its
+    /// control thread has halted.
+    pub fn finish(&self) -> u64 {
+        self.clock.max(self.rf_free)
+    }
+
+    /// Decoded engine: runs the control thread ahead on its own clock
+    /// until it halts or needs an event its neighbours have not produced
+    /// yet. Returns whether it issued or halted at all.
+    ///
+    /// # Errors
+    ///
+    /// [`Replay`] on anything the reference engine reports as an error,
+    /// and on any event at or past the run's cycle budget.
+    pub fn advance(&mut self, tl: &mut Timeline<'_>) -> Result<bool, Replay> {
+        let mut moved = false;
+        while !self.halted {
+            let r = self.clock;
+            let Some(&inst) = self.dctrl.get(self.ctrl_pc) else {
+                // Running off the end halts the thread in its next cycle.
+                tl.within_budget(r + 1)?;
+                self.halted = true;
+                self.clock = r + 1;
+                return Ok(true);
+            };
+            let at = match inst {
+                DecodedCtrlInst::Nop => {
+                    self.ctrl_pc += 1;
+                    r
+                }
+                DecodedCtrlInst::Halt => {
+                    self.halted = true;
+                    r
+                }
+                DecodedCtrlInst::Add { rd, rs1, rs2 } => {
+                    let v = self.areg_at(rs1)?.wrapping_add(self.areg_at(rs2)?);
+                    *self.aregs.get_mut(usize::from(rd)).ok_or(Replay)? = v;
+                    self.ctrl_pc += 1;
+                    r
+                }
+                DecodedCtrlInst::Addi { rd, rs1, imm } => {
+                    let v = self.areg_at(rs1)?.wrapping_add(imm);
+                    *self.aregs.get_mut(usize::from(rd)).ok_or(Replay)? = v;
+                    self.ctrl_pc += 1;
+                    r
+                }
+                DecodedCtrlInst::Branch {
+                    cond,
+                    rs1,
+                    rs2,
+                    target,
+                } => {
+                    if cond.eval(self.areg_at(rs1)?, self.areg_at(rs2)?) {
+                        self.ctrl_pc = usize::try_from(target).map_err(|_| Replay)?;
+                    } else {
+                        self.ctrl_pc += 1;
+                    }
+                    r
+                }
+                DecodedCtrlInst::Li { dest, word } => {
+                    let Some(ready) = self.dest_ready(dest, tl)? else {
+                        break;
+                    };
+                    let at = r.max(ready);
+                    self.write(dest, word, at, tl)?;
+                    self.ctrl_pc += 1;
+                    at
+                }
+                DecodedCtrlInst::Mv { dest, src } => {
+                    let (Some(a), Some(b)) = (self.src_ready(src, tl)?, self.dest_ready(dest, tl)?)
+                    else {
+                        break;
+                    };
+                    let at = r.max(a).max(b);
+                    let w = self.read(src, at, tl)?;
+                    self.write(dest, w, at, tl)?;
+                    self.ctrl_pc += 1;
+                    at
+                }
+                DecodedCtrlInst::SetCompute { pc } => {
+                    let at = r.max(self.rf_free);
+                    self.activate(usize::from(pc), at, tl)?;
+                    self.stats.cells += 1;
+                    self.ctrl_pc += 1;
+                    at
+                }
+                // Every form the decoder leaves to the interpreter is an
+                // error at run time.
+                DecodedCtrlInst::Interp => return Err(Replay),
+            };
+            tl.within_budget(at + 1)?;
+            self.stats.ctrl_insts += 1;
+            self.stats.ctrl_stalls += at - r;
+            self.clock = at + 1;
+            moved = true;
+        }
+        Ok(moved)
+    }
+
+    /// Starts the compute activation `set cu <pc>` issued at `at`: evaluates
+    /// all its words now and holds the RF until the last one has run.
+    fn activate(&mut self, pc: usize, at: u64, tl: &Timeline<'_>) -> Result<(), Replay> {
+        if pc >= self.dcompute.len() || !self.compute_in_rf {
+            return Err(Replay);
+        }
+        let cost = self.dcompute.activation(pc);
+        let done = at + cost.words;
+        tl.within_budget(done)?;
+        eval_activation(&self.dcompute, pc, self.mode, &self.luts, &mut self.rf);
+        self.stats.vliw_issued += cost.words;
+        self.stats.cu_slots_active += cost.active_slots;
+        self.stats.rf_accesses += cost.rf_accesses;
+        self.rf_free = done;
+        Ok(())
+    }
+
+    fn areg_at(&self, r: u8) -> Result<i32, Replay> {
+        self.aregs.get(usize::from(r)).copied().ok_or(Replay)
+    }
+
+    /// The address `a<areg> + offset` names.
+    fn indirect(&self, areg: u8, offset: i16) -> Result<usize, Replay> {
+        usize::try_from(i64::from(self.areg_at(areg)?) + i64::from(offset)).map_err(|_| Replay)
+    }
+
+    /// The first cycle `src` can be read, or `None` while a neighbour has
+    /// yet to produce it.
+    fn src_ready(&self, src: DecodedLoc, tl: &Timeline<'_>) -> Result<Option<u64>, Replay> {
+        Ok(match src {
+            DecodedLoc::RfDirect(_) | DecodedLoc::RfIndirect { .. } => Some(self.rf_free),
+            DecodedLoc::In => tl.in_ready(self.index),
+            DecodedLoc::Fifo => tl.pop_ready(self.index)?,
+            _ => Some(0),
+        })
+    }
+
+    /// The first cycle `dest` can be written, or `None` while a neighbour
+    /// has yet to free it.
+    fn dest_ready(&self, dest: DecodedLoc, tl: &Timeline<'_>) -> Result<Option<u64>, Replay> {
+        Ok(match dest {
+            DecodedLoc::RfDirect(_) | DecodedLoc::RfIndirect { .. } => Some(self.rf_free),
+            DecodedLoc::Out => tl.out_ready(self.index),
+            DecodedLoc::Fifo => tl.push_ready(self.index)?,
+            _ => Some(0),
+        })
+    }
+
+    /// Reads `src` in cycle `at`, taking a port or FIFO word.
+    fn read(&mut self, src: DecodedLoc, at: u64, tl: &mut Timeline<'_>) -> Result<Word, Replay> {
+        let word = match src {
+            DecodedLoc::RfDirect(i) => self.rf.get(usize::from(i)),
+            DecodedLoc::RfIndirect { areg, offset } => self.rf.get(self.indirect(areg, offset)?),
+            DecodedLoc::SpmDirect(i) => {
+                self.stats.spm_accesses += 1;
+                self.spm.get(usize::from(i))
+            }
+            DecodedLoc::SpmIndirect { areg, offset } => {
+                self.stats.spm_accesses += 1;
+                self.spm.get(self.indirect(areg, offset)?)
+            }
+            DecodedLoc::AregDirect(i) => {
+                return self.areg_word(usize::from(i));
+            }
+            DecodedLoc::AregIndirect { areg, offset } => {
+                return self.areg_word(self.indirect(areg, offset)?);
+            }
+            DecodedLoc::In => {
+                self.stats.port_moves += 1;
+                return Ok(tl.take_in(self.index, at));
+            }
+            DecodedLoc::Fifo => return Ok(tl.pop(self.index, at)),
+            DecodedLoc::Out => unreachable!("decode rejects `out` as a source"),
+        };
+        word.copied().ok_or(Replay)
+    }
+
+    fn areg_word(&self, i: usize) -> Result<Word, Replay> {
+        self.aregs.get(i).map(|&v| Word::from_i32(v)).ok_or(Replay)
+    }
+
+    /// Writes `w` to `dest` in cycle `at`, filling a port or FIFO slot.
+    fn write(
+        &mut self,
+        dest: DecodedLoc,
+        w: Word,
+        at: u64,
+        tl: &mut Timeline<'_>,
+    ) -> Result<(), Replay> {
+        let slot = match dest {
+            DecodedLoc::RfDirect(i) => self.rf.get_mut(usize::from(i)),
+            DecodedLoc::RfIndirect { areg, offset } => {
+                let i = self.indirect(areg, offset)?;
+                self.rf.get_mut(i)
+            }
+            DecodedLoc::SpmDirect(i) => {
+                self.stats.spm_accesses += 1;
+                self.spm.get_mut(usize::from(i))
+            }
+            DecodedLoc::SpmIndirect { areg, offset } => {
+                self.stats.spm_accesses += 1;
+                let i = self.indirect(areg, offset)?;
+                self.spm.get_mut(i)
+            }
+            DecodedLoc::AregDirect(i) => {
+                *self.aregs.get_mut(usize::from(i)).ok_or(Replay)? = w.as_i32();
+                return Ok(());
+            }
+            DecodedLoc::AregIndirect { areg, offset } => {
+                let i = self.indirect(areg, offset)?;
+                *self.aregs.get_mut(i).ok_or(Replay)? = w.as_i32();
+                return Ok(());
+            }
+            DecodedLoc::Out => {
+                self.stats.port_moves += 1;
+                tl.put_out(self.index, at, w);
+                return Ok(());
+            }
+            DecodedLoc::Fifo => {
+                tl.push(at, w);
+                return Ok(());
+            }
+            DecodedLoc::In => unreachable!("decode rejects `in` as a destination"),
+        };
+        *slot.ok_or(Replay)? = w;
+        Ok(())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{PeArray, RunStats, Tier};
     use gendp_isa::{TreeSlots, VliwInst};
 
-    fn idle_ext() -> ExtView {
-        ExtView {
-            in_avail: None,
-            out_free: true,
-            fifo_front: None,
-            fifo_has_space: true,
-            may_pop_fifo: true,
-            may_push_fifo: true,
-        }
-    }
-
-    fn load_ctrl(pe: &mut Pe, prog: ControlProgram) {
-        let decoded = Arc::new(DecodedControlProgram::decode(&prog));
-        pe.load_control(Arc::new(prog), decoded);
-    }
-
-    fn load_comp(pe: &mut Pe, prog: ComputeProgram) {
-        let decoded = Arc::new(DecodedComputeProgram::decode(&prog));
-        pe.load_compute(Arc::new(prog), decoded);
-    }
-
-    /// Both per-cycle engines: the decoded one and its interpreted
+    /// Both engines: the decoded event engine and its interpreted
     /// reference.
     const ENGINES: [Tier; 2] = [Tier::Decoded, Tier::Interpreted];
 
-    fn pe_with_engine(prog: &str, tier: Tier) -> Pe {
-        let mut pe = Pe::new(&PeArrayConfig::with_pes(1).tiers(tier), 0);
-        load_ctrl(&mut pe, prog.parse().unwrap());
-        pe
-    }
-
-    fn pe_with(prog: &str) -> Pe {
-        pe_with_engine(prog, Tier::Decoded)
-    }
-
-    fn run_to_halt(pe: &mut Pe, ext: &ExtView) {
-        for _ in 0..1000 {
-            let (p, _) = pe.step_ctrl(ext).unwrap();
-            if p == Progress::Halted {
-                return;
+    /// Runs one control program per PE (and `compute` in every PE) on
+    /// both engines, asserts that they agree on the outcome, the
+    /// statistics, the output and every register file, and returns the
+    /// decoded array with its outcome.
+    fn run_both(
+        progs: &[&str],
+        compute: Option<ComputeProgram>,
+    ) -> (PeArray, Result<RunStats, SimError>) {
+        let [(dec, dec_outcome), (int, int_outcome)] = ENGINES.map(|tier| {
+            let cfg = PeArrayConfig::with_pes(progs.len()).no_verify().tiers(tier);
+            let mut a = PeArray::new(cfg);
+            for (k, prog) in progs.iter().enumerate() {
+                a.load_pe_control(k, prog.parse::<ControlProgram>().unwrap());
             }
+            if let Some(c) = compute.clone() {
+                a.load_compute_all(c);
+            }
+            let outcome = a.run(1000);
+            (a, outcome)
+        });
+        assert_eq!(dec_outcome, int_outcome, "engines disagree on {progs:?}");
+        assert_eq!(dec.stats(), int.stats());
+        assert_eq!(dec.output(), int.output());
+        for k in 0..progs.len() {
+            assert_eq!(dec.pe(k).rf(), int.pe(k).rf());
         }
-        panic!("pe did not halt");
+        (dec, dec_outcome)
     }
 
     #[test]
     fn li_and_mv_between_rf_and_spm() {
-        for engine in ENGINES {
-            let mut pe = pe_with_engine(
-                "li rf[3] 42\nmv spm[7] rf[3]\nmv rf[4] spm[7]\nhalt",
-                engine,
-            );
-            run_to_halt(&mut pe, &idle_ext());
-            assert_eq!(pe.rf()[4].as_i32(), 42);
-            assert_eq!(pe.stats.spm_accesses, 2);
-            assert_eq!(pe.stats.ctrl_insts, 4);
-        }
+        let (a, outcome) = run_both(
+            &["li rf[3] 42\nmv spm[7] rf[3]\nmv rf[4] spm[7]\nhalt"],
+            None,
+        );
+        let stats = outcome.unwrap();
+        assert_eq!(a.pe(0).rf()[4].as_i32(), 42);
+        assert_eq!(stats.per_pe[0].spm_accesses, 2);
+        assert_eq!(stats.per_pe[0].ctrl_insts, 4);
     }
 
     #[test]
     fn areg_loop_counts() {
-        for engine in ENGINES {
-            let mut pe = pe_with_engine(
-                "li a[0] 0\nli a[1] 5\naddi a0 a0 1\nblt a0 a1 -1\nmv rf[0] a[0]\nhalt",
-                engine,
-            );
-            run_to_halt(&mut pe, &idle_ext());
-            assert_eq!(pe.rf()[0].as_i32(), 5);
-        }
+        let (a, outcome) = run_both(
+            &["li a[0] 0\nli a[1] 5\naddi a0 a0 1\nblt a0 a1 -1\nmv rf[0] a[0]\nhalt"],
+            None,
+        );
+        outcome.unwrap();
+        assert_eq!(a.pe(0).rf()[0].as_i32(), 5);
     }
 
     #[test]
     fn mv_from_empty_in_port_stalls() {
-        let mut pe = pe_with("mv rf[0] in\nhalt");
-        let mut ext = idle_ext();
-        let (p, _) = pe.step_ctrl(&ext).unwrap();
-        assert_eq!(p, Progress::Stalled);
-        assert_eq!(pe.stats.ctrl_stalls, 1);
-        ext.in_avail = Some(Word::from_i32(9));
-        let (p, eff) = pe.step_ctrl(&ext).unwrap();
-        assert_eq!(p, Progress::Advanced);
-        assert!(eff.consumed_in);
-        assert_eq!(pe.rf()[0].as_i32(), 9);
+        // PE0 fills PE1's port in cycle 1: PE1's `mv rf[0] in` stalls in
+        // cycle 0 and takes the word in cycle 1 (same-cycle forwarding).
+        let (a, outcome) = run_both(&["nop\nli out 9\nhalt", "mv rf[0] in\nhalt"], None);
+        let stats = outcome.unwrap();
+        assert_eq!(stats.per_pe[1].ctrl_stalls, 1);
+        assert_eq!(stats.per_pe[1].port_moves, 1, "the word was consumed");
+        assert_eq!(a.pe(1).rf()[0].as_i32(), 9);
     }
 
     #[test]
     fn mv_to_busy_out_port_stalls() {
-        let mut pe = pe_with("li rf[0] 7\nmv out rf[0]\nhalt");
-        let mut ext = idle_ext();
-        ext.out_free = false;
-        pe.step_ctrl(&ext).unwrap(); // li
-        let (p, _) = pe.step_ctrl(&ext).unwrap();
-        assert_eq!(p, Progress::Stalled);
-        ext.out_free = true;
-        let (p, eff) = pe.step_ctrl(&ext).unwrap();
-        assert_eq!(p, Progress::Advanced);
-        assert_eq!(eff.wrote_out, Some(Word::from_i32(7)));
+        // PE1 takes its first word in cycle 3, so PE0's second write finds
+        // the latch full in cycles 2 and 3 and issues in cycle 4.
+        let (a, outcome) = run_both(
+            &[
+                "li out 5\nli rf[0] 7\nmv out rf[0]\nhalt",
+                "nop\nnop\nnop\nmv out in\nmv out in\nhalt",
+            ],
+            None,
+        );
+        let stats = outcome.unwrap();
+        assert_eq!(stats.per_pe[0].ctrl_stalls, 2);
+        assert_eq!(a.output(), [5, 7].map(Word::from_i32));
     }
 
     fn add_compute_program() -> ComputeProgram {
@@ -1030,104 +921,74 @@ mod tests {
 
     #[test]
     fn set_runs_compute_and_interlocks_rf() {
-        for engine in ENGINES {
-            let mut pe = pe_with_engine(
-                "li rf[0] 20\nli rf[1] 22\nset cu 0\nmv rf[3] rf[2]\nhalt",
-                engine,
-            );
-            load_comp(&mut pe, add_compute_program());
-            let ext = idle_ext();
-            // li, li, set.
-            for _ in 0..3 {
-                pe.step_ctrl(&ext).unwrap();
-            }
-            assert!(pe.compute_busy());
-            // mv rf[3] rf[2] must stall while compute runs (RF interlock).
-            let (p, _) = pe.step_ctrl(&ext).unwrap();
-            assert_eq!(p, Progress::Stalled);
-            pe.step_compute().unwrap();
-            let (p, _) = pe.step_ctrl(&ext).unwrap();
-            assert_eq!(p, Progress::Stalled, "still one VLIW left");
-            pe.step_compute().unwrap();
-            assert!(!pe.compute_busy());
-            let (p, _) = pe.step_ctrl(&ext).unwrap();
-            assert_eq!(p, Progress::Advanced);
-            assert_eq!(pe.rf()[3].as_i32(), 42);
-            assert_eq!(pe.stats.cells, 1);
-            assert_eq!(pe.stats.vliw_issued, 2);
-        }
+        let (a, outcome) = run_both(
+            &["li rf[0] 20\nli rf[1] 22\nset cu 0\nmv rf[3] rf[2]\nhalt"],
+            Some(add_compute_program()),
+        );
+        let stats = outcome.unwrap();
+        // The two-word activation runs in cycles 2 and 3: the RF move
+        // stalls on the interlock in cycle 3 and issues in cycle 4.
+        assert_eq!(stats.per_pe[0].ctrl_stalls, 1);
+        assert_eq!(stats.cycles, 6);
+        assert_eq!(a.pe(0).rf()[3].as_i32(), 42);
+        assert_eq!(stats.per_pe[0].cells, 1);
+        assert_eq!(stats.per_pe[0].vliw_issued, 2);
     }
 
     #[test]
     fn set_without_program_is_an_error() {
-        for engine in ENGINES {
-            let mut pe = pe_with_engine("set cu 0\nhalt", engine);
-            let err = pe.step_ctrl(&idle_ext()).unwrap_err();
-            assert!(matches!(err, SimError::BadAccess(_)));
-        }
+        let (_, outcome) = run_both(&["set cu 0\nhalt"], None);
+        assert!(matches!(outcome.unwrap_err(), SimError::BadAccess(_)));
     }
 
     #[test]
     fn rf_out_of_range_is_an_error() {
-        for engine in ENGINES {
-            let mut pe = pe_with_engine("li rf[9999] 1\nhalt", engine);
-            let err = pe.step_ctrl(&idle_ext()).unwrap_err();
-            assert!(err.to_string().contains("rf"));
-        }
+        let (_, outcome) = run_both(&["li rf[9999] 1\nhalt"], None);
+        assert!(outcome.unwrap_err().to_string().contains("rf"));
     }
 
     #[test]
     fn halted_pe_reports_halted() {
-        let mut pe = pe_with("halt");
-        let (p, _) = pe.step_ctrl(&idle_ext()).unwrap();
-        assert_eq!(p, Progress::Halted);
-        assert!(pe.is_halted());
-        let (p, _) = pe.step_ctrl(&idle_ext()).unwrap();
-        assert_eq!(p, Progress::Halted);
+        let (mut a, outcome) = run_both(&["halt"], None);
+        let stats = outcome.unwrap();
+        assert_eq!(stats.cycles, 1);
+        assert_eq!(stats.per_pe[0].ctrl_insts, 1);
+        assert!(a.pe(0).is_halted());
+        // A halted array stays halted: running it again changes nothing.
+        assert_eq!(a.run(1000).unwrap(), stats);
     }
 
     #[test]
     fn indirect_addressing_walks_spm() {
-        for engine in ENGINES {
-            let mut pe = pe_with_engine(
+        let (a, outcome) = run_both(
+            &[
                 "li a[0] 0\nli a[1] 4\nli spm[a0] 5\naddi a0 a0 1\nblt a0 a1 -2\n\
-                 li a[0] 0\nmv rf[a0+1] spm[a0]\nhalt",
-                engine,
-            );
-            run_to_halt(&mut pe, &idle_ext());
-            assert_eq!(pe.rf()[1].as_i32(), 5);
-        }
+               li a[0] 0\nmv rf[a0+1] spm[a0]\nhalt",
+            ],
+            None,
+        );
+        outcome.unwrap();
+        assert_eq!(a.pe(0).rf()[1].as_i32(), 5);
     }
 
     #[test]
     fn engines_report_identical_errors() {
-        // `set pe` and buffer moves decode to the interpreter fallback; both
-        // engines must produce byte-identical diagnostics.
+        // `set pe` and buffer moves decode to the interpreter fallback;
+        // both engines must produce byte-identical diagnostics.
         for prog in ["set pe1 0\nhalt", "mv rf[0] out\nhalt", "mv in rf[0]\nhalt"] {
-            let mut a = pe_with_engine(prog, Tier::Decoded);
-            let mut b = pe_with_engine(prog, Tier::Interpreted);
-            let ea = a.step_ctrl(&idle_ext()).unwrap_err();
-            let eb = b.step_ctrl(&idle_ext()).unwrap_err();
-            assert_eq!(ea.to_string(), eb.to_string(), "program {prog:?}");
+            let (_, outcome) = run_both(&[prog], None);
+            assert!(outcome.is_err(), "program {prog:?}");
         }
     }
 
     #[test]
     fn engines_match_on_a_looping_program() {
-        let prog = "li a[0] 0\nli a[1] 6\nli spm[a0] 3\nmv rf[a0] spm[a0]\n\
-                    addi a0 a0 1\nblt a0 a1 -3\nmv out rf[2]\nhalt";
-        let mut a = pe_with_engine(prog, Tier::Decoded);
-        let mut b = pe_with_engine(prog, Tier::Interpreted);
-        let ext = idle_ext();
-        loop {
-            let ra = a.step_ctrl(&ext).unwrap();
-            let rb = b.step_ctrl(&ext).unwrap();
-            assert_eq!(ra, rb);
-            if ra.0 == Progress::Halted {
-                break;
-            }
-        }
-        assert_eq!(a.stats, b.stats);
-        assert_eq!(a.rf(), b.rf());
+        let (a, outcome) = run_both(
+            &["li a[0] 0\nli a[1] 6\nli spm[a0] 3\nmv rf[a0] spm[a0]\n\
+               addi a0 a0 1\nblt a0 a1 -3\nmv out rf[2]\nhalt"],
+            None,
+        );
+        outcome.unwrap();
+        assert_eq!(a.output(), [Word::from_i32(3)]);
     }
 }

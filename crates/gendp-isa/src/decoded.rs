@@ -8,7 +8,7 @@
 //! that never change after load.
 //!
 //! This module is the one-time lowering pass that removes all of that from
-//! the per-cycle loop. [`DecodedControlProgram::decode`] and
+//! the hot path. [`DecodedControlProgram::decode`] and
 //! [`DecodedComputeProgram::decode`] run once when a program is loaded into
 //! an array and produce dense structs with:
 //!
@@ -16,16 +16,16 @@
 //!   space/addressing match),
 //! * branch targets pre-computed as absolute program counters,
 //! * immediates pre-converted to datapath [`Word`]s,
-//! * per-instruction statistics (RF accesses, active VLIW slots) and
-//!   operand arities pre-counted.
+//! * operand arities pre-counted, and per start pc the counters a compute
+//!   activation adds ([`ActivationCost`]) summed, with the highest
+//!   register the compute program names.
 //!
 //! Decoding is total and infallible: instruction forms that the simulator
 //! rejects *at execution time* (for example `set pe`, or a move targeting a
-//! buffer space) lower to [`DecodedCtrlInst::Interp`], which tells the
-//! engine to fall back to interpreting the original encoding at that pc.
-//! This keeps error behavior — including its exact timing — identical to
-//! the interpreted engine: a program whose bad instruction is never reached
-//! still runs to completion.
+//! buffer space) lower to [`DecodedCtrlInst::Interp`]. A decoded run that
+//! reaches one is replayed on the interpreted engine, which keeps error
+//! behavior — including its exact timing — identical to it: a program
+//! whose bad instruction is never reached still runs to completion.
 
 use crate::compute::{ComputeOp, CuInst, Operand, VliwInst, CU_PER_PE};
 use crate::control::{BranchCond, ControlInst, SetTarget};
@@ -129,10 +129,11 @@ pub enum DecodedCtrlInst {
     Li { dest: DecodedLoc, word: Word },
     /// `mv` with both locations resolved.
     Mv { dest: DecodedLoc, src: DecodedLoc },
-    /// Execute the *original* instruction at this pc through the
-    /// interpreter. Used for forms whose only defined behavior is a
-    /// runtime error (`set pe`, buffer-space moves), keeping diagnostics
-    /// and error timing identical across engines.
+    /// Leave the *original* instruction at this pc to the interpreter.
+    /// Used for forms whose only defined behavior is a runtime error
+    /// (`set pe`, buffer-space moves); the run that reaches one replays on
+    /// the interpreted engine, keeping diagnostics and error timing
+    /// identical across engines.
     Interp,
 }
 
@@ -312,49 +313,66 @@ impl DecodedCu {
     }
 }
 
-/// One pre-decoded VLIW word with its per-cycle statistics attached.
+/// One pre-decoded VLIW word.
 #[derive(Debug, Copy, Clone, PartialEq, Eq)]
 pub struct DecodedVliw {
     /// The two compute-unit slots.
     pub slots: [DecodedCu; CU_PER_PE],
-    /// `VliwInst::rf_accesses()` of the source word.
-    pub rf_accesses: u32,
-    /// `VliwInst::active_slots()` of the source word.
-    pub active_slots: u32,
 }
 
 impl DecodedVliw {
-    /// Both slots idle — what the engine executes past the end of the
-    /// program, matching the interpreter's implicit NOP.
-    pub const NOP: DecodedVliw = DecodedVliw {
-        slots: [DecodedCu::Nop, DecodedCu::Nop],
-        rf_accesses: 0,
-        active_slots: 0,
-    };
-
     fn decode(inst: &VliwInst) -> Self {
         DecodedVliw {
             slots: [
                 DecodedCu::decode(&inst.slots[0]),
                 DecodedCu::decode(&inst.slots[1]),
             ],
-            rf_accesses: inst.rf_accesses() as u32,
-            active_slots: inst.active_slots() as u32,
         }
     }
+}
+
+/// What one compute-thread activation adds to the PE's counters: the
+/// words from its start pc to the end of the program, one per cycle.
+#[derive(Debug, Copy, Clone, PartialEq, Eq, Default)]
+pub struct ActivationCost {
+    /// VLIW words issued, which is also the cycles the activation runs.
+    pub words: u64,
+    /// Non-idle compute-unit slots over those words.
+    pub active_slots: u64,
+    /// Register-file reads and writes over those words.
+    pub rf_accesses: u64,
 }
 
 /// A compute program lowered for execution.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct DecodedComputeProgram {
     insts: Vec<DecodedVliw>,
+    /// `suffix[pc]` is the cost of an activation started at `pc`.
+    suffix: Vec<ActivationCost>,
+    /// Highest register-file slot any word reads or writes.
+    max_reg: Option<u16>,
 }
 
 impl DecodedComputeProgram {
     /// Lowers a compute program. Infallible.
     pub fn decode(program: &ComputeProgram) -> Self {
+        let mut suffix = vec![ActivationCost::default(); program.len()];
+        let mut tail = ActivationCost::default();
+        for (cost, inst) in suffix.iter_mut().zip(program.iter()).rev() {
+            tail.words += 1;
+            tail.active_slots += inst.active_slots() as u64;
+            tail.rf_accesses += inst.rf_accesses() as u64;
+            *cost = tail;
+        }
+        let max_reg = program
+            .iter()
+            .flat_map(|inst| &inst.slots)
+            .filter_map(slot_max_reg)
+            .max();
         DecodedComputeProgram {
             insts: program.iter().map(DecodedVliw::decode).collect(),
+            suffix,
+            max_reg,
         }
     }
 
@@ -370,6 +388,23 @@ impl DecodedComputeProgram {
         &self.insts
     }
 
+    /// The cost of an activation started at `pc` (`set cu <pc>`), summed
+    /// once at decode.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `pc` is not a word of the program.
+    #[inline]
+    pub fn activation(&self, pc: usize) -> ActivationCost {
+        self.suffix[pc]
+    }
+
+    /// True if every register-file slot the program reads or writes lies
+    /// below `rf_slots`, so no activation can address past the file.
+    pub fn regs_within(&self, rf_slots: usize) -> bool {
+        self.max_reg.is_none_or(|r| usize::from(r) < rf_slots)
+    }
+
     /// Number of VLIW words (equal to the source program's).
     pub fn len(&self) -> usize {
         self.insts.len()
@@ -378,6 +413,27 @@ impl DecodedComputeProgram {
     /// True if the program has no instructions.
     pub fn is_empty(&self) -> bool {
         self.insts.is_empty()
+    }
+}
+
+/// The highest register-file slot one compute-unit slot reads (the
+/// operands its ALUs consume) or writes.
+fn slot_max_reg(slot: &CuInst) -> Option<u16> {
+    let reg = |o: &Operand| match *o {
+        Operand::Reg(r) => Some(r),
+        Operand::Imm(_) => None,
+    };
+    match slot {
+        CuInst::Nop => None,
+        CuInst::Mul { a, b, dest } => [reg(a), reg(b), Some(*dest)].into_iter().flatten().max(),
+        CuInst::Tree(t) => t
+            .wide_ins
+            .iter()
+            .take(t.wide_op.arity())
+            .chain(t.narrow_ins.iter().take(t.narrow_op.arity()))
+            .filter_map(reg)
+            .chain([t.dest])
+            .max(),
     }
 }
 
@@ -516,8 +572,10 @@ mod tests {
         p.finish();
         let d = DecodedComputeProgram::decode(&p);
         let w = d.get(0).unwrap();
-        assert_eq!(w.rf_accesses as usize, src.rf_accesses());
-        assert_eq!(w.active_slots as usize, src.active_slots());
+        let cost = d.activation(0);
+        assert_eq!(cost.rf_accesses as usize, src.rf_accesses());
+        assert_eq!(cost.active_slots as usize, src.active_slots());
+        assert_eq!(cost.words, 1);
         match &w.slots[0] {
             DecodedCu::Tree(t) => {
                 assert_eq!(t.wide_n, 4);
@@ -526,7 +584,7 @@ mod tests {
             }
             other => panic!("expected tree, got {other:?}"),
         }
-        assert_eq!(DecodedVliw::NOP.rf_accesses, 0);
+        assert!(d.regs_within(7) && !d.regs_within(6), "mul writes r6");
     }
 
     #[test]

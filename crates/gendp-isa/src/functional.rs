@@ -1,24 +1,27 @@
 //! Functional evaluation of compute programs: the arithmetic of one DP
 //! cell, without the simulator.
 //!
-//! The per-cycle engines in `gendp-dpax` charge every VLIW word a cycle,
-//! track program counters and interlocks, and thread statistics through
-//! each step. The functional tier needs none of that: a kernel's compute
-//! program is a straight-line sequence of VLIW words whose only
-//! architectural effect is a set of register-file writes, so evaluating a
-//! cell is just running every word once over a register file slice.
+//! The interpreted engine in `gendp-dpax` charges every VLIW word a
+//! cycle, tracks program counters and interlocks, and threads statistics
+//! through each step. Neither the functional tier nor the decoded engine
+//! needs that: a kernel's compute program is a straight-line sequence of
+//! VLIW words whose only architectural effect is a set of register-file
+//! writes, so evaluating a cell is just running every word once over a
+//! register file slice.
 //!
 //! [`eval_cell`] is that evaluation, bit-identical to one full
 //! compute-thread activation (`set cu 0` through program end) of the
-//! simulated engines: within each VLIW word all operand reads happen
-//! before any write commits, `Nop` first-level ALUs contribute zero to the
-//! root, and all arithmetic goes through the same [`apply`] semantics the
-//! simulators use.
+//! interpreted engine; [`eval_activation`] starts the same evaluation at
+//! any pc, and the decoded engine runs every `set cu` through it. Within
+//! each VLIW word all operand reads happen before any write commits, `Nop`
+//! first-level ALUs contribute zero to the root, and all arithmetic goes
+//! through the same [`apply`] semantics the interpreter uses.
 //!
-//! Callers are expected to run statically verified programs (the RF slot
-//! bounds are proven by `gendp-verify` before a driver lowers
-//! functionally); an out-of-range slot panics via normal slice indexing
-//! rather than reproducing the simulator's `BadAccess` error.
+//! Callers are expected to run programs whose register slots lie inside
+//! the file: `gendp-verify` proves it before a driver lowers functionally,
+//! and the decoded engine checks [`DecodedComputeProgram::regs_within`]
+//! when a program is loaded. An out-of-range slot panics via normal slice
+//! indexing rather than reproducing the simulator's `BadAccess` error.
 
 use crate::decoded::{DecodedComputeProgram, DecodedCu, DecodedOperand, DecodedVliw};
 use crate::sem::{apply, apply_i32, Luts};
@@ -201,13 +204,35 @@ fn eval_vliw_i32(inst: &DecodedVliw, luts: &Luts, rf: &mut [Word]) {
 /// SIMD modes evaluate through the same [`apply`] the simulators use.
 #[inline]
 pub fn eval_cell(program: &DecodedComputeProgram, mode: Mode, luts: &Luts, rf: &mut [Word]) {
+    eval_words(program.words(), mode, luts, rf);
+}
+
+/// Runs the compute activation a `set cu <pc>` starts: the words from `pc`
+/// to the end of `program`, exactly as [`eval_cell`] runs them from 0.
+///
+/// # Panics
+///
+/// Panics if `pc` lies past the end of the program.
+#[inline]
+pub fn eval_activation(
+    program: &DecodedComputeProgram,
+    pc: usize,
+    mode: Mode,
+    luts: &Luts,
+    rf: &mut [Word],
+) {
+    eval_words(&program.words()[pc..], mode, luts, rf);
+}
+
+#[inline]
+fn eval_words(words: &[DecodedVliw], mode: Mode, luts: &Luts, rf: &mut [Word]) {
     if mode == Mode::Int32 {
-        for inst in program.words() {
+        for inst in words {
             eval_vliw_i32(inst, luts, rf);
         }
         return;
     }
-    for inst in program.words() {
+    for inst in words {
         eval_vliw(inst, mode, luts, rf);
     }
 }

@@ -45,11 +45,11 @@ mod word;
 pub use compute::{ComputeOp, CuInst, Operand, TreeSlots, VliwInst, CU_PER_PE, TREE_ALUS};
 pub use control::{AddrReg, BranchCond, ControlInst, SetTarget};
 pub use decoded::{
-    DecodedComputeProgram, DecodedControlProgram, DecodedCtrlInst, DecodedCu, DecodedLoc,
-    DecodedOperand, DecodedTree, DecodedVliw,
+    ActivationCost, DecodedComputeProgram, DecodedControlProgram, DecodedCtrlInst, DecodedCu,
+    DecodedLoc, DecodedOperand, DecodedTree, DecodedVliw,
 };
 pub use error::ParseInstError;
-pub use functional::eval_cell;
+pub use functional::{eval_activation, eval_cell};
 pub use loc::{Addr, Loc, Space};
 pub use program::{ComputeProgram, ControlProgram};
 pub use sem::{apply, ilog2_half, Luts};

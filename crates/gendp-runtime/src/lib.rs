@@ -26,9 +26,9 @@
 //!   [`TileReport`](gendp_core::TileReport) of `gendp-core` through the
 //!   shared `TileReport::from_array_loads` constructor, so the two layers
 //!   agree by construction.
-//! * [`BatchAligner`] — end-to-end driver: a reference [`Genome`]
-//!   (`gendp-seq`) plus a read set in, alignment scores plus a device
-//!   utilization report out.
+//! * [`BatchAligner`] — end-to-end driver: a reference
+//!   [`Genome`](gendp_seq::Genome) (`gendp-seq`) plus a read set in,
+//!   alignment scores plus a device utilization report out.
 //!
 //! ## Fault tolerance
 //!

@@ -132,8 +132,8 @@ impl SlotHealth {
 }
 
 /// A liveness beacon over a caller-supplied clock (nanoseconds from an
-/// arbitrary epoch, same convention as [`TokenBucket`-style] admission
-/// clocks elsewhere): workers call [`Heartbeat::beat`] when they make
+/// arbitrary epoch, the convention of the `TokenBucket` admission clocks
+/// in `gendp-serve`): workers call [`Heartbeat::beat`] when they make
 /// progress, and a monitor asks [`Heartbeat::silent_for`] how long the
 /// beacon has been quiet. Lock-free; monotone inputs assumed.
 #[derive(Debug, Default)]
