@@ -47,7 +47,7 @@
 //! * `--baseline <path>` — compare against a committed baseline and exit
 //!   non-zero if any kernel's simulated cells/cycle drifts, its
 //!   decoded-vs-interpreted speedup falls below an absolute 1.5x floor,
-//!   or the functional tier misses its floors (20x over interpreted on
+//!   or the functional tier misses its floors (1.75x over decoded on
 //!   the gated kernels, parity with decoded anywhere it engages). The
 //!   baseline is read before the report is written, and a report whose
 //!   `--out` is the baseline itself is not written: a check never
@@ -490,16 +490,15 @@ fn extract_metric(json: &str, kernel: &str, key: &str) -> Option<f64> {
 /// degenerating back to interpreter-level throughput.
 const MIN_SPEEDUP: f64 = 1.5;
 
-/// The functional tier must beat the interpreted simulation by at least
-/// this factor on the gated kernels ([`FUNCTIONAL_GATED`]). The floor is
-/// taken against the interpreted engine, a per-cycle loop, because the
-/// event-driven decoded engine runs within 3-4x of the functional sweep
-/// on bsw and dtw.
-/// In quick runs on a 2-vCPU container the functional tier measured
-/// 20.1-21.2x interpreted on bsw and 25.7-28.2x on dtw, so the floor
-/// leaves bsw little margin; it catches the fast path degenerating into
-/// a reimplementation of the simulator.
-const MIN_FUNCTIONAL_RATIO: f64 = 20.0;
+/// The functional tier must beat the decoded engine by at least this
+/// factor on the gated kernels ([`FUNCTIONAL_GATED`]): the decoded engine
+/// is what a functional request would run without the tier, so this is
+/// the ratio the tier has to earn. Ten quick runs on a 2-vCPU container
+/// read bsw at 2.30-3.44x decoded and dtw at 4.03-4.65x; the floor sits
+/// at three quarters of the lowest bsw reading, so host load alone does
+/// not fail it, while a functional tier that runs the decoded engine
+/// (about 1x) does.
+const MIN_FUNCTIONAL_RATIO: f64 = 1.75;
 
 /// Kernels whose functional speedup is gated at [`MIN_FUNCTIONAL_RATIO`].
 /// Everywhere else the tier engages it only has to clear parity (1x).
@@ -531,17 +530,17 @@ fn check_baseline(baseline: &str, rows: &[KernelBench]) -> Result<(), String> {
             ));
         }
         let gated = FUNCTIONAL_GATED.contains(&r.name);
-        match (r.functional_speedup, r.functional_vs_interpreted) {
-            (Some(_), Some(f)) if gated && f < MIN_FUNCTIONAL_RATIO => problems.push(format!(
+        match r.functional_speedup {
+            Some(f) if gated && f < MIN_FUNCTIONAL_RATIO => problems.push(format!(
                 "{}: functional speedup {:.2}x below the {MIN_FUNCTIONAL_RATIO}x \
-                 floor vs interpreted",
+                 floor vs decoded",
                 r.name, f
             )),
-            (Some(f), _) if !gated && f < 1.0 => problems.push(format!(
+            Some(f) if f < 1.0 => problems.push(format!(
                 "{}: functional tier engaged but ran {:.2}x decoded (sub-parity)",
                 r.name, f
             )),
-            (None, _) if gated => problems.push(format!(
+            None if gated => problems.push(format!(
                 "{}: functional tier did not engage on a gated kernel",
                 r.name
             )),

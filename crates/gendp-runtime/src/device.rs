@@ -15,7 +15,6 @@ use gendp_core::AccelConfig;
 use gendp_dpax::{SimError, TierPolicy, INT_ARRAYS, PES_PER_ARRAY};
 
 use crate::fault::{FaultConfig, FaultInjector};
-use crate::policy::DispatchPolicy;
 use crate::queue::BoundedQueue;
 use crate::recovery::{RetryPolicy, SlotHealth};
 use crate::report::{ArrayReport, DeviceReport, KernelStats, RecoveryReport};
@@ -35,8 +34,6 @@ pub struct DeviceConfig {
     /// Host worker threads driving the simulated arrays. Wall-clock
     /// throughput scales with this; simulated results never depend on it.
     pub workers: usize,
-    /// How tasks are routed onto arrays.
-    pub policy: DispatchPolicy,
     /// Per-array submission queue bound; a full queue blocks the
     /// submitter (backpressure).
     pub queue_capacity: usize,
@@ -76,7 +73,6 @@ impl Default for DeviceConfig {
                 .map(|n| n.get())
                 .unwrap_or(1)
                 .min(8),
-            policy: DispatchPolicy::default(),
             queue_capacity: 64,
             retry: RetryPolicy::default(),
             fault: None,
@@ -224,9 +220,8 @@ impl BatchOutcome {
     /// under rate-based fault injection, and nothing (array, worker)
     /// that depends on placement. Two runs of the same batch with the
     /// same fault seed produce byte-identical fingerprints at any worker
-    /// count and under any dispatch policy, as long as
-    /// [`FaultConfig::broken_slots`] is zero (broken slots are by design
-    /// placement-dependent).
+    /// count, as long as [`FaultConfig::broken_slots`] is zero (broken
+    /// slots are by design placement-dependent).
     pub fn fingerprint(&self) -> String {
         self.fingerprint_from(0)
     }
@@ -382,8 +377,9 @@ impl WorkSignal {
 }
 
 /// One array slot: a simulated PE array behind a bounded submission
-/// queue. `pending_cells` tracks the estimated outstanding work for the
-/// shortest-queue policy; `health` drives the quarantine state machine.
+/// queue. `pending_cells` tracks the estimated outstanding work, which
+/// retry re-dispatch and [`SlotSnapshot`] read; `health` drives the
+/// quarantine state machine.
 struct ArraySlot {
     index: usize,
     class: ArrayClass,
@@ -447,13 +443,14 @@ struct ExecCtx<'a> {
     abort: &'a AtomicBool,
 }
 
-/// The simulated DPAx device: integer array slots plus the FP slot, a
-/// dispatch policy, and a pool of host workers that drive the arrays.
+/// The simulated DPAx device: integer array slots plus the FP slot, fed
+/// round-robin within each array class, and a pool of host workers that
+/// drive the arrays.
 ///
 /// Each submitted [`Task`] runs as one self-contained array simulation,
 /// so its score and simulated cycle count are identical regardless of
-/// policy, placement, or worker count — only wall-clock time and the
-/// per-array load distribution change.
+/// placement or worker count — only wall-clock time and the per-array
+/// load distribution change.
 ///
 /// Each worker keeps the prepared tasks it ran as templates, keyed by
 /// [`TaskShape`](crate::TaskShape) and kept across batches: a task whose
@@ -527,16 +524,6 @@ impl Device {
                 })
                 .collect(),
         }
-    }
-
-    /// A device with the paper's shape (16 integer arrays + 1 FP array)
-    /// and the given worker count and policy.
-    pub fn paper(workers: usize, policy: DispatchPolicy) -> Device {
-        Device::new(DeviceConfig {
-            workers,
-            policy,
-            ..DeviceConfig::default()
-        })
     }
 
     /// The device configuration.
@@ -709,10 +696,11 @@ impl Device {
         Ok(BatchOutcome { results, report })
     }
 
-    /// Places every task onto a slot queue according to the policy,
-    /// blocking on full queues. Quarantined slots stop receiving new
-    /// placements (unless every slot of the class is quarantined, which
-    /// the last-healthy-slot rule makes a transient race at worst).
+    /// Places every task onto a slot queue round-robin over the slots of
+    /// its class, blocking on full queues. Quarantined slots stop
+    /// receiving new placements (unless every slot of the class is
+    /// quarantined, which the last-healthy-slot rule makes a transient
+    /// race at worst).
     fn submit_all(
         &self,
         tasks: Vec<(usize, Task)>,
@@ -746,18 +734,9 @@ impl Device {
             } else {
                 &healthy
             };
-            let slot = match self.config.policy {
-                DispatchPolicy::RoundRobin | DispatchPolicy::WorkStealing => {
-                    let cursor = &mut rr[(class == ArrayClass::Float) as usize];
-                    let slot = pool[*cursor % pool.len()];
-                    *cursor += 1;
-                    slot
-                }
-                DispatchPolicy::ShortestQueue => pool
-                    .iter()
-                    .min_by_key(|s| (s.pending_cells.load(Ordering::Relaxed), s.index))
-                    .expect("candidates non-empty"),
-            };
+            let cursor = &mut rr[(class == ArrayClass::Float) as usize];
+            let slot = pool[*cursor % pool.len()];
+            *cursor += 1;
             slot.pending_cells
                 .fetch_add(task.cells_estimate(), Ordering::Relaxed);
             if slot.queue.push((id, task)).is_err() {
@@ -804,7 +783,6 @@ impl Device {
             arrays,
             per_kernel,
             workers,
-            policy: self.config.policy,
             recovery,
         }
     }
@@ -812,10 +790,9 @@ impl Device {
 
 /// One host worker: drains the queues of the slots it owns
 /// (`slot.index % workers == w`), executing each task on that slot's
-/// simulated array; under work-stealing it also steals from the back of
-/// other same-class queues when its own run dry. Work popped from a
-/// quarantined slot's queue migrates to a healthy slot of the same class
-/// — that is how a quarantined array's backlog gets redistributed.
+/// simulated array. Work popped from a quarantined slot's queue migrates
+/// to a healthy slot of the same class — that is how a quarantined
+/// array's backlog gets redistributed.
 fn worker_loop(
     w: usize,
     workers: usize,
@@ -828,7 +805,6 @@ fn worker_loop(
         .iter()
         .filter(|s| s.index % workers == w)
         .collect();
-    let stealing = ctx.config.policy == DispatchPolicy::WorkStealing;
     loop {
         // Snapshot before scanning: a push that lands mid-scan moves the
         // generation, so the wait below returns immediately.
@@ -836,39 +812,15 @@ fn worker_loop(
         let mut ran = false;
         for slot in &owned {
             if let Some((id, task)) = slot.queue.try_pop() {
-                let exec = migration_target(ctx, slot);
-                run_task(ctx, slot, exec, w, id, &task, templates);
+                run_task(ctx, slot, w, id, &task, templates);
                 ran = true;
-            }
-        }
-        if !ran && stealing {
-            'steal: for slot in &owned {
-                for victim in ctx.slots {
-                    if victim.index == slot.index || victim.class != slot.class {
-                        continue;
-                    }
-                    if let Some((id, task)) = victim.queue.steal() {
-                        // The stolen task migrates: it executes on (and is
-                        // attributed to) the thief's array. The estimate
-                        // stays against the victim, whose queue held it.
-                        let exec = migration_target(ctx, slot);
-                        run_task(ctx, victim, exec, w, id, &task, templates);
-                        ran = true;
-                        break 'steal;
-                    }
-                }
             }
         }
         if !ran {
             let drained = owned
                 .iter()
                 .all(|s| s.queue.is_closed() && s.queue.is_empty());
-            let steal_sources_dry = !stealing
-                || ctx
-                    .slots
-                    .iter()
-                    .all(|s| s.queue.is_closed() && s.queue.is_empty());
-            if drained && steal_sources_dry {
+            if drained {
                 break;
             }
             signal.wait_past(seen);
@@ -954,13 +906,11 @@ enum AttemptFailure {
 /// there is one.
 ///
 /// `origin` is the slot whose queue held the task (its `pending_cells`
-/// estimate is released here); `exec_index` is the slot the first attempt
-/// executes on (they differ when the task was stolen or migrated off a
-/// quarantined slot). Retries may move execution to further slots.
+/// estimate is released here). The first attempt executes on its
+/// [`migration_target`]; retries may move execution to further slots.
 fn run_task(
     ctx: &ExecCtx<'_>,
     origin: &ArraySlot,
-    exec_index: usize,
     worker: usize,
     id: usize,
     task: &Task,
@@ -975,7 +925,7 @@ fn run_task(
     let retry = &ctx.config.retry;
     let max_attempts = retry.max_attempts.max(1);
     let mut escalations: u32 = 0;
-    let mut exec = exec_index;
+    let mut exec = migration_target(ctx, origin);
     let mut tried = vec![exec];
     let mut attempt: u32 = 0;
     let outcome: Result<TaskResult, TaskFailure> = loop {
@@ -1122,24 +1072,21 @@ mod tests {
                 (v, s.cycles)
             })
             .collect();
-        for policy in DispatchPolicy::ALL {
-            for workers in [1, 3] {
-                let mut device = Device::new(DeviceConfig {
-                    int_arrays: 4,
-                    float_arrays: 0,
-                    workers,
-                    policy,
-                    ..DeviceConfig::default()
-                });
-                let batch = device
-                    .run_batch(small_batch(10, 22))
-                    .expect("batch")
-                    .into_strict()
-                    .expect("strict");
-                for (r, (v, cycles)) in batch.results.iter().zip(&reference) {
-                    assert_eq!(&r.value, v, "policy {policy:?} workers {workers}");
-                    assert_eq!(r.stats.cycles, *cycles);
-                }
+        for workers in [1, 2, 8] {
+            let mut device = Device::new(DeviceConfig {
+                int_arrays: 4,
+                float_arrays: 0,
+                workers,
+                ..DeviceConfig::default()
+            });
+            let batch = device
+                .run_batch(small_batch(10, 22))
+                .expect("batch")
+                .into_strict()
+                .expect("strict");
+            for (r, (v, cycles)) in batch.results.iter().zip(&reference) {
+                assert_eq!(&r.value, v, "workers {workers}");
+                assert_eq!(r.stats.cycles, *cycles);
             }
         }
     }
@@ -1463,40 +1410,36 @@ mod tests {
             .expect("batch")
             .fingerprint();
 
-        // The same batch split across two device shards, under every
-        // policy and several worker counts: each shard fingerprints its
-        // half under global ids and the concatenation must be
-        // byte-identical to the single-device fingerprint — sharding is
-        // just another placement, and placements must not show.
-        for policy in DispatchPolicy::ALL {
-            for workers in [1, 2, 8] {
-                let tasks = small_batch(n, 33);
-                let cut = n / 2;
-                let mut halves: Vec<Vec<Task>> = vec![Vec::new(), Vec::new()];
-                for (i, t) in tasks.into_iter().enumerate() {
-                    halves[usize::from(i >= cut)].push(t);
-                }
-                let mut merged = String::new();
-                let mut recovery = RecoveryReport::default();
-                for (shard, half) in halves.into_iter().enumerate() {
-                    let mut device = Device::new(DeviceConfig {
-                        int_arrays: 3,
-                        float_arrays: 0,
-                        workers,
-                        policy,
-                        ..DeviceConfig::default()
-                    });
-                    let outcome = device.run_batch(half).expect("shard batch");
-                    merged.push_str(&outcome.fingerprint_from(shard * cut));
-                    recovery.merge(&outcome.report.recovery);
-                }
-                assert_eq!(
-                    merged, whole,
-                    "sharded fingerprint must match single-device under \
-                     {policy:?} x {workers} workers"
-                );
-                assert!(recovery.is_clean(), "fault-free shards stay clean");
+        // The same batch split across two device shards, at several
+        // worker counts: each shard fingerprints its half under global
+        // ids and the concatenation must be byte-identical to the
+        // single-device fingerprint — sharding is just another
+        // placement, and placements must not show.
+        for workers in [1, 2, 8] {
+            let tasks = small_batch(n, 33);
+            let cut = n / 2;
+            let mut halves: Vec<Vec<Task>> = vec![Vec::new(), Vec::new()];
+            for (i, t) in tasks.into_iter().enumerate() {
+                halves[usize::from(i >= cut)].push(t);
             }
+            let mut merged = String::new();
+            let mut recovery = RecoveryReport::default();
+            for (shard, half) in halves.into_iter().enumerate() {
+                let mut device = Device::new(DeviceConfig {
+                    int_arrays: 3,
+                    float_arrays: 0,
+                    workers,
+                    ..DeviceConfig::default()
+                });
+                let outcome = device.run_batch(half).expect("shard batch");
+                merged.push_str(&outcome.fingerprint_from(shard * cut));
+                recovery.merge(&outcome.report.recovery);
+            }
+            assert_eq!(
+                merged, whole,
+                "sharded fingerprint must match single-device at {workers} workers"
+            );
+            assert!(recovery.is_clean(), "fault-free shards stay clean");
         }
     }
 

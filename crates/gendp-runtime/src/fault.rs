@@ -9,8 +9,8 @@
 //! failure instead of running the task.
 //!
 //! Decisions are a **pure function of `(seed, task id, attempt)`** — no
-//! shared RNG stream — so a fault plan is byte-identical across runs,
-//! worker counts and dispatch policies. The only placement-dependent knob
+//! shared RNG stream — so a fault plan is byte-identical across runs and
+//! worker counts. The only placement-dependent knob
 //! is [`FaultConfig::broken_slots`], which marks whole array slots as
 //! permanently faulty (every attempt executed there fails), the scenario
 //! the quarantine state machine exists for.

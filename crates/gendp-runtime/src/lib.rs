@@ -5,22 +5,21 @@
 //! floating-point PE array, all running **independent tasks** in parallel.
 //! The lower layers (`gendp-core`, `gendp-dpax`) simulate one task on one
 //! array; this crate owns the device: it routes a batch of typed
-//! [`Task`]s onto array slots through bounded submission queues with
-//! backpressure, drives every simulated array from a pool of host worker
-//! threads, and reports per-array / per-kernel utilization.
+//! [`Task`]s round-robin onto the array slots of their class through
+//! bounded submission queues with backpressure, drives every simulated
+//! array from a pool of host worker threads, and reports per-array /
+//! per-kernel utilization.
 //!
 //! * [`Device`] — N integer array slots plus the FP slot
 //!   ([`DeviceConfig`] defaults to the paper's 16 + 1), each with its own
-//!   bounded queue.
+//!   bounded queue. Simulated cycles and scores are per-task
+//!   deterministic regardless of worker count; only wall-clock and
+//!   per-array placement change.
 //! * [`Task`] — one enum variant per evaluated accelerator: the BSW
 //!   family (local / global / semi-global / convex / 8-bit SIMD), fixed-
 //!   point and floating-point PairHMM, DTW (full and banded), chaining,
 //!   POA and Bellman-Ford. Floating-point PairHMM routes to the FP array;
 //!   everything else to the integer arrays.
-//! * [`DispatchPolicy`] — round-robin, shortest-queue, or work-stealing
-//!   placement. Simulated cycles and scores are per-task deterministic
-//!   regardless of policy or worker count; only wall-clock and per-array
-//!   placement change.
 //! * [`DeviceReport`] — queue depth, occupancy, simulated cycles and
 //!   GCUPS per array and per kernel; convertible to the tile-scheduling
 //!   [`TileReport`](gendp_core::TileReport) of `gendp-core` through the
@@ -47,7 +46,7 @@
 //! ([`BatchOutcome::fingerprint`]).
 //!
 //! ```
-//! use gendp_runtime::{BatchAligner, Device, DeviceConfig, DispatchPolicy, Task};
+//! use gendp_runtime::{Device, DeviceConfig, Task};
 //! use gendp_kernels::Scoring;
 //! use gendp_seq::DnaSeq;
 //!
@@ -63,7 +62,6 @@
 //! let mut device = Device::new(DeviceConfig {
 //!     int_arrays: 4,
 //!     workers: 2,
-//!     policy: DispatchPolicy::ShortestQueue,
 //!     ..DeviceConfig::default()
 //! });
 //! let batch = device.run_batch(tasks)?;
@@ -80,7 +78,6 @@
 mod batch;
 mod device;
 mod fault;
-mod policy;
 mod queue;
 mod recovery;
 mod report;
@@ -93,7 +90,6 @@ pub use device::{
     BatchOutcome, BatchRun, Device, DeviceConfig, DeviceSnapshot, RuntimeError, SlotSnapshot,
 };
 pub use fault::{silence_injected_panics, FaultConfig, FaultInjector, InjectedFault, PPM};
-pub use policy::DispatchPolicy;
 pub use queue::BoundedQueue;
 pub use recovery::{Heartbeat, RetryPolicy, SlotHealth};
 pub use report::{ArrayReport, DeviceReport, KernelStats, RecoveryReport};

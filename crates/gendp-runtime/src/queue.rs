@@ -15,8 +15,7 @@ struct Inner<T> {
 ///
 /// `push` blocks while the queue is full — that is the device's
 /// backpressure: a submitter cannot race ahead of the arrays it feeds.
-/// Consumers pop from the front; thieves steal from the back, so a victim
-/// and its thief contend on opposite ends.
+/// Consumers pop from the front, in push order.
 pub struct BoundedQueue<T> {
     inner: Mutex<Inner<T>>,
     capacity: usize,
@@ -61,16 +60,6 @@ impl<T> BoundedQueue<T> {
     pub fn try_pop(&self) -> Option<T> {
         let mut inner = lock_unpoisoned(&self.inner);
         let item = inner.items.pop_front();
-        if item.is_some() {
-            self.space.notify_one();
-        }
-        item
-    }
-
-    /// Steals from the back, or `None` if the queue is currently empty.
-    pub fn steal(&self) -> Option<T> {
-        let mut inner = lock_unpoisoned(&self.inner);
-        let item = inner.items.pop_back();
         if item.is_some() {
             self.space.notify_one();
         }
@@ -143,8 +132,8 @@ mod tests {
         assert_eq!(q.len(), 3);
         assert_eq!(q.high_water(), 3);
         assert_eq!(q.try_pop(), Some(0));
-        assert_eq!(q.steal(), Some(2));
         assert_eq!(q.try_pop(), Some(1));
+        assert_eq!(q.try_pop(), Some(2));
         assert!(q.is_empty());
         assert_eq!(q.high_water(), 3);
     }
@@ -174,7 +163,7 @@ mod tests {
         assert_eq!(q.len(), 2);
         assert_eq!(q.high_water(), 2);
         assert_eq!(q.try_pop(), Some(1));
-        assert_eq!(q.steal(), Some(2));
+        assert_eq!(q.try_pop(), Some(2));
         assert!(!q.is_closed());
         q.close();
         assert!(q.push(3).is_err());

@@ -6,7 +6,6 @@ use std::fmt;
 use gendp_core::{AcceleratorRun, TileReport};
 use gendp_dpax::{RunStats, CLOCK_HZ};
 
-use crate::policy::DispatchPolicy;
 use crate::task::{ArrayClass, KernelKind};
 
 /// Per-kernel aggregate over a batch.
@@ -150,8 +149,6 @@ pub struct DeviceReport {
     pub per_kernel: BTreeMap<KernelKind, KernelStats>,
     /// Host worker threads that drove the arrays.
     pub workers: usize,
-    /// The dispatch policy that placed the batch.
-    pub policy: DispatchPolicy,
     /// Fault-tolerance counters (injection, retries, quarantine).
     pub recovery: RecoveryReport,
 }
@@ -209,9 +206,7 @@ impl DeviceReport {
     /// device's arrays as additional slots (their indices are offset past
     /// this report's) — the aggregation step a sharded service uses to
     /// present N devices as one. Per-kernel statistics and recovery
-    /// counters add field-wise; `workers` sums. The dispatch policy kept
-    /// is this report's (shards of a mixed-policy fleet still merge, the
-    /// field is informational).
+    /// counters add field-wise; `workers` sums.
     pub fn merge(&mut self, other: &DeviceReport) {
         let base = self.arrays.len();
         self.arrays.extend(other.arrays.iter().map(|a| ArrayReport {
@@ -242,11 +237,10 @@ impl fmt::Display for DeviceReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(
             f,
-            "device: {} tasks on {} arrays, {} workers, {} policy",
+            "device: {} tasks on {} arrays, {} workers",
             self.tasks(),
             self.arrays.len(),
             self.workers,
-            self.policy.name(),
         )?;
         writeln!(
             f,
@@ -344,7 +338,6 @@ mod tests {
             ],
             per_kernel,
             workers: 2,
-            policy: DispatchPolicy::RoundRobin,
             recovery: RecoveryReport::default(),
         }
     }

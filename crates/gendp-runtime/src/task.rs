@@ -93,7 +93,7 @@ impl KernelKind {
 /// One unit of device work: owned inputs plus a fully specified kernel
 /// configuration. Executing a task is self-contained — the cycle-level
 /// simulation touches no shared state — which is what makes batch results
-/// deterministic under any dispatch policy or worker count.
+/// deterministic under any placement or worker count.
 #[derive(Debug, Clone)]
 pub enum Task {
     /// Scalar BSW in any alignment mode; convex gap scoring switches to
@@ -369,8 +369,8 @@ impl Task {
 
     /// The DP cells this task's run computes — its `stats.cells()`, one
     /// compute activation each — worked out from its dimensions without
-    /// preparing anything: O(1), and O(nodes) for POA. The shortest-queue
-    /// policy's load proxy and the service's admission charge.
+    /// preparing anything: O(1), and O(nodes) for POA. The device's
+    /// per-slot load proxy and the service's admission charge.
     pub fn cells_estimate(&self) -> u64 {
         match self {
             Task::Bsw { query, target, .. } => (query.len() * target.len()) as u64,

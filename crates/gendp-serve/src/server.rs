@@ -1224,9 +1224,16 @@ fn scheduler_loop(inner: Arc<Inner>, submit_rx: Receiver<Submitted>) {
             // bounce off a dying pool.
             continue;
         };
-        target
+        // Heartbeat silence counts only while work is outstanding: an
+        // idle shard has had nothing to beat for, so work reaching it
+        // restarts its clock instead of finding it already overdue.
+        if target
             .outstanding_cells
-            .fetch_add(cells_cost, Ordering::AcqRel);
+            .fetch_add(cells_cost, Ordering::AcqRel)
+            == 0
+        {
+            target.beat.beat(inner.now_nanos());
+        }
         // Bounded push: blocks when the shard is `dispatch_queue`
         // batches behind — the backpressure point. Only the monitor
         // (this thread) closes queues of non-dead shards, so a bounce

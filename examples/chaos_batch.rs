@@ -11,9 +11,7 @@
 //! per-task outcomes, at any worker count.
 
 use gendp::kernels::Scoring;
-use gendp::runtime::{
-    silence_injected_panics, Device, DeviceConfig, DispatchPolicy, FaultConfig, Task,
-};
+use gendp::runtime::{silence_injected_panics, Device, DeviceConfig, FaultConfig, Task};
 use gendp::seq::DnaSeq;
 use rand::{rngs::SmallRng, Rng, SeedableRng};
 
@@ -51,7 +49,6 @@ fn main() {
     let fault = FaultConfig::uniform(seed, fault_ppm);
     let mut device = Device::new(DeviceConfig {
         workers: 8,
-        policy: DispatchPolicy::WorkStealing,
         fault: Some(fault),
         ..DeviceConfig::default()
     });
@@ -85,7 +82,6 @@ fn main() {
     // outcome fingerprint must not move.
     let mut replay_device = Device::new(DeviceConfig {
         workers: 1,
-        policy: DispatchPolicy::RoundRobin,
         fault: Some(fault),
         ..DeviceConfig::default()
     });
@@ -102,7 +98,6 @@ fn main() {
     // And a fault-free run of the same batch for contrast.
     let mut clean_device = Device::new(DeviceConfig {
         workers: 8,
-        policy: DispatchPolicy::WorkStealing,
         ..DeviceConfig::default()
     });
     let clean = clean_device

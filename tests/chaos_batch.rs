@@ -1,14 +1,13 @@
 //! Chaos stress tests: a 1000-task mixed batch with ~5% injected faults
 //! of every kind (deadlocks, timeouts, bad accesses, worker panics) must
-//! drain under every dispatch policy and worker count, produce values
-//! byte-identical to the fault-free run for every task that completes,
-//! and fingerprint identically across placements — fault decisions are a
-//! pure function of `(seed, task, attempt)`, never of scheduling.
+//! drain at every worker count, produce values byte-identical to the
+//! fault-free run for every task that completes, and fingerprint
+//! identically across placements — fault decisions are a pure function
+//! of `(seed, task, attempt)`, never of scheduling.
 
 use gendp::kernels::Scoring;
 use gendp::runtime::{
-    silence_injected_panics, Device, DeviceConfig, DispatchPolicy, FaultConfig, RetryPolicy, Task,
-    TaskValue,
+    silence_injected_panics, Device, DeviceConfig, FaultConfig, RetryPolicy, Task, TaskValue,
 };
 use gendp::seq::DnaSeq;
 use proptest::prelude::*;
@@ -50,12 +49,11 @@ fn mixed_batch(n: usize, seed: u64) -> Vec<Task> {
         .collect()
 }
 
-fn device(workers: usize, policy: DispatchPolicy, fault: Option<FaultConfig>) -> Device {
+fn device(workers: usize, fault: Option<FaultConfig>) -> Device {
     Device::new(DeviceConfig {
         int_arrays: 8,
         float_arrays: 0,
         workers,
-        policy,
         fault,
         ..DeviceConfig::default()
     })
@@ -66,7 +64,7 @@ fn five_percent_chaos_drains_under_every_policy_and_worker_count() {
     silence_injected_panics();
     let n = stress_tasks();
     let fault = FaultConfig::uniform(2023, 50_000); // 5% of attempts
-    let reference: Vec<TaskValue> = device(2, DispatchPolicy::RoundRobin, None)
+    let reference: Vec<TaskValue> = device(2, None)
         .run_batch(mixed_batch(n, 51))
         .expect("fault-free reference")
         .into_strict()
@@ -77,44 +75,38 @@ fn five_percent_chaos_drains_under_every_policy_and_worker_count() {
         .collect();
 
     let mut fingerprints = Vec::new();
-    for policy in DispatchPolicy::ALL {
-        for workers in [1, 2, 8] {
-            let outcome = device(workers, policy, Some(fault))
-                .run_batch(mixed_batch(n, 51))
-                .expect("chaos batch");
-            assert_eq!(outcome.results.len(), n, "{policy:?} x{workers}");
-            let recovery = outcome.report.recovery;
-            assert!(recovery.faults_injected > 0, "{policy:?} x{workers}");
-            assert!(recovery.retries > 0, "{policy:?} x{workers}");
-            assert!(recovery.panics_contained > 0, "{policy:?} x{workers}");
-            // With 5% faults and 3 attempts the expected loss is
-            // ~n * 0.05^3; the batch must overwhelmingly survive.
-            assert!(
-                outcome.completed() >= n - n / 100,
-                "{policy:?} x{workers}: only {} of {n} completed",
-                outcome.completed()
-            );
-            // A task that failed spent every allowed attempt doing so.
-            let max_attempts = RetryPolicy::default().max_attempts;
-            for (id, failure) in outcome.failures() {
-                assert_eq!(failure.attempts(), max_attempts, "task {id}");
-            }
-            // Injection fakes errors, it never corrupts results: every
-            // completed task equals the fault-free run byte-for-byte.
-            for r in outcome.ok_results() {
-                assert_eq!(r.value, reference[r.id], "task {} {policy:?}", r.id);
-            }
-            fingerprints.push((policy, workers, outcome.fingerprint()));
-        }
-    }
-    // The same fault seed replays identically at any worker count and
-    // under any dispatch policy.
-    let (_, _, first) = &fingerprints[0];
-    for (policy, workers, fp) in &fingerprints {
-        assert_eq!(
-            fp, first,
-            "fingerprint diverged under {policy:?} x{workers}"
+    for workers in [1, 2, 8] {
+        let outcome = device(workers, Some(fault))
+            .run_batch(mixed_batch(n, 51))
+            .expect("chaos batch");
+        assert_eq!(outcome.results.len(), n, "x{workers}");
+        let recovery = outcome.report.recovery;
+        assert!(recovery.faults_injected > 0, "x{workers}");
+        assert!(recovery.retries > 0, "x{workers}");
+        assert!(recovery.panics_contained > 0, "x{workers}");
+        // With 5% faults and 3 attempts the expected loss is
+        // ~n * 0.05^3; the batch must overwhelmingly survive.
+        assert!(
+            outcome.completed() >= n - n / 100,
+            "x{workers}: only {} of {n} completed",
+            outcome.completed()
         );
+        // A task that failed spent every allowed attempt doing so.
+        let max_attempts = RetryPolicy::default().max_attempts;
+        for (id, failure) in outcome.failures() {
+            assert_eq!(failure.attempts(), max_attempts, "task {id}");
+        }
+        // Injection fakes errors, it never corrupts results: every
+        // completed task equals the fault-free run byte-for-byte.
+        for r in outcome.ok_results() {
+            assert_eq!(r.value, reference[r.id], "task {} x{workers}", r.id);
+        }
+        fingerprints.push((workers, outcome.fingerprint()));
+    }
+    // The same fault seed replays identically at any worker count.
+    let (_, first) = &fingerprints[0];
+    for (workers, fp) in &fingerprints {
+        assert_eq!(fp, first, "fingerprint diverged at x{workers}");
     }
 }
 
@@ -126,7 +118,7 @@ fn quarantining_all_but_one_int_array_still_drains_the_batch() {
         broken_slots: 0b1111_1110,
         ..FaultConfig::disabled(77)
     };
-    let reference: Vec<TaskValue> = device(2, DispatchPolicy::RoundRobin, None)
+    let reference: Vec<TaskValue> = device(2, None)
         .run_batch(mixed_batch(n, 52))
         .expect("reference")
         .into_strict()
@@ -135,56 +127,49 @@ fn quarantining_all_but_one_int_array_still_drains_the_batch() {
         .into_iter()
         .map(|r| r.value)
         .collect();
-    for policy in DispatchPolicy::ALL {
-        let mut dev = Device::new(DeviceConfig {
-            int_arrays: 8,
-            float_arrays: 0,
-            workers: 4,
-            policy,
-            retry: RetryPolicy {
-                max_attempts: 10,
-                quarantine_after: 2,
-                ..RetryPolicy::default()
-            },
-            fault: Some(fault),
-            ..DeviceConfig::default()
-        });
-        let outcome = dev.run_batch(mixed_batch(n, 52)).expect("chaos batch");
-        assert!(
-            outcome.is_complete(),
-            "{policy:?}: {} of {n} tasks failed",
-            outcome.failed()
-        );
-        for r in outcome.ok_results() {
-            assert_eq!(r.value, reference[r.id], "task {} {policy:?}", r.id);
-        }
-        let report = &outcome.report;
-        assert_eq!(
-            report.arrays.iter().filter(|a| a.quarantined).count(),
-            7,
-            "{policy:?}: every broken slot must go offline"
-        );
-        assert!(!report.arrays[0].quarantined, "{policy:?}");
-        assert_eq!(report.recovery.quarantined_arrays, 7, "{policy:?}");
-        // Once quarantine converges, the whole batch drains through the
-        // single healthy array.
-        assert_eq!(report.arrays[0].tasks, n, "{policy:?}");
+    let mut dev = Device::new(DeviceConfig {
+        int_arrays: 8,
+        float_arrays: 0,
+        workers: 4,
+        retry: RetryPolicy {
+            max_attempts: 10,
+            quarantine_after: 2,
+            ..RetryPolicy::default()
+        },
+        fault: Some(fault),
+        ..DeviceConfig::default()
+    });
+    let outcome = dev.run_batch(mixed_batch(n, 52)).expect("chaos batch");
+    assert!(
+        outcome.is_complete(),
+        "{} of {n} tasks failed",
+        outcome.failed()
+    );
+    for r in outcome.ok_results() {
+        assert_eq!(r.value, reference[r.id], "task {}", r.id);
     }
+    let report = &outcome.report;
+    assert_eq!(
+        report.arrays.iter().filter(|a| a.quarantined).count(),
+        7,
+        "every broken slot must go offline"
+    );
+    assert!(!report.arrays[0].quarantined);
+    assert_eq!(report.recovery.quarantined_arrays, 7);
+    // Once quarantine converges, the whole batch drains through the
+    // single healthy array.
+    assert_eq!(report.arrays[0].tasks, n);
 }
 
 #[test]
 fn disabled_injection_is_byte_identical_to_no_injection() {
     let n = 150;
-    let plain = device(3, DispatchPolicy::ShortestQueue, None)
+    let plain = device(3, None)
         .run_batch(mixed_batch(n, 53))
         .expect("plain batch");
-    let disabled = device(
-        3,
-        DispatchPolicy::ShortestQueue,
-        Some(FaultConfig::disabled(99)),
-    )
-    .run_batch(mixed_batch(n, 53))
-    .expect("disabled-injection batch");
+    let disabled = device(3, Some(FaultConfig::disabled(99)))
+        .run_batch(mixed_batch(n, 53))
+        .expect("disabled-injection batch");
     assert!(plain.report.recovery.is_clean());
     assert!(disabled.report.recovery.is_clean());
     assert_eq!(plain.fingerprint(), disabled.fingerprint());
@@ -198,20 +183,20 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     /// For arbitrary fault seeds, the same plan replays byte-identically
-    /// across worker counts and policies on a smaller batch.
+    /// across worker counts on a smaller batch.
     #[test]
     fn fault_plans_replay_identically_across_placements(seed in 0u64..1_000_000) {
         silence_injected_panics();
         let fault = FaultConfig::uniform(seed, 120_000);
         let tasks = 48;
-        let fingerprint = |workers: usize, policy: DispatchPolicy| {
-            device(workers, policy, Some(fault))
+        let fingerprint = |workers: usize| {
+            device(workers, Some(fault))
                 .run_batch(mixed_batch(tasks, seed ^ 0xABCD))
                 .expect("batch")
                 .fingerprint()
         };
-        let base = fingerprint(1, DispatchPolicy::RoundRobin);
-        prop_assert_eq!(&fingerprint(2, DispatchPolicy::ShortestQueue), &base);
-        prop_assert_eq!(&fingerprint(8, DispatchPolicy::WorkStealing), &base);
+        let base = fingerprint(1);
+        prop_assert_eq!(&fingerprint(2), &base);
+        prop_assert_eq!(&fingerprint(8), &base);
     }
 }

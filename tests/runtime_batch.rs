@@ -1,12 +1,12 @@
 //! Device-level batch execution equals sequential pipeline execution:
-//! for a mixed batch of BSW and DTW tasks, every dispatch policy and
-//! worker count must reproduce the sequential scores byte-for-byte and
+//! for a mixed batch of BSW and DTW tasks, every worker count must
+//! reproduce the sequential scores byte-for-byte and
 //! spend the identical number of simulated cycles on each task
 //! (placement changes wall-clock, never simulated results).
 
 use gendp::core::{bsw_score, GendpPipeline};
 use gendp::kernels::Scoring;
-use gendp::runtime::{BatchAligner, Device, DeviceConfig, DispatchPolicy, Task, TaskValue};
+use gendp::runtime::{BatchAligner, Device, DeviceConfig, Task, TaskValue};
 use gendp::seq::{DnaSeq, Genome, ShortReadProfile};
 use rand::{rngs::SmallRng, Rng, SeedableRng};
 
@@ -65,46 +65,39 @@ fn sequential_reference(tasks: &[Task]) -> Vec<(TaskValue, u64)> {
 #[test]
 fn batch_equals_sequential_under_every_policy_and_worker_count() {
     let reference = sequential_reference(&mixed_batch());
-    for policy in DispatchPolicy::ALL {
-        for workers in [1, 2, 8] {
-            let mut device = Device::new(DeviceConfig {
-                int_arrays: 8,
-                float_arrays: 0,
-                workers,
-                policy,
-                ..DeviceConfig::default()
-            });
-            let batch = device
-                .run_batch(mixed_batch())
-                .expect("batch run")
-                .into_strict()
-                .expect("no task failures");
-            assert_eq!(batch.results.len(), reference.len());
-            for (r, (value, cycles)) in batch.results.iter().zip(&reference) {
-                assert_eq!(
-                    &r.value, value,
-                    "task {} value under {policy:?} x{workers}",
-                    r.id
-                );
-                assert_eq!(
-                    r.stats.cycles, *cycles,
-                    "task {} cycles under {policy:?} x{workers}",
-                    r.id
-                );
-            }
-            // Total simulated work is placement-independent too.
-            let total: u64 = batch.results.iter().map(|r| r.stats.cycles).sum();
-            let expect: u64 = reference.iter().map(|(_, c)| c).sum();
-            assert_eq!(total, expect, "{policy:?} x{workers}");
-            assert_eq!(batch.report.tasks(), reference.len());
-            // No fault injection, no failures: the zero-fault fast path
-            // must report pristine recovery counters.
-            assert!(
-                batch.report.recovery.is_clean(),
-                "{policy:?} x{workers}: {:?}",
-                batch.report.recovery
+    for workers in [1, 2, 8] {
+        let mut device = Device::new(DeviceConfig {
+            int_arrays: 8,
+            float_arrays: 0,
+            workers,
+            ..DeviceConfig::default()
+        });
+        let batch = device
+            .run_batch(mixed_batch())
+            .expect("batch run")
+            .into_strict()
+            .expect("no task failures");
+        assert_eq!(batch.results.len(), reference.len());
+        for (r, (value, cycles)) in batch.results.iter().zip(&reference) {
+            assert_eq!(&r.value, value, "task {} value at x{workers}", r.id);
+            assert_eq!(
+                r.stats.cycles, *cycles,
+                "task {} cycles at x{workers}",
+                r.id
             );
         }
+        // Total simulated work is placement-independent too.
+        let total: u64 = batch.results.iter().map(|r| r.stats.cycles).sum();
+        let expect: u64 = reference.iter().map(|(_, c)| c).sum();
+        assert_eq!(total, expect, "x{workers}");
+        assert_eq!(batch.report.tasks(), reference.len());
+        // No fault injection, no failures: the zero-fault fast path
+        // must report pristine recovery counters.
+        assert!(
+            batch.report.recovery.is_clean(),
+            "x{workers}: {:?}",
+            batch.report.recovery
+        );
     }
 }
 
@@ -148,7 +141,6 @@ fn device_report_agrees_with_core_tile_scheduling() {
         int_arrays: 4,
         float_arrays: 0,
         workers: 2,
-        policy: DispatchPolicy::ShortestQueue,
         ..DeviceConfig::default()
     });
     let batch = device
@@ -164,7 +156,7 @@ fn device_report_agrees_with_core_tile_scheduling() {
     assert_eq!(tile.total_cells, batch.report.total_cells());
     assert!(tile.balance() > 0.0 && tile.balance() <= 1.0);
     assert!(batch.report.gcups() > 0.0);
-    // Every array was busy at some point under shortest-queue on 100 tasks.
+    // Round-robin placement keeps every array busy on 100 tasks.
     assert!(batch.report.arrays.iter().all(|a| a.tasks > 0));
 }
 
@@ -184,7 +176,6 @@ fn batch_aligner_matches_per_read_pipeline() {
             int_arrays: 4,
             float_arrays: 0,
             workers: 4,
-            policy: DispatchPolicy::WorkStealing,
             ..DeviceConfig::default()
         },
     );

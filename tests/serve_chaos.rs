@@ -140,90 +140,143 @@ fn chaos_config(shards: usize) -> ServeConfig {
     }
 }
 
-/// The tentpole chaos invariant: under sustained mixed-kernel faulty
-/// load on three shards, abruptly killing one shard and retiring
-/// another loses zero tickets, every delivered value matches the
-/// direct single-task execution, and the auto-respawned replacement
-/// joins the pool and serves traffic.
+/// The loss-free kill/retire invariant, on two loads: three small
+/// shards where one shard is killed and another retired mid-stream, and
+/// a sustained load of 2,400 requests on two paper-shaped shards where
+/// shard 0 is killed after 300 submissions.
 #[test]
 fn kill_and_retire_under_load_lose_nothing() {
     silence_injected_panics();
+    kill_and_retire(chaos_config(3), 450, 150, Some(300));
+    let sustained = ServeConfig {
+        shards: 2,
+        shard_config: DeviceConfig {
+            int_arrays: 16,
+            float_arrays: 1,
+            workers: 2,
+            retry: RetryPolicy {
+                max_attempts: 8,
+                ..RetryPolicy::default()
+            },
+            fault: Some(FaultConfig::uniform(2023, chaos_fault_ppm())),
+            ..DeviceConfig::default()
+        },
+        batch_max: 64,
+        quantum_cells: 2048,
+        dispatch_queue: 2,
+        ..ServeConfig::default()
+    };
+    kill_and_retire(sustained, 3 * 800, 300, None);
+}
+
+/// Submits `tasks` mixed-kernel requests from three tenants without
+/// waiting for any of them, abruptly kills shard 0 once `kill_at` are
+/// submitted and retires shard 1 at `retire_at`. Asserts that no ticket
+/// is lost or failed, that every delivered value matches the direct
+/// single-task execution, and that an auto-respawned replacement joins
+/// the pool and serves traffic. Prints how long after the kill a
+/// replacement first completed work.
+fn kill_and_retire(config: ServeConfig, tasks: usize, kill_at: usize, retire_at: Option<usize>) {
     let tenants = vec![
         TenantConfig::new("mapper").priority(Priority::Interactive),
         TenantConfig::new("caller"),
         TenantConfig::new("polisher").priority(Priority::Batch),
     ];
-    let mut server = Server::start(chaos_config(3), tenants).expect("server start");
+    let initial = config.shards;
+    let mut server = Server::start(config, tenants).expect("server start");
     let clients: Vec<_> = ["mapper", "caller", "polisher"]
         .iter()
         .map(|t| server.client(t).expect("tenant exists"))
         .collect();
 
     let mut rng = SmallRng::seed_from_u64(4242);
-    let mut expected: Vec<TaskValue> = Vec::new();
-    let mut tickets: Vec<Ticket> = Vec::new();
-    for i in 0..450 {
-        if i == 150 {
-            server.kill_shard(0).expect("shard 0 is alive to kill");
-        }
-        if i == 300 {
-            server
-                .retire_shard(1)
-                .expect("shard 1 is dispatchable to retire");
-        }
-        let task = mixed_task(&mut rng, i);
-        let (reference, _) = task.execute(4).expect("reference execution");
-        expected.push(reference);
-        tickets.push(clients[i % 3].submit(task).expect("admitted"));
-    }
+    let load: Vec<(Task, TaskValue)> = (0..tasks)
+        .map(|i| {
+            let task = mixed_task(&mut rng, i);
+            let (reference, _) = task.execute(4).expect("reference execution");
+            (task, reference)
+        })
+        .collect();
 
-    for (i, (ticket, want)) in tickets.into_iter().zip(expected).enumerate() {
-        let completed = ticket
-            .wait_timeout(Duration::from_secs(60))
-            .expect("delivered within 60s")
-            .unwrap_or_else(|e| panic!("task {i} failed: {e}"));
-        assert_eq!(completed.value, want, "task {i} value diverged");
-    }
-
-    // The replacement (spawn id >= 3) must actually serve: feed small
-    // follow-up waves until it has completed work and been promoted.
-    let patience = Instant::now() + Duration::from_secs(30);
-    loop {
-        let stats = server.stats();
-        if stats
-            .shards
-            .iter()
-            .any(|s| s.shard >= 3 && s.completed > 0 && s.state == ShardState::Healthy)
-        {
-            break;
+    let recovery_ms = thread::scope(|scope| {
+        let server = &server;
+        let mut recovery = None;
+        let mut tickets: Vec<(Ticket, TaskValue)> = Vec::with_capacity(tasks);
+        for (i, (task, want)) in load.into_iter().enumerate() {
+            if i == kill_at {
+                server.kill_shard(0).expect("shard 0 is alive to kill");
+                let killed = Instant::now();
+                recovery =
+                    Some(scope.spawn(move || replacement_served_after(server, initial, killed)));
+            }
+            if Some(i) == retire_at {
+                server
+                    .retire_shard(1)
+                    .expect("shard 1 is dispatchable to retire");
+            }
+            tickets.push((clients[i % 3].submit(task).expect("admitted"), want));
         }
-        assert!(
-            Instant::now() < patience,
-            "replacement shard never served traffic: {:?}",
-            stats
+
+        for (i, (ticket, want)) in tickets.into_iter().enumerate() {
+            let completed = ticket
+                .wait_timeout(Duration::from_secs(60))
+                .expect("delivered within 60s")
+                .unwrap_or_else(|e| panic!("task {i} failed: {e}"));
+            assert_eq!(completed.value, want, "task {i} value diverged");
+        }
+
+        // A replacement must actually serve: feed small follow-up waves
+        // until one has completed work and been promoted.
+        let patience = Instant::now() + Duration::from_secs(30);
+        loop {
+            let stats = server.stats();
+            if stats
                 .shards
                 .iter()
-                .map(|s| (s.shard, s.state, s.completed))
-                .collect::<Vec<_>>()
-        );
-        for i in 0..8 {
-            let task = mixed_task(&mut rng, i);
-            let (want, _) = task.execute(4).expect("reference execution");
-            let got = clients[0]
-                .submit(task)
-                .expect("admitted")
-                .wait()
-                .expect("follow-up wave completes");
-            assert_eq!(got.value, want);
+                .any(|s| s.shard >= initial && s.completed > 0 && s.state == ShardState::Healthy)
+            {
+                break;
+            }
+            assert!(
+                Instant::now() < patience,
+                "replacement shard never served traffic: {:?}",
+                stats
+                    .shards
+                    .iter()
+                    .map(|s| (s.shard, s.state, s.completed))
+                    .collect::<Vec<_>>()
+            );
+            for i in 0..8 {
+                let task = mixed_task(&mut rng, i);
+                let (want, _) = task.execute(4).expect("reference execution");
+                let got = clients[0]
+                    .submit(task)
+                    .expect("admitted")
+                    .wait()
+                    .expect("follow-up wave completes");
+                assert_eq!(got.value, want);
+            }
         }
-    }
+        recovery
+            .expect("the kill point lies inside the load")
+            .join()
+            .expect("recovery watcher")
+    });
+    println!(
+        "{tasks} tasks on {initial} shards, shard 0 killed after {kill_at} submissions: \
+         a replacement served {recovery_ms:.1} ms after the kill"
+    );
 
     server.shutdown();
     let stats = server.stats();
     assert_eq!(stats.totals.failed, 0);
     assert!(stats.totals.drained(), "zero lost tickets");
     assert!(stats.lifecycle.died >= 1, "the killed shard was detected");
-    assert_eq!(stats.lifecycle.retired, 1, "the retirement completed");
+    assert_eq!(
+        stats.lifecycle.retired,
+        u64::from(retire_at.is_some()),
+        "the retirement completed"
+    );
     assert!(stats.lifecycle.respawned >= 1, "a replacement was spawned");
     let state_of = |id: usize| {
         stats
@@ -234,7 +287,31 @@ fn kill_and_retire_under_load_lose_nothing() {
             .expect("shard in stats")
     };
     assert_eq!(state_of(0), ShardState::Dead, "killed shard");
-    assert_eq!(state_of(1), ShardState::Dead, "retired shard drained");
+    if retire_at.is_some() {
+        assert_eq!(state_of(1), ShardState::Dead, "retired shard drained");
+    }
+}
+
+/// Polls the server until a shard spawned after the initial pool (spawn
+/// id at or past `initial`) has completed work, and returns the
+/// milliseconds since `killed`.
+fn replacement_served_after(server: &Server, initial: usize, killed: Instant) -> f64 {
+    let patience = killed + Duration::from_secs(60);
+    loop {
+        if server
+            .stats()
+            .shards
+            .iter()
+            .any(|s| s.shard >= initial && s.completed > 0)
+        {
+            return killed.elapsed().as_secs_f64() * 1e3;
+        }
+        assert!(
+            Instant::now() < patience,
+            "no replacement shard served work within 60 s of the kill"
+        );
+        thread::sleep(Duration::from_millis(1));
+    }
 }
 
 /// Deterministic replay: the same seed drives the same task stream to
