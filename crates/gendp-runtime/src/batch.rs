@@ -8,6 +8,10 @@ use crate::device::{Device, DeviceConfig, RuntimeError};
 use crate::report::DeviceReport;
 use crate::task::{Task, TaskValue};
 
+/// Extra reference bases beyond the read length on each read's window,
+/// so indel-carrying reads still fit their true locus.
+const WINDOW_SLACK: usize = 8;
+
 /// Drives a whole read set through a [`Device`]: each read becomes one
 /// local-alignment BSW task against its reference window, the device
 /// executes the batch across its arrays, and the caller gets the scores
@@ -17,9 +21,6 @@ pub struct BatchAligner {
     reference: Genome,
     scoring: Scoring,
     config: DeviceConfig,
-    /// Extra reference bases beyond the read length on each window, so
-    /// indel-carrying reads still fit their true locus.
-    window_slack: usize,
 }
 
 /// The outcome of one aligned batch.
@@ -39,14 +40,7 @@ impl BatchAligner {
             reference,
             scoring,
             config,
-            window_slack: 8,
         }
-    }
-
-    /// Overrides the per-read reference window slack.
-    pub fn window_slack(mut self, slack: usize) -> BatchAligner {
-        self.window_slack = slack;
-        self
     }
 
     /// The reference genome being aligned against.
@@ -66,7 +60,7 @@ impl BatchAligner {
         let tasks: Vec<Task> = reads
             .iter()
             .map(|read| {
-                let want = read.seq.len() + self.window_slack;
+                let want = read.seq.len() + WINDOW_SLACK;
                 let start = read.true_pos.min(self.reference.len().saturating_sub(want));
                 let len = want.min(self.reference.len() - start);
                 Task::bsw_local(

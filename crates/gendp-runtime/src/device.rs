@@ -1,4 +1,4 @@
-//! The device: array slots, submission, worker threads, batch execution,
+//! The device: array slots, placement, worker threads, batch execution,
 //! and the fault-tolerance machinery (retry, quarantine, panic
 //! containment).
 
@@ -6,19 +6,17 @@ use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Mutex, PoisonError};
 use std::thread;
-use std::time::Duration;
 
 use gendp_core::AccelConfig;
 use gendp_dpax::{SimError, TierPolicy, INT_ARRAYS, PES_PER_ARRAY};
 
 use crate::fault::{FaultConfig, FaultInjector};
-use crate::queue::BoundedQueue;
 use crate::recovery::{RetryPolicy, SlotHealth};
 use crate::report::{ArrayReport, DeviceReport, KernelStats, RecoveryReport};
-use crate::sync::{lock_unpoisoned, wait_timeout_unpoisoned};
+use crate::sync::lock_unpoisoned;
 use crate::task::{ArrayClass, Task, TaskFailure, TaskResult, TaskValue};
 use crate::templates::{TemplateCache, TemplateStats, TEMPLATE_BUDGET, TEMPLATE_SLOTS};
 
@@ -31,12 +29,11 @@ pub struct DeviceConfig {
     pub float_arrays: usize,
     /// Processing elements per array (paper: 4).
     pub pes_per_array: usize,
-    /// Host worker threads driving the simulated arrays. Wall-clock
-    /// throughput scales with this; simulated results never depend on it.
+    /// Host worker threads driving the simulated arrays, clamped to
+    /// 1..=arrays: the thread calling [`Device::run_batch`] is worker 0
+    /// and the batch spawns `workers - 1` more. Wall-clock throughput
+    /// scales with this; simulated results never depend on it.
     pub workers: usize,
-    /// Per-array submission queue bound; a full queue blocks the
-    /// submitter (backpressure).
-    pub queue_capacity: usize,
     /// How failed tasks are retried and failing arrays quarantined.
     pub retry: RetryPolicy,
     /// Deterministic fault injection for chaos testing; `None` (the
@@ -73,7 +70,6 @@ impl Default for DeviceConfig {
                 .map(|n| n.get())
                 .unwrap_or(1)
                 .min(8),
-            queue_capacity: 64,
             retry: RetryPolicy::default(),
             fault: None,
             tiers: TierPolicy::default(),
@@ -92,9 +88,10 @@ pub enum RuntimeError {
         /// Why its final attempt failed.
         failure: TaskFailure,
     },
-    /// A task needs an array class the device has zero slots of.
+    /// A task needs an array class the device has zero slots of. The
+    /// batch is refused before any of its tasks runs.
     NoArray {
-        /// Index of the unplaceable task in the submitted batch.
+        /// Index of the first unplaceable task in the submitted batch.
         task: usize,
         /// The class it needed.
         class: ArrayClass,
@@ -141,13 +138,6 @@ pub struct BatchRun {
     pub results: Vec<TaskResult>,
     /// Utilization of the device over the batch.
     pub report: DeviceReport,
-}
-
-impl BatchRun {
-    /// The functional values in submission order.
-    pub fn values(&self) -> Vec<&TaskValue> {
-        self.results.iter().map(|r| &r.value).collect()
-    }
 }
 
 /// The outcome of one executed batch: a per-task `Result` in submission
@@ -271,12 +261,6 @@ pub struct SlotSnapshot {
     pub index: usize,
     /// Integer or floating-point array.
     pub class: ArrayClass,
-    /// Tasks currently waiting in this slot's submission queue.
-    pub queue_depth: usize,
-    /// Highest queue occupancy observed since the last batch started.
-    pub queue_high_water: usize,
-    /// Estimated DP cells queued on this slot and not yet executed.
-    pub pending_cells: u64,
     /// Failed execution attempts on this slot since the last batch
     /// started ([`SlotHealth`] resets per batch).
     pub failures: u64,
@@ -285,11 +269,11 @@ pub struct SlotSnapshot {
     pub quarantined: bool,
 }
 
-/// Point-in-time observable state of a [`Device`]: per-slot queue and
-/// health state plus recovery counters accumulated over every batch the
-/// device has run ([`RecoveryReport::merge`]d batch by batch). Cheap to
-/// take — a few atomic loads per slot — and safe to export from a
-/// monitoring or serving layer at any time between batches.
+/// Point-in-time observable state of a [`Device`]: per-slot health
+/// state plus recovery counters accumulated over every batch the device
+/// has run ([`RecoveryReport::merge`]d batch by batch). Cheap to take — a
+/// few atomic loads per slot — and safe to export from a monitoring or
+/// serving layer at any time between batches.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DeviceSnapshot {
     /// One entry per array slot, in slot order.
@@ -319,11 +303,6 @@ impl DeviceSnapshot {
             .count()
     }
 
-    /// Estimated DP cells queued across all slots.
-    pub fn pending_cells(&self) -> u64 {
-        self.slots.iter().map(|s| s.pending_cells).sum()
-    }
-
     /// Total slots of `class` on the device, healthy or not.
     pub fn total_slots(&self, class: ArrayClass) -> usize {
         self.slots.iter().filter(|s| s.class == class).count()
@@ -342,48 +321,13 @@ impl DeviceSnapshot {
     }
 }
 
-/// Generation-counted wakeup for idle workers: bumped on every push and
-/// on close, so a worker that found all its queues empty sleeps until
-/// new work (or shutdown) can possibly exist instead of polling.
-#[derive(Default)]
-struct WorkSignal {
-    generation: Mutex<u64>,
-    ready: Condvar,
-}
-
-impl WorkSignal {
-    fn current(&self) -> u64 {
-        *lock_unpoisoned(&self.generation)
-    }
-
-    fn bump(&self) {
-        *lock_unpoisoned(&self.generation) += 1;
-        self.ready.notify_all();
-    }
-
-    /// Blocks until the generation moves past `seen` (with a timeout
-    /// safety net against missed wakeups).
-    fn wait_past(&self, seen: u64) {
-        let mut generation = lock_unpoisoned(&self.generation);
-        while *generation == seen {
-            let (next, timeout) =
-                wait_timeout_unpoisoned(&self.ready, generation, Duration::from_millis(1));
-            generation = next;
-            if timeout.timed_out() {
-                break;
-            }
-        }
-    }
-}
-
-/// One array slot: a simulated PE array behind a bounded submission
-/// queue. `pending_cells` tracks the estimated outstanding work, which
-/// retry re-dispatch and [`SlotSnapshot`] read; `health` drives the
-/// quarantine state machine.
+/// One array slot: a simulated PE array. `pending_cells` is the
+/// estimated work of the tasks claimed onto the slot and not yet
+/// finished, which retry re-dispatch reads as the slot's load; `health`
+/// drives the quarantine state machine.
 struct ArraySlot {
     index: usize,
     class: ArrayClass,
-    queue: BoundedQueue<(usize, Task)>,
     pending_cells: AtomicU64,
     health: SlotHealth,
 }
@@ -432,20 +376,27 @@ impl RecoveryCounters {
     }
 }
 
-/// Everything a worker needs to execute tasks: shared, immutable for the
-/// lifetime of one batch.
+/// Everything a worker needs to execute tasks: shared for the lifetime
+/// of one batch, which the workers drain through the claim cursor `next`.
 struct ExecCtx<'a> {
-    slots: &'a [Arc<ArraySlot>],
+    slots: &'a [ArraySlot],
     config: &'a DeviceConfig,
     injector: Option<FaultInjector>,
     counters: &'a RecoveryCounters,
+    /// The accepted tasks in submission order, each with its index in
+    /// the batch and its position among the accepted tasks of its class.
+    tasks: &'a [(usize, usize, Task)],
+    /// Index into `tasks` of the next task to claim. `Relaxed` suffices:
+    /// the read-modify-write hands each index out once, the tasks were
+    /// shared before the workers started, and results travel through a
+    /// lock.
+    next: AtomicUsize,
     results: &'a Mutex<Vec<Option<Result<TaskResult, TaskFailure>>>>,
-    abort: &'a AtomicBool,
 }
 
-/// The simulated DPAx device: integer array slots plus the FP slot, fed
-/// round-robin within each array class, and a pool of host workers that
-/// drive the arrays.
+/// The simulated DPAx device: integer array slots plus the FP slot,
+/// placed round-robin within each array class, and host workers that
+/// claim a batch's tasks in submission order and drive the arrays.
 ///
 /// Each submitted [`Task`] runs as one self-contained array simulation,
 /// so its score and simulated cycle count are identical regardless of
@@ -466,7 +417,7 @@ struct ExecCtx<'a> {
 /// tasks surface per-task in the [`BatchOutcome`].
 pub struct Device {
     config: DeviceConfig,
-    slots: Vec<Arc<ArraySlot>>,
+    slots: Vec<ArraySlot>,
     /// Recovery counters accumulated across every batch (the per-batch
     /// [`RecoveryReport`]s merged in order), exposed via
     /// [`Device::snapshot`].
@@ -483,8 +434,8 @@ impl Device {
     ///
     /// # Panics
     ///
-    /// Panics if the config has zero arrays, zero PEs per array, a zero
-    /// queue capacity, or a fault plan with rates summing above 100%.
+    /// Panics if the config has zero arrays, zero PEs per array, or a
+    /// fault plan with rates summing above 100%.
     pub fn new(config: DeviceConfig) -> Device {
         assert!(
             config.int_arrays + config.float_arrays > 0,
@@ -497,18 +448,15 @@ impl Device {
             let _ = FaultInjector::new(fault);
         }
         let slots: Vec<_> = (0..config.int_arrays + config.float_arrays)
-            .map(|index| {
-                Arc::new(ArraySlot {
-                    index,
-                    class: if index < config.int_arrays {
-                        ArrayClass::Int
-                    } else {
-                        ArrayClass::Float
-                    },
-                    queue: BoundedQueue::new(config.queue_capacity),
-                    pending_cells: AtomicU64::new(0),
-                    health: SlotHealth::default(),
-                })
+            .map(|index| ArraySlot {
+                index,
+                class: if index < config.int_arrays {
+                    ArrayClass::Int
+                } else {
+                    ArrayClass::Float
+                },
+                pending_cells: AtomicU64::new(0),
+                health: SlotHealth::default(),
             })
             .collect();
         let workers = config.workers.clamp(1, slots.len());
@@ -531,20 +479,15 @@ impl Device {
         &self.config
     }
 
-    /// Total array slots (integer + floating-point).
-    pub fn slot_count(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// Observable state of the device: per-slot queue depth, pending
-    /// work, failure counts and quarantine status, plus recovery counters
-    /// accumulated over every batch run so far. This is the sanctioned
-    /// way for a serving or monitoring layer to export device health —
-    /// no internals, a handful of atomic loads.
+    /// Observable state of the device: per-slot failure counts and
+    /// quarantine status, plus recovery counters accumulated over every
+    /// batch run so far. This is the sanctioned way for a serving or
+    /// monitoring layer to export device health — no internals, a
+    /// handful of atomic loads.
     ///
-    /// Taken between batches, slot queues are empty and the snapshot
-    /// reflects the final health state of the last batch (quarantine and
-    /// failure streaks reset when the *next* batch starts).
+    /// A snapshot is taken between batches, so it reflects the final
+    /// health state of the last batch (quarantine and failure streaks
+    /// reset when the *next* batch starts).
     pub fn snapshot(&self) -> DeviceSnapshot {
         DeviceSnapshot {
             slots: self
@@ -553,9 +496,6 @@ impl Device {
                 .map(|s| SlotSnapshot {
                     index: s.index,
                     class: s.class,
-                    queue_depth: s.queue.len(),
-                    queue_high_water: s.queue.high_water(),
-                    pending_cells: s.pending_cells.load(Ordering::Relaxed),
                     failures: s.health.failure_count(),
                     quarantined: s.health.is_quarantined(),
                 })
@@ -575,9 +515,12 @@ impl Device {
     /// Executes a batch of tasks and returns a per-task outcome in
     /// submission order plus the device utilization report.
     ///
-    /// Submission applies backpressure: the caller-side placement loop
-    /// blocks whenever the chosen array's queue is full, so at most
-    /// `arrays * queue_capacity` tasks are ever in flight.
+    /// The calling thread and `workers - 1` scoped helper threads claim
+    /// the tasks in submission order from one shared cursor. The `q`-th
+    /// accepted task of an array class runs on the `(q mod h)`-th of the
+    /// class's `h` healthy slots, or of all its slots when none is
+    /// healthy: round-robin while nothing is quarantined, and a
+    /// quarantined slot's share of the batch moves to its healthy peers.
     ///
     /// Task failures do not abandon the batch: each failed execution is
     /// retried per [`DeviceConfig::retry`], and a task that exhausts its
@@ -587,93 +530,70 @@ impl Device {
     /// [`BatchOutcome::into_strict`].
     ///
     /// Tasks whose inputs fail [`Task::preflight`] verification are
-    /// rejected up front: they never occupy a queue slot or a worker and
-    /// appear in the results as
-    /// [`SimError::Verify`](gendp_dpax::SimError::Verify) failures with
-    /// zero attempts.
+    /// rejected up front: they never reach a worker and appear in the
+    /// results as [`SimError::Verify`](gendp_dpax::SimError::Verify)
+    /// failures with zero attempts.
     ///
     /// # Errors
     ///
     /// Returns [`RuntimeError::NoArray`] if a task needs an array class
     /// the device has zero slots of — the only structurally unplaceable
-    /// case; remaining queued tasks are discarded.
+    /// case. The check runs before any task does, so a refused batch
+    /// leaves the device as it was.
     #[must_use = "the outcome carries per-task failures that must be checked"]
     pub fn run_batch(&mut self, tasks: Vec<Task>) -> Result<BatchOutcome, RuntimeError> {
-        let n = tasks.len();
+        let counters = RecoveryCounters::default();
+        let mut results = Vec::with_capacity(tasks.len());
+        let mut accepted = Vec::with_capacity(tasks.len());
+        // Preflight, before anything runs: a task whose inputs can never
+        // execute is rejected, and one whose class has no slot refuses
+        // the batch. Each accepted task takes its position in its class.
+        let mut per_class = [0usize; 2];
+        for (id, task) in tasks.into_iter().enumerate() {
+            let report = task.preflight();
+            if report.has_errors() {
+                counters.bump_on(&counters.tasks_failed);
+                results.push(Some(Err(TaskFailure::Sim {
+                    error: SimError::Verify(report),
+                    attempts: 0,
+                })));
+                continue;
+            }
+            let class = task.array_class();
+            if !self.slots.iter().any(|s| s.class == class) {
+                return Err(RuntimeError::NoArray { task: id, class });
+            }
+            let q = &mut per_class[usize::from(class == ArrayClass::Float)];
+            accepted.push((id, *q, task));
+            *q += 1;
+            results.push(None);
+        }
         for slot in &self.slots {
             slot.pending_cells.store(0, Ordering::Relaxed);
-            slot.queue.reset();
             slot.health.reset();
         }
-        let workers = self.templates.len();
-        let results: Mutex<Vec<Option<Result<TaskResult, TaskFailure>>>> =
-            Mutex::new((0..n).map(|_| None).collect());
-        let first_error: Mutex<Option<RuntimeError>> = Mutex::new(None);
-        let abort = AtomicBool::new(false);
-        let signal = WorkSignal::default();
-        let counters = RecoveryCounters::default();
-
-        // Preflight: tasks whose inputs can never execute are rejected
-        // here, before they consume a queue slot or a worker.
-        let mut accepted: Vec<(usize, Task)> = Vec::with_capacity(n);
-        {
-            let mut res = lock_unpoisoned(&results);
-            for (id, task) in tasks.into_iter().enumerate() {
-                let report = task.preflight();
-                if report.has_errors() {
-                    counters.bump_on(&counters.tasks_failed);
-                    res[id] = Some(Err(TaskFailure::Sim {
-                        error: SimError::Verify(report),
-                        attempts: 0,
-                    }));
-                } else {
-                    accepted.push((id, task));
-                }
-            }
-        }
-
+        let results = Mutex::new(results);
         let ctx = ExecCtx {
             slots: &self.slots,
             config: &self.config,
             injector: self.config.fault.map(FaultInjector::new),
             counters: &counters,
+            tasks: &accepted,
+            next: AtomicUsize::new(0),
             results: &results,
-            abort: &abort,
         };
-
+        let (first, helpers) = self
+            .templates
+            .split_first()
+            .expect("a device has at least one worker");
         thread::scope(|scope| {
-            for (w, templates) in self.templates.iter().enumerate() {
+            for (w, templates) in helpers.iter().enumerate() {
                 let ctx = &ctx;
-                let signal = &signal;
-                scope.spawn(move || {
-                    let mut templates = lock_unpoisoned(templates);
-                    loop {
-                        // Panic containment's second line of defense: a
-                        // panic that escapes the per-task catch (it should
-                        // not) respawns the worker loop instead of killing
-                        // the thread and stranding its queues.
-                        match catch_unwind(AssertUnwindSafe(|| {
-                            worker_loop(w, workers, ctx, signal, &mut templates)
-                        })) {
-                            Ok(()) => break,
-                            Err(_) => ctx.counters.bump_on(&ctx.counters.worker_respawns),
-                        }
-                    }
-                });
+                scope.spawn(move || work(ctx, w + 1, templates));
             }
-            self.submit_all(accepted, &first_error, &abort, &signal);
-            for slot in &self.slots {
-                slot.queue.close();
-            }
-            signal.bump();
+            work(&ctx, 0, first);
         });
 
-        if let Some(error) = first_error
-            .into_inner()
-            .unwrap_or_else(PoisonError::into_inner)
-        {
-            return Err(error);
-        }
         let results: Vec<Result<TaskResult, TaskFailure>> = results
             .into_inner()
             .unwrap_or_else(PoisonError::into_inner)
@@ -690,69 +610,17 @@ impl Device {
                 })
             })
             .collect();
-        let report = self.build_report(&results, workers, counters.snapshot());
+        let report = self.build_report(&results, counters.snapshot());
         self.recovery_total.merge(&report.recovery);
         self.batches += 1;
         Ok(BatchOutcome { results, report })
     }
 
-    /// Places every task onto a slot queue round-robin over the slots of
-    /// its class, blocking on full queues. Quarantined slots stop
-    /// receiving new placements (unless every slot of the class is
-    /// quarantined, which the last-healthy-slot rule makes a transient
-    /// race at worst).
-    fn submit_all(
-        &self,
-        tasks: Vec<(usize, Task)>,
-        first_error: &Mutex<Option<RuntimeError>>,
-        abort: &AtomicBool,
-        signal: &WorkSignal,
-    ) {
-        let mut rr = [0usize; 2]; // round-robin cursor per class
-        for (id, task) in tasks {
-            if abort.load(Ordering::Acquire) {
-                break;
-            }
-            let class = task.array_class();
-            let candidates: Vec<&Arc<ArraySlot>> =
-                self.slots.iter().filter(|s| s.class == class).collect();
-            if candidates.is_empty() {
-                let mut err = lock_unpoisoned(first_error);
-                if err.is_none() {
-                    *err = Some(RuntimeError::NoArray { task: id, class });
-                }
-                abort.store(true, Ordering::Release);
-                break;
-            }
-            let healthy: Vec<&Arc<ArraySlot>> = candidates
-                .iter()
-                .copied()
-                .filter(|s| !s.health.is_quarantined())
-                .collect();
-            let pool = if healthy.is_empty() {
-                &candidates
-            } else {
-                &healthy
-            };
-            let cursor = &mut rr[(class == ArrayClass::Float) as usize];
-            let slot = pool[*cursor % pool.len()];
-            *cursor += 1;
-            slot.pending_cells
-                .fetch_add(task.cells_estimate(), Ordering::Relaxed);
-            if slot.queue.push((id, task)).is_err() {
-                // Queues only close early on abort; stop submitting.
-                break;
-            }
-            signal.bump();
-        }
-    }
-
     /// Builds the utilization report from the collected results, the
-    /// slots' queue and health statistics, and the recovery counters.
+    /// slots' health statistics, and the recovery counters.
     fn build_report(
         &self,
         results: &[Result<TaskResult, TaskFailure>],
-        workers: usize,
         recovery: RecoveryReport,
     ) -> DeviceReport {
         let mut arrays: Vec<ArrayReport> = self
@@ -762,7 +630,6 @@ impl Device {
                 index: s.index,
                 class: s.class,
                 tasks: 0,
-                queue_high_water: s.queue.high_water(),
                 failures: s.health.failure_count(),
                 quarantined: s.health.is_quarantined(),
                 stats: gendp_dpax::RunStats::default(),
@@ -782,65 +649,46 @@ impl Device {
         DeviceReport {
             arrays,
             per_kernel,
-            workers,
+            workers: self.templates.len(),
             recovery,
         }
     }
 }
 
-/// One host worker: drains the queues of the slots it owns
-/// (`slot.index % workers == w`), executing each task on that slot's
-/// simulated array. Work popped from a quarantined slot's queue migrates
-/// to a healthy slot of the same class — that is how a quarantined
-/// array's backlog gets redistributed.
-fn worker_loop(
-    w: usize,
-    workers: usize,
-    ctx: &ExecCtx<'_>,
-    signal: &WorkSignal,
-    templates: &mut TemplateCache,
-) {
-    let owned: Vec<&Arc<ArraySlot>> = ctx
-        .slots
-        .iter()
-        .filter(|s| s.index % workers == w)
-        .collect();
+/// One host worker: claims tasks from the batch's cursor in submission
+/// order until none is left, and runs each with the worker's template
+/// cache.
+fn work(ctx: &ExecCtx<'_>, worker: usize, templates: &Mutex<TemplateCache>) {
+    let mut templates = lock_unpoisoned(templates);
     loop {
-        // Snapshot before scanning: a push that lands mid-scan moves the
-        // generation, so the wait below returns immediately.
-        let seen = signal.current();
-        let mut ran = false;
-        for slot in &owned {
-            if let Some((id, task)) = slot.queue.try_pop() {
-                run_task(ctx, slot, w, id, &task, templates);
-                ran = true;
+        // Panic containment's second line of defense: a panic that
+        // escapes the per-task catch (it should not) restarts the claim
+        // loop instead of unwinding the worker out of the batch.
+        match catch_unwind(AssertUnwindSafe(|| {
+            while let Some((id, q, task)) = ctx.tasks.get(ctx.next.fetch_add(1, Ordering::Relaxed))
+            {
+                run_task(ctx, worker, *id, *q, task, &mut templates);
             }
-        }
-        if !ran {
-            let drained = owned
-                .iter()
-                .all(|s| s.queue.is_closed() && s.queue.is_empty());
-            if drained {
-                break;
-            }
-            signal.wait_past(seen);
+        })) {
+            Ok(()) => break,
+            Err(_) => ctx.counters.bump_on(&ctx.counters.worker_respawns),
         }
     }
 }
 
-/// Where to actually execute work associated with `slot`: the slot
-/// itself while it is healthy, otherwise the lowest-indexed healthy slot
-/// of the same class (a quarantined slot's backlog drains elsewhere).
-fn migration_target(ctx: &ExecCtx<'_>, slot: &ArraySlot) -> usize {
-    if !slot.health.is_quarantined() {
-        return slot.index;
-    }
-    ctx.slots
-        .iter()
-        .filter(|s| s.class == slot.class && !s.health.is_quarantined())
-        .map(|s| s.index)
-        .min()
-        .unwrap_or(slot.index)
+/// The slot the `q`-th accepted task of `class` in a batch runs on: the
+/// `(q mod h)`-th of the class's `h` healthy slots, or of all of its
+/// slots when none is healthy.
+fn place(ctx: &ExecCtx<'_>, class: ArrayClass, q: usize) -> usize {
+    let of_class = || ctx.slots.iter().filter(move |s| s.class == class);
+    let healthy = || of_class().filter(|s| !s.health.is_quarantined());
+    let h = healthy().count();
+    healthy()
+        .nth(q % h.max(1))
+        // No slot is healthy, or one was quarantined since the count.
+        .or_else(|| of_class().nth(q % of_class().count()))
+        .expect("preflight admits only classes the device has slots of")
+        .index
 }
 
 /// The slot a retry re-dispatches to: the least-loaded healthy slot of
@@ -900,32 +748,30 @@ enum AttemptFailure {
     Panic(String),
 }
 
-/// Executes one task with retry, fault injection, panic containment and
-/// quarantine bookkeeping, then records its final outcome. Attempts run
-/// on the worker's `templates`: a kept template of the task's shape when
-/// there is one.
+/// Executes one claimed task with retry, fault injection, panic
+/// containment and quarantine bookkeeping, then records its final
+/// outcome. Attempts run on the worker's `templates`: a kept template of
+/// the task's shape when there is one.
 ///
-/// `origin` is the slot whose queue held the task (its `pending_cells`
-/// estimate is released here). The first attempt executes on its
-/// [`migration_target`]; retries may move execution to further slots.
+/// `q` is the task's position among the batch's accepted tasks of its
+/// class. The first attempt executes on the slot [`place`] picks for it,
+/// which carries the task's `pending_cells` estimate until the task
+/// finishes; retries may move execution to further slots.
 fn run_task(
     ctx: &ExecCtx<'_>,
-    origin: &ArraySlot,
     worker: usize,
     id: usize,
+    q: usize,
     task: &Task,
     templates: &mut TemplateCache,
 ) {
     let estimate = task.cells_estimate();
-    if ctx.abort.load(Ordering::Acquire) {
-        // Drain-and-discard after an unplaceable task aborted the batch.
-        origin.pending_cells.fetch_sub(estimate, Ordering::Relaxed);
-        return;
-    }
+    let origin = &ctx.slots[place(ctx, task.array_class(), q)];
+    origin.pending_cells.fetch_add(estimate, Ordering::Relaxed);
     let retry = &ctx.config.retry;
     let max_attempts = retry.max_attempts.max(1);
     let mut escalations: u32 = 0;
-    let mut exec = migration_target(ctx, origin);
+    let mut exec = origin.index;
     let mut tried = vec![exec];
     let mut attempt: u32 = 0;
     let outcome: Result<TaskResult, TaskFailure> = loop {
@@ -1099,39 +945,27 @@ mod tests {
             workers: 1,
             ..DeviceConfig::default()
         });
-        let task = Task::PairHmmFloat {
+        let mut tasks = small_batch(3, 20);
+        tasks.push(Task::PairHmmFloat {
             read: "ACGTAC".parse().unwrap(),
             haplotype: "ACGTACGT".parse().unwrap(),
             qual: 30,
             params: gendp_kernels::pairhmm::PairHmmParams::gatk(),
-        };
-        let err = device.run_batch(vec![task]).expect_err("no FP array");
+        });
+        let err = device.run_batch(tasks).expect_err("no FP array");
         assert_eq!(
             err,
             RuntimeError::NoArray {
-                task: 0,
+                task: 3,
                 class: ArrayClass::Float
             }
         );
         assert!(std::error::Error::source(&err).is_none());
-    }
-
-    #[test]
-    fn backpressure_small_queue_still_completes() {
-        let mut device = Device::new(DeviceConfig {
-            int_arrays: 2,
-            float_arrays: 0,
-            workers: 2,
-            queue_capacity: 1,
-            ..DeviceConfig::default()
-        });
-        let outcome = device.run_batch(small_batch(9, 23)).expect("batch");
-        assert_eq!(outcome.results.len(), 9);
-        assert!(outcome.is_complete());
-        // A capacity-1 queue can never hold more than one task.
-        for a in &outcome.report.arrays {
-            assert!(a.queue_high_water <= 1);
-        }
+        // The batch was refused before anything ran, the integer tasks
+        // ahead of the FP task included.
+        let snap = device.snapshot();
+        assert_eq!(snap.batches, 0);
+        assert_eq!(snap.templates.misses, 0);
     }
 
     #[test]
@@ -1370,7 +1204,6 @@ mod tests {
         assert_eq!(fresh.batches, 0);
         assert!(fresh.recovery.is_clean());
         assert_eq!(fresh.healthy_slots(ArrayClass::Int), 2);
-        assert_eq!(fresh.pending_cells(), 0);
 
         let outcome = device.run_batch(small_batch(12, 31)).expect("batch");
         assert!(outcome.is_complete());
@@ -1381,7 +1214,6 @@ mod tests {
         assert_eq!(snap.healthy_slots(ArrayClass::Int), 1);
         assert!(snap.slots[1].quarantined, "broken slot 1 must be offline");
         assert!(snap.slots[1].failures > 0);
-        assert_eq!(snap.slots[0].queue_depth, 0, "batches drain their queues");
         assert_eq!(snap.recovery, outcome.report.recovery);
 
         // A second batch accumulates: cumulative counters are the merge

@@ -4,24 +4,22 @@
 //! §4.1, §7.2): the full accelerator is 16 integer PE arrays plus one
 //! floating-point PE array, all running **independent tasks** in parallel.
 //! The lower layers (`gendp-core`, `gendp-dpax`) simulate one task on one
-//! array; this crate owns the device: it routes a batch of typed
-//! [`Task`]s round-robin onto the array slots of their class through
-//! bounded submission queues with backpressure, drives every simulated
-//! array from a pool of host worker threads, and reports per-array /
-//! per-kernel utilization.
+//! array; this crate owns the device: it places a batch of typed
+//! [`Task`]s round-robin onto the array slots of their class, drives
+//! every simulated array from host worker threads that claim the tasks
+//! in submission order, and reports per-array / per-kernel utilization.
 //!
 //! * [`Device`] — N integer array slots plus the FP slot
-//!   ([`DeviceConfig`] defaults to the paper's 16 + 1), each with its own
-//!   bounded queue. Simulated cycles and scores are per-task
-//!   deterministic regardless of worker count; only wall-clock and
-//!   per-array placement change.
+//!   ([`DeviceConfig`] defaults to the paper's 16 + 1). Simulated cycles
+//!   and scores are per-task deterministic regardless of worker count;
+//!   only wall-clock time changes.
 //! * [`Task`] — one enum variant per evaluated accelerator: the BSW
 //!   family (local / global / semi-global / convex / 8-bit SIMD), fixed-
 //!   point and floating-point PairHMM, DTW (full and banded), chaining,
 //!   POA and Bellman-Ford. Floating-point PairHMM routes to the FP array;
 //!   everything else to the integer arrays.
-//! * [`DeviceReport`] — queue depth, occupancy, simulated cycles and
-//!   GCUPS per array and per kernel; convertible to the tile-scheduling
+//! * [`DeviceReport`] — occupancy, simulated cycles and GCUPS per array
+//!   and per kernel; convertible to the tile-scheduling
 //!   [`TileReport`](gendp_core::TileReport) of `gendp-core` through the
 //!   shared `TileReport::from_array_loads` constructor, so the two layers
 //!   agree by construction.
@@ -78,7 +76,6 @@
 mod batch;
 mod device;
 mod fault;
-mod queue;
 mod recovery;
 mod report;
 mod sync;
@@ -90,7 +87,6 @@ pub use device::{
     BatchOutcome, BatchRun, Device, DeviceConfig, DeviceSnapshot, RuntimeError, SlotSnapshot,
 };
 pub use fault::{silence_injected_panics, FaultConfig, FaultInjector, InjectedFault, PPM};
-pub use queue::BoundedQueue;
 pub use recovery::{Heartbeat, RetryPolicy, SlotHealth};
 pub use report::{ArrayReport, DeviceReport, KernelStats, RecoveryReport};
 pub use task::{

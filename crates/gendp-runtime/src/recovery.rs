@@ -14,8 +14,8 @@
 //!      ╔═══════════════╗ failure   │  other healthy slot in class?  │
 //!      ║    Healthy    ║──────────►│  yes ─► ╔═════════════════╗    │
 //!      ║ streak reset  ║           │         ║   Quarantined   ║    │
-//!      ╚═══════════════╝           │         ║ no new work;    ║    │
-//!          ▲                       │         ║ queue migrates  ║    │
+//!      ╚═══════════════╝           │         ║ its tasks go to ║    │
+//!          ▲                       │         ║ healthy peers   ║    │
 //!          │ streak < K            │         ╚═════════════════╝    │
 //!          └───────────────────────┤  no ──► refused (last healthy  │
 //!                                  │         slot of its class is   │

@@ -42,8 +42,6 @@ pub struct ArrayReport {
     pub class: ArrayClass,
     /// Tasks this array executed.
     pub tasks: usize,
-    /// Highest submission-queue occupancy observed.
-    pub queue_high_water: usize,
     /// Failed execution attempts on this array over the batch.
     pub failures: u64,
     /// True if the quarantine state machine took this array offline
@@ -255,7 +253,7 @@ impl fmt::Display for DeviceReport {
         for a in &self.arrays {
             writeln!(
                 f,
-                "  array {:2} [{}]: {} tasks  busy {} cycles  cells {}  queue hw {}{}{}",
+                "  array {:2} [{}]: {} tasks  busy {} cycles  cells {}{}{}",
                 a.index,
                 match a.class {
                     ArrayClass::Int => "int",
@@ -264,7 +262,6 @@ impl fmt::Display for DeviceReport {
                 a.tasks,
                 a.busy_cycles(),
                 a.stats.cells(),
-                a.queue_high_water,
                 if a.failures > 0 {
                     format!("  failures {}", a.failures)
                 } else {
@@ -321,7 +318,6 @@ mod tests {
                     index: 0,
                     class: ArrayClass::Int,
                     tasks: 2,
-                    queue_high_water: 2,
                     failures: 0,
                     quarantined: false,
                     stats: stats(200, 50),
@@ -330,7 +326,6 @@ mod tests {
                     index: 1,
                     class: ArrayClass::Int,
                     tasks: 1,
-                    queue_high_water: 1,
                     failures: 0,
                     quarantined: false,
                     stats: stats(100, 20),

@@ -1,43 +1,23 @@
-//! Poison-recovering synchronization helpers.
+//! Poison-recovering locking.
 //!
 //! A panicking thread poisons any `Mutex` it holds, and the
 //! `lock().unwrap()` pattern then re-raises that panic in every other
-//! thread touching the lock — so one bad task could wedge the submitter
-//! and take the whole batch down with it. The runtime treats a panic as a
-//! per-task failure, not a process failure, so these helpers recover the
-//! guard from a poisoned lock instead.
+//! thread touching the lock — so one bad task could take the whole batch
+//! down with it. The runtime treats a panic as a per-task failure, not a
+//! process failure, so [`lock_unpoisoned`] recovers the guard from a
+//! poisoned lock instead.
 //!
 //! Recovery is sound here because every critical section in this crate
-//! maintains its invariants at each single store: queue contents, result
-//! slots and signal generations are all valid after any prefix of the
-//! holder's writes, so observing a poisoned lock's state is no worse than
+//! maintains its invariants at each single store: a result slot is
+//! written whole, and a template whose attempt panicked has already left
+//! its cache, so observing a poisoned lock's state is no worse than
 //! observing it between two critical sections.
 
-use std::sync::{Condvar, Mutex, MutexGuard, PoisonError, WaitTimeoutResult};
-use std::time::Duration;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Locks `mutex`, recovering the guard if a panicking holder poisoned it.
 pub(crate) fn lock_unpoisoned<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// [`Condvar::wait`] that recovers the guard from a poisoned lock.
-pub(crate) fn wait_unpoisoned<'a, T>(
-    condvar: &Condvar,
-    guard: MutexGuard<'a, T>,
-) -> MutexGuard<'a, T> {
-    condvar.wait(guard).unwrap_or_else(PoisonError::into_inner)
-}
-
-/// [`Condvar::wait_timeout`] that recovers the guard from a poisoned lock.
-pub(crate) fn wait_timeout_unpoisoned<'a, T>(
-    condvar: &Condvar,
-    guard: MutexGuard<'a, T>,
-    timeout: Duration,
-) -> (MutexGuard<'a, T>, WaitTimeoutResult) {
-    condvar
-        .wait_timeout(guard, timeout)
-        .unwrap_or_else(PoisonError::into_inner)
 }
 
 #[cfg(test)]

@@ -6,9 +6,8 @@ use gendp_core::linear1d::ChainRun;
 use gendp_core::spm1d::BellmanFordRun;
 use gendp_core::{
     bsw_score, bsw_semiglobal_score, bsw_simd_scores, dtw_banded_distance, pack_lanes,
-    pairhmm_float_lik, pairhmm_loglik, AccelConfig, Accelerator, AcceleratorRun, BandSpec,
-    BellmanFordTask, ChainTask, GendpPipeline, PoaTask, TaskOutput, Wavefront2d, Wavefront2dOutput,
-    WavefrontTask,
+    pairhmm_float_lik, pairhmm_loglik, AccelConfig, Accelerator, BandSpec, BellmanFordTask,
+    ChainTask, GendpPipeline, PoaTask, TaskOutput, Wavefront2d, Wavefront2dOutput, WavefrontTask,
 };
 use gendp_dpax::{RunStats, SimError};
 use gendp_kernels::chain::ChainParams;
@@ -211,7 +210,8 @@ pub struct TaskResult {
     /// Device array slot the task ran on (the last attempt's slot when
     /// retries re-dispatched it).
     pub array: usize,
-    /// Host worker thread that drove the array.
+    /// Host worker that claimed the task (worker 0 is the thread that
+    /// called [`Device::run_batch`](crate::Device::run_batch)).
     pub worker: usize,
     /// Kernel identity.
     pub kernel: KernelKind,
@@ -221,13 +221,6 @@ pub struct TaskResult {
     pub stats: RunStats,
     /// Execution attempts this task took (1 = succeeded first try).
     pub attempts: u32,
-}
-
-impl TaskResult {
-    /// Performance summary of this task in the paper's units.
-    pub fn run(&self) -> AcceleratorRun {
-        AcceleratorRun::from_stats(&self.stats)
-    }
 }
 
 /// Why one task failed for good: every retry attempt the
@@ -406,7 +399,7 @@ impl Task {
     /// deep inside a simulated kernel. A report with errors means the
     /// task can never execute;
     /// [`Device::run_batch`](crate::Device::run_batch) rejects such a
-    /// task up front, before it consumes a queue slot.
+    /// task up front, before any task of its batch runs.
     pub fn preflight(&self) -> gendp_verify::Report {
         use gendp_verify::{DiagLoc, Diagnostic, Report, Rule};
         let mut report = Report::new();

@@ -161,6 +161,25 @@ fn device_report_agrees_with_core_tile_scheduling() {
 }
 
 #[test]
+fn fault_free_device_report_prints_deterministically() {
+    // Placement is a function of each task's position in its class, so
+    // without faults two devices print the same report whatever order
+    // their workers claim the tasks in.
+    let report = || {
+        let mut device = Device::new(DeviceConfig {
+            int_arrays: 4,
+            float_arrays: 0,
+            workers: 2,
+            ..DeviceConfig::default()
+        });
+        let outcome = device.run_batch(mixed_batch()).expect("batch run");
+        assert!(outcome.is_complete());
+        outcome.report.to_string()
+    };
+    assert_eq!(report(), report());
+}
+
+#[test]
 fn batch_aligner_matches_per_read_pipeline() {
     let mut rng = SmallRng::seed_from_u64(43);
     let genome = Genome::random(600, &mut rng);
