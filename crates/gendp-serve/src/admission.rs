@@ -1,5 +1,5 @@
 //! Admission control: the gate every submission passes before it can
-//! consume a scheduler queue slot.
+//! take a place in its tenant's queue.
 //!
 //! Checks run cheapest-reject-first and in an order that keeps the QoS
 //! accounting honest:
@@ -9,16 +9,18 @@
 //!    `gendp-verify` gate the device applies, so a malformed request is
 //!    rejected with a diagnostic instead of occupying a slot and
 //!    failing later;
-//! 3. **deadline feasibility** — when the server has a cycle-rate
+//! 3. **queued quota**, then **in-flight quota** — bounded per-tenant
+//!    memory; both use optimistic increment-check-undo so concurrent
+//!    submitters never overshoot;
+//! 4. **rate limit** — the token bucket runs after the quotas, so a
+//!    request over quota never spends a token;
+//! 5. **deadline feasibility** — when the server has a cycle-rate
 //!    budget and the request a deadline, a request whose certified
 //!    cycle *lower bound* already exceeds its deadline is rejected up
 //!    front instead of being admitted only to expire. The caller's check
-//!    runs only here, after preflight, because it may prepare the task;
-//! 4. **queued quota**, then **in-flight quota** — bounded per-tenant
-//!    memory; both use optimistic increment-check-undo so concurrent
-//!    submitters never overshoot;
-//! 5. **rate limit** — the token bucket runs *last* so a request that
-//!    would be rejected anyway never spends a token.
+//!    runs last because it may prepare the task: a request that a quota
+//!    or the rate limit refuses never pays for a prepare. A request it
+//!    refuses has spent its token.
 
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -42,8 +44,8 @@ pub enum AdmissionError {
     /// The tenant is at `max_in_flight` admitted-but-undelivered
     /// requests.
     OverQuota,
-    /// The tenant's scheduler queue is at `max_queued` — the
-    /// backpressure signal.
+    /// The tenant's queue is at `max_queued` — the backpressure
+    /// signal.
     QueueFull,
     /// The certificate's cycle lower bound already exceeds the request
     /// deadline at the configured shard cycle rate, so the request
@@ -88,8 +90,8 @@ impl fmt::Display for AdmissionError {
 impl std::error::Error for AdmissionError {}
 
 /// Shared per-tenant service state: the QoS contract plus the live
-/// admission accounting, referenced from client handles, the scheduler,
-/// and shard threads.
+/// admission accounting, referenced from client handles and shard
+/// threads.
 #[derive(Debug)]
 pub struct TenantState {
     /// The tenant's configured contract.
@@ -98,7 +100,7 @@ pub struct TenantState {
     pub effective_weight: u64,
     /// Requests admitted and not yet delivered.
     pub in_flight: AtomicUsize,
-    /// Requests sitting in the scheduler's per-tenant queue.
+    /// Requests waiting in the tenant's queue for a shard to pull them.
     pub queued: AtomicUsize,
     /// Token bucket, present when the contract has a rate limit.
     pub bucket: Option<Mutex<TokenBucket>>,
@@ -123,15 +125,15 @@ impl TenantState {
     }
 
     /// Runs the full admission gate for one task. On `Ok` the tenant's
-    /// `queued` and `in_flight` counts have both been incremented; the
-    /// scheduler decrements `queued` at dispatch and the shard
-    /// decrements `in_flight` at delivery. On `Err` nothing is held.
+    /// `queued` and `in_flight` counts have both been incremented; a
+    /// shard decrements `queued` when it pulls the request and
+    /// `in_flight` at delivery. On `Err` nothing is held.
     ///
     /// `infeasible` is the caller's deadline-infeasibility check
     /// (certified cycle lower bound exceeds the remaining deadline); it
-    /// runs after preflight — a malformed task reports its diagnostics
-    /// and is never prepared — but before the quotas and the token
-    /// bucket, so a provably-late request never spends a token.
+    /// runs last — after preflight, the quotas and the token bucket — so
+    /// only a request that would otherwise be admitted can make it
+    /// prepare the task.
     pub fn admit(
         &self,
         task: &Task,
@@ -149,12 +151,6 @@ impl TenantState {
                 .rejected_invalid
                 .fetch_add(1, Ordering::Relaxed);
             return Err(AdmissionError::Invalid(report.to_string()));
-        }
-        if infeasible() {
-            self.counters
-                .rejected_infeasible
-                .fetch_add(1, Ordering::Relaxed);
-            return Err(AdmissionError::DeadlineInfeasible);
         }
         // Optimistic increment, undo on overshoot: never lets a burst of
         // concurrent submitters exceed the quota.
@@ -183,6 +179,14 @@ impl TenantState {
                 self.counters.rejected_rate.fetch_add(1, Ordering::Relaxed);
                 return Err(AdmissionError::RateLimited);
             }
+        }
+        if infeasible() {
+            self.in_flight.fetch_sub(1, Ordering::AcqRel);
+            self.queued.fetch_sub(1, Ordering::AcqRel);
+            self.counters
+                .rejected_infeasible
+                .fetch_add(1, Ordering::Relaxed);
+            return Err(AdmissionError::DeadlineInfeasible);
         }
         self.counters.accepted.fetch_add(1, Ordering::Relaxed);
         Ok(())
@@ -268,6 +272,30 @@ mod tests {
         assert_eq!(
             state.admit(&small_task(), 500_000_000, false, || false),
             Ok(())
+        );
+    }
+
+    #[test]
+    fn deadline_gate_runs_last_and_releases_held_quota() {
+        let state = TenantState::new(TenantConfig::new("t").rate(RateLimit {
+            requests_per_sec: 0.0,
+            burst: 1.0,
+        }));
+        assert_eq!(
+            state.admit(&small_task(), 0, false, || true),
+            Err(AdmissionError::DeadlineInfeasible)
+        );
+        assert_eq!(
+            state.queued.load(Ordering::Acquire),
+            0,
+            "undo restored queued"
+        );
+        assert_eq!(state.in_flight.load(Ordering::Acquire), 0);
+        // The infeasible request spent the only token, so the next
+        // request is refused by the bucket before the gate can run.
+        assert_eq!(
+            state.admit(&small_task(), 0, false, || panic!("gate ran")),
+            Err(AdmissionError::RateLimited)
         );
     }
 

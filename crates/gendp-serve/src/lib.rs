@@ -25,7 +25,10 @@
 //! * **Sharding** ([`ServeConfig`], [`ShardStats`]) — the server runs
 //!   N independent device shards (each the paper's 16 integer + 1 FP
 //!   PE arrays), each a fault domain with its own quarantine state and
-//!   fault plan; dispatch steers batches away from degraded shards.
+//!   fault plan. An idle shard pulls its next DRR batch from the tenant
+//!   queues, so no work waits at a shard; a degraded shard, or one
+//!   with more quarantined slots, leaves a small backlog to its
+//!   healthier peers.
 //! * **Delivery** ([`Ticket`], [`Completed`], [`ServeError`]) — every
 //!   admitted request resolves exactly once; tickets never hang.
 //! * **Wire protocol** ([`Request`], [`Response`], [`WireClient`]) —

@@ -8,22 +8,24 @@
 //!   └─────────┘      └─────────┘              │
 //!        │             ▲     │ quarantine     │
 //!        │   recovered │     ▼ above policy   ▼
-//!        │           ┌──────────┐         ┌──────┐   auto_respawn
+//!        │           ┌──────────┐         ┌──────┐  replacement:
 //!        │           │ Degraded │────────▶│ Dead │──────▶ fresh
 //!        │           └──────────┘         └──────┘        Joining
 //!        │ retire_shard   │ retire_shard     ▲            shard
 //!        ▼                ▼                  │
-//!   ┌──────────┐  queue reclaimed + requeued │
+//!   ┌──────────┐  stops pulling once its     │
 //!   │ Draining │─────────────────────────────┘
-//!   └──────────┘  (Dead once in-flight work drains)
+//!   └──────────┘  in-flight batch delivers
 //! ```
 //!
-//! The monitor in `server.rs` drives every transition; this module owns
-//! the vocabulary ([`ShardState`]), the pure assessment function
-//! ([`assess`]) mapping a device snapshot to a [`HealthSignal`], the
-//! knobs ([`LifecyclePolicy`]), and the counters
-//! ([`LifecycleCounters`]). Keeping assessment pure makes the policy
-//! unit-testable without spinning up a server.
+//! Each shard thread in `server.rs` drives its own transitions from the
+//! device snapshot it reads after every batch; a kill is declared by its
+//! caller, and a watchdog thread adds the heartbeat-silence check. This
+//! module owns the vocabulary ([`ShardState`]), the pure assessment
+//! function ([`assess`]) mapping a device snapshot to a
+//! [`HealthSignal`], the thresholds ([`LifecyclePolicy`]), and the
+//! counters ([`LifecycleCounters`]). Keeping assessment pure makes the
+//! policy unit-testable without spinning up a server.
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -37,16 +39,17 @@ use gendp_runtime::{ArrayClass, DeviceSnapshot};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 #[repr(u8)]
 pub enum ShardState {
-    /// Spawned but yet to complete a batch; dispatchable so it can
-    /// prove itself.
+    /// Spawned but yet to complete a batch; pulls work so it can prove
+    /// itself.
     Joining = 0,
     /// Serving normally.
     Healthy = 1,
-    /// Serving, but with enough quarantined slots that the dispatcher
-    /// should prefer other shards.
+    /// Serving with quarantined slots at or above the policy threshold;
+    /// it pulls only when more requests wait than there are healthy or
+    /// joining shards to take them.
     Degraded = 2,
-    /// Retiring: no new dispatch; in-flight work finishes, queued work
-    /// is requeued elsewhere. Terminal state is `Dead`.
+    /// Retiring: pulls no new batch; its in-flight batch finishes, then
+    /// it is `Dead`.
     Draining = 3,
     /// Out of the pool for good. Kept in stats for post-mortems.
     Dead = 4,
@@ -64,24 +67,12 @@ impl ShardState {
         }
     }
 
-    /// True while the scheduler may still push new batches to the shard.
+    /// True while the shard may still pull new batches.
     pub fn is_dispatchable(self) -> bool {
         matches!(
             self,
             ShardState::Joining | ShardState::Healthy | ShardState::Degraded
         )
-    }
-
-    /// Dispatch preference rank: healthy and joining shards first
-    /// (a joining shard ranks with healthy ones so load-balancing can
-    /// feed it the first batch it needs to prove itself), degraded
-    /// ones last among the dispatchable. Lower is better.
-    pub fn dispatch_rank(self) -> u8 {
-        match self {
-            ShardState::Healthy | ShardState::Joining => 0,
-            ShardState::Degraded => 1,
-            ShardState::Draining | ShardState::Dead => u8::MAX,
-        }
     }
 
     /// Wire encoding (the discriminant).
@@ -108,7 +99,7 @@ impl fmt::Display for ShardState {
     }
 }
 
-/// Knobs for the health monitor.
+/// Thresholds of the shard health policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LifecyclePolicy {
     /// Percentage of a class's slots that must be quarantined (in the
@@ -120,11 +111,9 @@ pub struct LifecyclePolicy {
     /// separates persistent device rot from one unlucky batch.
     pub dead_after_crippled: u32,
     /// Heartbeat silence, with work outstanding, after which the shard
-    /// is declared dead (wedged device or lost thread).
+    /// is declared dead (wedged device or lost thread). The watchdog
+    /// checks four times per timeout.
     pub heartbeat_timeout: Duration,
-    /// Spawn a replacement shard (fresh fault seed) whenever a shard
-    /// dies unplanned. Retirement never respawns.
-    pub auto_respawn: bool,
 }
 
 impl Default for LifecyclePolicy {
@@ -133,13 +122,12 @@ impl Default for LifecyclePolicy {
             degraded_pct: 25,
             dead_after_crippled: 2,
             heartbeat_timeout: Duration::from_secs(2),
-            auto_respawn: true,
         }
     }
 }
 
 /// What one device snapshot says about a shard's health, before the
-/// monitor folds in streaks and heartbeats.
+/// shard folds in its crippled streak.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum HealthSignal {
     /// Quarantine below the degraded threshold in every class.
@@ -170,7 +158,8 @@ pub fn assess(snapshot: &DeviceSnapshot, policy: &LifecyclePolicy) -> HealthSign
     }
 }
 
-/// Lifetime lifecycle event counters, updated by the monitor.
+/// Lifetime lifecycle event counters, updated by the shard threads and
+/// the watchdog.
 #[derive(Debug, Default)]
 pub struct LifecycleCounters {
     /// Shards ever spawned (initial pool + additions + respawns).
@@ -179,11 +168,8 @@ pub struct LifecycleCounters {
     pub respawned: AtomicU64,
     /// Shards retired by request (drained and removed).
     pub retired: AtomicU64,
-    /// Shards declared dead by the monitor (kill, crippled, silent).
+    /// Shards declared dead (kill, crippled, silent).
     pub died: AtomicU64,
-    /// Queued tasks reclaimed from a draining or dead shard and
-    /// requeued onto survivors.
-    pub requeued_tasks: AtomicU64,
 }
 
 impl LifecycleCounters {
@@ -194,7 +180,6 @@ impl LifecycleCounters {
             respawned: self.respawned.load(Ordering::Relaxed),
             retired: self.retired.load(Ordering::Relaxed),
             died: self.died.load(Ordering::Relaxed),
-            requeued_tasks: self.requeued_tasks.load(Ordering::Relaxed),
         }
     }
 }
@@ -208,10 +193,8 @@ pub struct LifecycleSnapshot {
     pub respawned: u64,
     /// Shards retired by request.
     pub retired: u64,
-    /// Shards declared dead by the monitor.
+    /// Shards declared dead (kill, crippled, silent).
     pub died: u64,
-    /// Tasks reclaimed and requeued onto surviving shards.
-    pub requeued_tasks: u64,
 }
 
 #[cfg(test)]
@@ -246,13 +229,6 @@ mod tests {
         assert!(ShardState::Degraded.is_dispatchable());
         assert!(!ShardState::Draining.is_dispatchable());
         assert!(!ShardState::Dead.is_dispatchable());
-        assert_eq!(
-            ShardState::Healthy.dispatch_rank(),
-            ShardState::Joining.dispatch_rank(),
-            "joining shards must compete for traffic or they never prove themselves"
-        );
-        assert!(ShardState::Joining.dispatch_rank() < ShardState::Degraded.dispatch_rank());
-        assert!(ShardState::Degraded.dispatch_rank() < ShardState::Draining.dispatch_rank());
     }
 
     #[test]
@@ -293,11 +269,9 @@ mod tests {
         let counters = LifecycleCounters::default();
         counters.spawned.store(5, Ordering::Relaxed);
         counters.respawned.store(2, Ordering::Relaxed);
-        counters.requeued_tasks.store(17, Ordering::Relaxed);
         let snap = counters.snapshot();
         assert_eq!(snap.spawned, 5);
         assert_eq!(snap.respawned, 2);
-        assert_eq!(snap.requeued_tasks, 17);
         assert_eq!(snap.died, 0);
     }
 }

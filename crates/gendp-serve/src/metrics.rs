@@ -118,7 +118,7 @@ impl LatencyHistogram {
 pub struct TenantCounters {
     /// Submission attempts seen (admitted or not).
     pub submitted: AtomicU64,
-    /// Requests admitted into the scheduler.
+    /// Requests admitted into the tenant's queue.
     pub accepted: AtomicU64,
     /// Rejected by the preflight verifier.
     pub rejected_invalid: AtomicU64,
@@ -170,7 +170,7 @@ impl TenantCounters {
 pub struct TenantCountersSnapshot {
     /// Submission attempts seen (admitted or not).
     pub submitted: u64,
-    /// Requests admitted into the scheduler.
+    /// Requests admitted into the tenant's queue.
     pub accepted: u64,
     /// Rejected by the preflight verifier.
     pub rejected_invalid: u64,

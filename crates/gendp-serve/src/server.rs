@@ -1,50 +1,52 @@
 //! The alignment server: tenants in, shards out.
 //!
 //! ```text
-//!   TenantClient::submit ──admission──▶ scheduler inbox
-//!                                          │ per-tenant queues
-//!                                          ▼ deficit round robin
-//!                              deadline gate · assembled batch
-//!                                          │ pick_shard (state-aware)
+//!   TenantClient::submit ──admission──▶ per-tenant queues + DRR state
+//!                                       (one lock; wakes the best idle shard)
 //!                      ┌───────────────────┴──────────────────┐
-//!                      ▼ bounded shard queue (backpressure)   ▼
-//!                shard cell #0                          shard cell #N
-//!                thread owns a Device                   ...
+//!                      ▼ pull: DRR batch, deadline gate       ▼
+//!                shard #0 thread                        shard #N thread
+//!                owns a Device                          ...
 //!                (16 int + 1 FP arrays)                       │
-//!                      │ run_batch, retries, quarantine       │
+//!                      │ run_batch, retries, quarantine,      │
+//!                      │ own lifecycle from its snapshot      │
 //!                      └──────────── deliver ─────────────────┘
 //!                            ticket / connection reply
-//!                                          ▲
-//!                 health monitor ──────────┘
-//!                 (heartbeats, quarantine streaks, drain,
-//!                  requeue, respawn with fresh fault seed)
+//!
+//!                watchdog thread: heartbeat silence → Dead, respawn
 //! ```
 //!
 //! Each *shard* is one simulated DPAx device (the paper's 16 integer +
 //! 1 floating-point PE arrays) owned by a dedicated thread — a fault
-//! domain with a [`ShardState`] lifecycle. The shard pool is dynamic:
-//! [`Server::add_shard`] grows it under load, [`Server::retire_shard`]
-//! drains a shard and requeues its undispatched work onto survivors,
-//! and the health monitor (run by the scheduler thread between
-//! batches) detects crippled or heartbeat-silent shards, declares them
-//! [`ShardState::Dead`], reclaims their queues, and — when
-//! [`LifecyclePolicy::auto_respawn`] is on — spawns a replacement
-//! device with a fresh fault seed.
+//! domain with a [`ShardState`] lifecycle. An idle shard pulls its next
+//! batch from the tenant queues, so nothing ever waits at a shard: a
+//! shard holds at most the batch it is running. Shards take work
+//! healthiest first: a degraded shard, or one with more quarantined
+//! slots, pulls only when more requests wait than it has healthier
+//! peers, each of which takes at least one on its next pull. The shard
+//! pool is dynamic: [`Server::add_shard`] grows it under load,
+//! [`Server::retire_shard`] makes a shard stop pulling, and after every
+//! batch a shard folds its fresh device snapshot into its own state —
+//! degraded, recovered, or dead after a crippled streak.
+//! [`Server::kill_shard`] declares a shard dead at once, and a watchdog
+//! thread declares heartbeat-silent shards dead. Outside shutdown,
+//! every unplanned death spawns a replacement device with a fresh fault
+//! seed.
 //!
 //! Every admitted request is delivered exactly once: as a
 //! [`Completed`] value, a [`ServeError::Failed`] after the device's
 //! retry budget, a [`ServeError::DeadlineExceeded`] when its deadline
 //! passes before a result exists, or a terminal
-//! [`ServeError::Runtime`]/[`Disconnected`]. Tickets never hang, and a
-//! dying shard loses nothing: its in-flight batch still delivers (the
-//! device call is synchronous on the shard thread), and its queued
-//! batches are requeued before anything else is scheduled.
+//! [`ServeError::Runtime`]/[`ServeError::Disconnected`]. Tickets never
+//! hang, and a dying shard loses nothing: its in-flight batch still
+//! delivers (the device call is synchronous on the shard thread), and
+//! work it never pulled stays queued for the survivors.
 
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicU8, AtomicUsize, Ordering};
-use std::sync::mpsc::{self, Receiver, RecvTimeoutError, TryRecvError};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
+use std::sync::mpsc::{self, RecvTimeoutError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
@@ -68,7 +70,7 @@ pub struct ServeConfig {
     /// Number of device shards (fault domains) at startup. Each owns
     /// one [`Device`] built from `shard_config`; the pool can grow and
     /// shrink afterwards via [`Server::add_shard`] /
-    /// [`Server::retire_shard`] and the self-healing monitor.
+    /// [`Server::retire_shard`] and self-healing.
     pub shards: usize,
     /// Per-shard device configuration. When it carries a
     /// [`FaultConfig`](gendp_runtime::FaultConfig), every spawned shard
@@ -79,13 +81,8 @@ pub struct ServeConfig {
     pub batch_max: usize,
     /// Base DRR quantum, in DP cells per tenant visit.
     pub quantum_cells: u64,
-    /// Bound of each shard's dispatch queue, in batches. Small values
-    /// keep scheduling decisions late (better fairness and shard
-    /// steering); the scheduler waits — backpressure — when every
-    /// dispatchable shard's queue is full.
-    pub dispatch_queue: usize,
-    /// Health-monitor policy: degraded/dead thresholds, heartbeat
-    /// timeout, and whether dead shards respawn automatically.
+    /// Shard health policy: degraded/dead thresholds and the heartbeat
+    /// timeout.
     pub lifecycle: LifecyclePolicy,
     /// Simulated cycles per wall-clock second a shard is assumed to
     /// sustain, used by the deadline-infeasibility admission gate: a
@@ -102,7 +99,6 @@ impl Default for ServeConfig {
             shard_config: DeviceConfig::default(),
             batch_max: 32,
             quantum_cells: 512,
-            dispatch_queue: 2,
             lifecycle: LifecyclePolicy::default(),
             cycle_rate: None,
         }
@@ -140,11 +136,11 @@ pub enum ServeError {
     /// required class exists on any configured shard).
     Runtime(RuntimeError),
     /// The request's deadline passed before a result could be
-    /// produced; it was dropped at the dispatch gate, at requeue, or
-    /// its late result was suppressed at completion.
+    /// produced; it was dropped when a shard pulled it, or its late
+    /// result was suppressed at completion.
     DeadlineExceeded,
-    /// The server went away before delivering — only possible for
-    /// submissions racing a shutdown.
+    /// The server went away before delivering: no shard was left to
+    /// run the request at shutdown, or the thread running it was lost.
     Disconnected,
 }
 
@@ -198,16 +194,6 @@ impl Reply {
     }
 }
 
-/// One admitted request travelling from a client to the scheduler.
-pub(crate) struct Submitted {
-    pub tenant: usize,
-    pub task: Task,
-    pub cost: u64,
-    pub submitted_at: Instant,
-    pub deadline: Option<Instant>,
-    pub reply: Reply,
-}
-
 /// Request metadata that rides along to the shard.
 struct JobMeta {
     tenant: usize,
@@ -223,144 +209,109 @@ impl JobMeta {
     }
 }
 
-/// What sits in a tenant's scheduler queue.
+/// What sits in a tenant's queue.
 struct Pending {
     task: Task,
     meta: JobMeta,
 }
 
-/// A batch on its way to one shard.
-type DispatchBatch = Vec<(JobMeta, Task)>;
+/// Order in which shards take work, lower first: healthy and joining
+/// shards before degraded ones, then fewer quarantined slots after the
+/// shard's latest batch. Slot quarantine resets every batch, so a shard
+/// with rotten slots pays retries on each batch it pulls.
+type PullRank = (bool, usize);
 
-/// Outcome of a blocking pop on a shard queue.
-enum Pop {
-    Batch(DispatchBatch),
-    Closed,
+/// A shard that still pulls, as the queues see it.
+struct Puller {
+    cell: Arc<ShardCell>,
+    /// Its rank as of its latest pull.
+    rank: PullRank,
+    /// Waiting for work and not yet woken.
+    idle: bool,
 }
 
-struct QueueState {
-    batches: VecDeque<DispatchBatch>,
+/// The tenant queues and the DRR state that orders them, behind one
+/// lock: submitters push, idle shards pull.
+struct Queues {
+    tenants: Vec<VecDeque<Costed<Pending>>>,
+    drr: DrrState,
+    /// Set once by shutdown: nothing more is queued and no shard is
+    /// spawned, and shards pull, whatever their rank, until the queues
+    /// are empty.
     closed: bool,
+    /// Every shard that still pulls, in spawn order. New work wakes the
+    /// best-ranked idle one.
+    pullers: Vec<Puller>,
 }
 
-/// A bounded MPSC-ish dispatch queue (in practice single-producer: only
-/// the scheduler pushes). Unlike `mpsc::sync_channel`, it supports
-/// *reclaim*: the monitor can close the queue and take back every
-/// undispatched batch — the primitive behind drain-and-requeue.
-struct ShardQueue {
-    state: Mutex<QueueState>,
-    cv: Condvar,
-    capacity: usize,
-}
+impl Queues {
+    fn queued(&self) -> usize {
+        self.tenants.iter().map(VecDeque::len).sum()
+    }
 
-impl ShardQueue {
-    fn new(capacity: usize) -> ShardQueue {
-        ShardQueue {
-            state: Mutex::new(QueueState {
-                batches: VecDeque::new(),
-                closed: false,
-            }),
-            cv: Condvar::new(),
-            capacity: capacity.max(1),
+    /// Whether a shard of this rank takes the queued work now. Before
+    /// shutdown it leaves a backlog no longer than the count of
+    /// dispatchable shards ranked ahead of it to those shards, busy or
+    /// idle: each takes at least one request when it next pulls.
+    fn pulls(&self, rank: PullRank) -> bool {
+        let queued = self.queued();
+        queued > 0 && (self.closed || queued > self.ranked_ahead(rank))
+    }
+
+    /// Marks the best-ranked idle shard woken, if it would pull, and
+    /// returns it for the caller to notify.
+    fn take_idle(&mut self) -> Option<Arc<ShardCell>> {
+        let best = (0..self.pullers.len())
+            .filter(|&i| self.pullers[i].idle)
+            .min_by_key(|&i| self.pullers[i].rank)?;
+        if !self.pulls(self.pullers[best].rank) {
+            return None;
+        }
+        self.pullers[best].idle = false;
+        Some(Arc::clone(&self.pullers[best].cell))
+    }
+
+    /// Wakes every idle shard to re-read its state, the ranks ahead of
+    /// it, or the closed flag.
+    fn wake_all(&mut self) {
+        for puller in self.pullers.iter_mut().filter(|p| p.idle) {
+            puller.idle = false;
+            puller.cell.wake.notify_one();
         }
     }
 
-    /// True when a push would neither block nor bounce.
-    fn has_room(&self) -> bool {
-        let state = self.state.lock().expect("shard queue lock");
-        !state.closed && state.batches.len() < self.capacity
-    }
-
-    /// Blocking bounded push; returns the batch on a closed queue so
-    /// the caller can requeue it.
-    fn push(&self, batch: DispatchBatch) -> Result<(), DispatchBatch> {
-        let mut state = self.state.lock().expect("shard queue lock");
-        loop {
-            if state.closed {
-                return Err(batch);
-            }
-            if state.batches.len() < self.capacity {
-                state.batches.push_back(batch);
-                self.cv.notify_all();
-                return Ok(());
-            }
-            state = self.cv.wait(state).expect("shard queue lock");
-        }
-    }
-
-    /// Blocks until a batch arrives or the queue is closed *and*
-    /// empty — a closed queue still drains what it holds, so a
-    /// graceful shutdown never drops accepted work.
-    fn pop(&self) -> Pop {
-        let mut state = self.state.lock().expect("shard queue lock");
-        loop {
-            if let Some(batch) = state.batches.pop_front() {
-                self.cv.notify_all();
-                return Pop::Batch(batch);
-            }
-            if state.closed {
-                return Pop::Closed;
-            }
-            state = self.cv.wait(state).expect("shard queue lock");
-        }
-    }
-
-    /// Closes the queue (push bounces, pop drains then reports closed).
-    fn close(&self) {
-        let mut state = self.state.lock().expect("shard queue lock");
-        state.closed = true;
-        self.cv.notify_all();
-    }
-
-    /// Closes the queue and takes back every undispatched batch.
-    fn reclaim(&self) -> Vec<DispatchBatch> {
-        let mut state = self.state.lock().expect("shard queue lock");
-        state.closed = true;
-        let reclaimed = state.batches.drain(..).collect();
-        self.cv.notify_all();
-        reclaimed
-    }
-
-    fn is_closed(&self) -> bool {
-        self.state.lock().expect("shard queue lock").closed
+    /// Dispatchable shards, busy or idle, ranked ahead of `rank`.
+    fn ranked_ahead(&self, rank: PullRank) -> usize {
+        self.pullers
+            .iter()
+            .filter(|p| p.rank < rank && p.cell.state().is_dispatchable())
+            .count()
     }
 }
 
-/// One live (or once-live) shard: the scheduler-facing half of a shard
-/// thread. Dead cells stay in the table so ids stay stable and stats
-/// keep their history.
+/// One live (or once-live) shard: the shared half of a shard thread.
+/// Dead cells stay in the table so ids stay stable and stats keep their
+/// history.
 struct ShardCell {
     /// Spawn-ordered id, never reused.
     id: usize,
-    queue: ShardQueue,
     state: AtomicU8,
-    /// DP cells dispatched to this shard and not yet delivered.
+    /// DP cells of the batch the shard is running.
     outstanding_cells: AtomicU64,
     /// Tasks this shard delivered successfully (drives the
     /// `Joining → Healthy` promotion).
     completed: AtomicU64,
     /// Latest device snapshot, refreshed after every batch.
     status: Mutex<DeviceSnapshot>,
-    /// Progress beacon: beats when the shard picks up or finishes a
-    /// batch.
+    /// Progress beacon: beats when the shard pulls or finishes a batch.
     beat: Heartbeat,
-    /// Consecutive fresh snapshots that read crippled.
-    crippled_streak: AtomicU32,
-    /// `snapshot.batches` high-water mark of the last assessment, so
-    /// streaks count *new* evidence only (slot quarantine resets per
-    /// batch).
-    last_assessed_batch: AtomicU64,
-    /// Chaos hook: the monitor treats the shard as abruptly lost.
-    killed: AtomicBool,
+    /// Where the shard waits, under the queue lock, while it is idle.
+    wake: Condvar,
 }
 
 impl ShardCell {
     fn state(&self) -> ShardState {
         ShardState::from_wire(self.state.load(Ordering::Acquire)).unwrap_or(ShardState::Dead)
-    }
-
-    fn set_state(&self, to: ShardState) {
-        self.state.store(to.to_wire(), Ordering::Release);
     }
 
     /// CAS transition; false when the state moved under us.
@@ -380,7 +331,13 @@ struct Inner {
     config: ServeConfig,
     tenants: Vec<Arc<TenantState>>,
     by_name: HashMap<String, usize>,
-    closed: AtomicBool,
+    /// Each tenant's `effective_weight`, in tenant order, for DRR.
+    weights: Vec<u64>,
+    /// Idle shards wait for work, a retirement, a kill, a death or
+    /// shutdown. Whoever changes what they wait on does so under this
+    /// lock and marks the shard woken, so a shard between its check and
+    /// its wait cannot miss the wake-up.
+    queues: Mutex<Queues>,
     /// Epoch for the monotone nanosecond clock fed to token buckets
     /// and heartbeats.
     epoch: Instant,
@@ -412,6 +369,14 @@ const FLOOR_CACHE_MAX: usize = 4096;
 impl Inner {
     fn now_nanos(&self) -> u64 {
         self.epoch.elapsed().as_nanos() as u64
+    }
+
+    fn lock_queues(&self) -> MutexGuard<'_, Queues> {
+        self.queues.lock().expect("queue lock")
+    }
+
+    fn wake_all(&self) {
+        self.lock_queues().wake_all();
     }
 
     /// Certified cycle floor of one task on this server's array width,
@@ -455,23 +420,26 @@ impl Inner {
     }
 }
 
-/// Builds and registers one shard: device, cell, thread. Runs on the
-/// caller's thread so a panicking `DeviceConfig` fails at the call
-/// site, not on a service thread.
+/// Builds and registers one shard: device, cell, thread. Builds the
+/// device on the caller's thread so a panicking `DeviceConfig` fails at
+/// the call site, not on a service thread. Refuses once shutdown has
+/// closed the queues; the check and the registration share the queue
+/// lock, so shutdown joins every shard thread that was ever spawned.
 fn spawn_shard(inner: &Arc<Inner>, config: DeviceConfig, respawn: bool) -> Result<usize, String> {
     let device = Device::new(config);
+    let mut queues = inner.lock_queues();
+    if queues.closed {
+        return Err("server is shutting down".into());
+    }
     let id = inner.next_shard_id.fetch_add(1, Ordering::AcqRel);
     let cell = Arc::new(ShardCell {
         id,
-        queue: ShardQueue::new(inner.config.dispatch_queue),
         state: AtomicU8::new(ShardState::Joining.to_wire()),
         outstanding_cells: AtomicU64::new(0),
         completed: AtomicU64::new(0),
         status: Mutex::new(device.snapshot()),
         beat: Heartbeat::new(inner.now_nanos()),
-        crippled_streak: AtomicU32::new(0),
-        last_assessed_batch: AtomicU64::new(0),
-        killed: AtomicBool::new(false),
+        wake: Condvar::new(),
     });
     let handle = {
         let cell = Arc::clone(&cell);
@@ -481,8 +449,14 @@ fn spawn_shard(inner: &Arc<Inner>, config: DeviceConfig, respawn: bool) -> Resul
             .spawn(move || shard_loop(cell, device, inner))
             .map_err(|e| format!("failed to spawn shard thread: {e}"))?
     };
+    queues.pullers.push(Puller {
+        cell: Arc::clone(&cell),
+        rank: (false, 0),
+        idle: false,
+    });
     inner.shards.lock().expect("shard table lock").push(cell);
     inner.threads.lock().expect("thread list lock").push(handle);
+    drop(queues);
     inner.lifecycle.spawned.fetch_add(1, Ordering::Relaxed);
     if respawn {
         inner.lifecycle.respawned.fetch_add(1, Ordering::Relaxed);
@@ -501,8 +475,7 @@ fn fresh_fault_config(inner: &Inner) -> DeviceConfig {
 /// request through the shards, and joins all service threads.
 pub struct Server {
     inner: Arc<Inner>,
-    submit_tx: mpsc::Sender<Submitted>,
-    scheduler: Option<JoinHandle<()>>,
+    watchdog: Option<JoinHandle<()>>,
 }
 
 impl Server {
@@ -533,9 +506,15 @@ impl Server {
         let base_seed = config.shard_config.fault.map(|f| f.seed).unwrap_or(0);
         let inner = Arc::new(Inner {
             config,
+            weights: states.iter().map(|t| t.effective_weight).collect(),
+            queues: Mutex::new(Queues {
+                tenants: states.iter().map(|_| VecDeque::new()).collect(),
+                drr: DrrState::new(states.len(), config.quantum_cells),
+                closed: false,
+                pullers: Vec::new(),
+            }),
             tenants: states,
             by_name,
-            closed: AtomicBool::new(false),
             epoch: Instant::now(),
             shards: Mutex::new(Vec::new()),
             threads: Mutex::new(Vec::new()),
@@ -555,19 +534,17 @@ impl Server {
             spawn_shard(&inner, shard_config, false)?;
         }
 
-        let (submit_tx, submit_rx) = mpsc::channel::<Submitted>();
-        let scheduler = {
+        let watchdog = {
             let inner = Arc::clone(&inner);
             thread::Builder::new()
-                .name("gendp-serve-sched".into())
-                .spawn(move || scheduler_loop(inner, submit_rx))
-                .map_err(|e| format!("failed to spawn scheduler thread: {e}"))?
+                .name("gendp-serve-watchdog".into())
+                .spawn(move || watchdog_loop(inner))
+                .map_err(|e| format!("failed to spawn watchdog thread: {e}"))?
         };
 
         Ok(Server {
             inner,
-            submit_tx,
-            scheduler: Some(scheduler),
+            watchdog: Some(watchdog),
         })
     }
 
@@ -578,7 +555,6 @@ impl Server {
         Some(TenantClient {
             inner: Arc::clone(&self.inner),
             tenant: index,
-            submit_tx: self.submit_tx.clone(),
         })
     }
 
@@ -601,17 +577,13 @@ impl Server {
     /// broken shards). Panics if `config` is invalid, like
     /// [`Device::new`].
     pub fn add_shard_with(&self, config: DeviceConfig) -> Result<usize, String> {
-        if self.inner.closed.load(Ordering::Acquire) {
-            return Err("server is shutting down".into());
-        }
         spawn_shard(&self.inner, config, false)
     }
 
-    /// Begins retiring the shard: it stops receiving new batches, its
-    /// undispatched queue is reclaimed and requeued onto surviving
-    /// shards (exactly-once delivery preserved), its in-flight batch
-    /// finishes and delivers, and once drained it goes
-    /// [`ShardState::Dead`]. Safe under load; returns immediately.
+    /// Begins retiring the shard: it pulls no new batch, its in-flight
+    /// batch finishes and delivers, and then it goes
+    /// [`ShardState::Dead`]. Work it never pulled stays queued for the
+    /// surviving shards. Safe under load; returns immediately.
     ///
     /// # Errors
     ///
@@ -619,53 +591,60 @@ impl Server {
     /// when the shard is the last dispatchable one (the pool never
     /// retires itself to zero).
     pub fn retire_shard(&self, id: usize) -> Result<(), String> {
-        let shards = self.inner.shards.lock().expect("shard table lock");
-        let cell = shards
-            .iter()
-            .find(|c| c.id == id)
-            .ok_or_else(|| format!("no shard with id {id}"))?;
-        // Under the table lock, concurrent retirements serialize — the
-        // dispatchable count can only be stale in the safe direction
-        // (a monitor death would only lower it, and the monitor holds
-        // this lock via shard_cells()).
-        let dispatchable = shards
-            .iter()
-            .filter(|c| c.state().is_dispatchable())
-            .count();
-        let state = cell.state();
-        if !state.is_dispatchable() {
-            return Err(format!("shard {id} is already {state}"));
+        {
+            let shards = self.inner.shards.lock().expect("shard table lock");
+            let cell = shards
+                .iter()
+                .find(|c| c.id == id)
+                .ok_or_else(|| format!("no shard with id {id}"))?;
+            // Under the table lock, concurrent retirements serialize. A
+            // death racing this count can still leave no dispatchable
+            // shard, but outside shutdown every death spawns a
+            // replacement.
+            let dispatchable = shards
+                .iter()
+                .filter(|c| c.state().is_dispatchable())
+                .count();
+            let state = cell.state();
+            if !state.is_dispatchable() {
+                return Err(format!("shard {id} is already {state}"));
+            }
+            if dispatchable <= 1 {
+                return Err(format!(
+                    "refusing to retire shard {id}: it is the last dispatchable shard"
+                ));
+            }
+            if !cell.transition(state, ShardState::Draining) {
+                return Err(format!("shard {id} changed state during retirement"));
+            }
         }
-        if dispatchable <= 1 {
-            return Err(format!(
-                "refusing to retire shard {id}: it is the last dispatchable shard"
-            ));
-        }
-        if !cell.transition(state, ShardState::Draining) {
-            return Err(format!("shard {id} changed state during retirement"));
-        }
+        self.inner.wake_all();
         Ok(())
     }
 
-    /// Chaos hook: simulates abrupt shard loss. The monitor declares
-    /// the shard dead on its next pass, requeues its undispatched
-    /// work, and (policy permitting) respawns a replacement. The
-    /// in-flight batch still delivers — the "device" is simulated on
-    /// the shard thread, which survives.
+    /// Chaos hook: simulates abrupt shard loss. The shard is declared
+    /// dead at once, so it pulls no more work, and (outside shutdown) a
+    /// replacement is spawned. The in-flight batch still delivers — the
+    /// "device" is simulated on the shard thread, which survives. A
+    /// draining shard finishes its retirement instead.
     ///
     /// # Errors
     ///
     /// Fails for an unknown id or a shard already dead.
     pub fn kill_shard(&self, id: usize) -> Result<(), String> {
-        let shards = self.inner.shards.lock().expect("shard table lock");
-        let cell = shards
-            .iter()
+        let cell = self
+            .inner
+            .shard_cells()
+            .into_iter()
             .find(|c| c.id == id)
             .ok_or_else(|| format!("no shard with id {id}"))?;
-        if cell.state() == ShardState::Dead {
+        let mut state = cell.state();
+        if state == ShardState::Dead {
             return Err(format!("shard {id} is already dead"));
         }
-        cell.killed.store(true, Ordering::Release);
+        while state.is_dispatchable() && !declare_dead(&self.inner, &cell, state) {
+            state = cell.state();
+        }
         Ok(())
     }
 
@@ -753,9 +732,41 @@ impl Server {
     /// Stops admission, drains every admitted request, and joins all
     /// service threads. Idempotent; also runs on drop.
     pub fn shutdown(&mut self) {
-        self.inner.closed.store(true, Ordering::Release);
-        if let Some(handle) = self.scheduler.take() {
+        let Some(watchdog) = self.watchdog.take() else {
+            return;
+        };
+        {
+            let mut queues = self.inner.lock_queues();
+            queues.closed = true;
+            queues.wake_all();
+        }
+        watchdog.thread().unpark();
+        drop(watchdog.join());
+        // Closed queues spawn no shard, so this is every shard thread;
+        // each exits once the queues are empty.
+        let handles: Vec<JoinHandle<()>> = self
+            .inner
+            .threads
+            .lock()
+            .expect("thread list lock")
+            .drain(..)
+            .collect();
+        for handle in handles {
             drop(handle.join());
+        }
+        // Whatever is still queued had no shard left to run it (every
+        // shard died during shutdown): resolve it instead of hanging
+        // tickets.
+        let mut queues = self.inner.lock_queues();
+        for queue in &mut queues.tenants {
+            for costed in queue.drain(..) {
+                let meta = costed.item.meta;
+                let tenant = &self.inner.tenants[meta.tenant];
+                tenant.queued.fetch_sub(1, Ordering::AcqRel);
+                tenant.in_flight.fetch_sub(1, Ordering::AcqRel);
+                tenant.counters.failed.fetch_add(1, Ordering::Relaxed);
+                meta.reply.deliver(Err(ServeError::Disconnected));
+            }
         }
     }
 }
@@ -772,7 +783,6 @@ impl Drop for Server {
 pub struct TenantClient {
     inner: Arc<Inner>,
     tenant: usize,
-    submit_tx: mpsc::Sender<Submitted>,
 }
 
 impl TenantClient {
@@ -801,67 +811,64 @@ impl TenantClient {
         self.submit_inner(task, Some(deadline))
     }
 
-    /// Admits one task: the admission gate, with the deadline gate run
-    /// after preflight. Returns the DRR charge, the task's DP cells —
-    /// exact, and worked out without preparing it.
-    fn admit(&self, task: &Task, deadline: Option<Duration>) -> Result<u64, AdmissionError> {
-        let state = &self.inner.tenants[self.tenant];
-        let shutting_down = self.inner.closed.load(Ordering::Acquire);
-        state.admit(task, self.inner.now_nanos(), shutting_down, || {
-            self.inner.deadline_infeasible(task, deadline)
-        })?;
-        Ok(task.cells_estimate().max(1))
-    }
-
     fn submit_inner(
         &self,
         task: Task,
         deadline: Option<Duration>,
     ) -> Result<Ticket, AdmissionError> {
-        // Latency counts admission; the deadline starts at admission.
-        let submitted_at = Instant::now();
-        let cost = self.admit(&task, deadline)?;
         let (tx, rx) = mpsc::channel();
-        let submitted = Submitted {
-            tenant: self.tenant,
-            task,
-            cost,
-            submitted_at,
-            deadline: deadline.map(|d| Instant::now() + d),
-            reply: Reply::Oneshot(tx),
-        };
-        self.send_admitted(submitted)?;
+        self.enqueue(task, deadline, Reply::Oneshot(tx))?;
         Ok(Ticket { rx })
     }
 
-    /// Forwards an already-admitted request to the scheduler, undoing
-    /// the admission hold if the scheduler is gone.
-    pub(crate) fn send_admitted(&self, submitted: Submitted) -> Result<(), AdmissionError> {
+    /// Runs admission for an externally built request (wire path) and
+    /// queues it. The caller supplies the reply route; the tenant's
+    /// default deadline applies.
+    pub(crate) fn submit_with_reply(&self, task: Task, reply: Reply) -> Result<(), AdmissionError> {
+        let deadline = self.inner.tenants[self.tenant].config.deadline;
+        self.enqueue(task, deadline, reply)
+    }
+
+    /// Admits one task, queues it for the shards and wakes the
+    /// best-ranked idle shard. The DRR charge is the task's DP cells —
+    /// exact, and worked out without preparing it.
+    fn enqueue(
+        &self,
+        task: Task,
+        deadline: Option<Duration>,
+        reply: Reply,
+    ) -> Result<(), AdmissionError> {
+        // Latency counts admission; the deadline starts at admission.
+        let submitted_at = Instant::now();
         let state = &self.inner.tenants[self.tenant];
-        if self.submit_tx.send(submitted).is_err() {
+        let shutting_down = self.inner.lock_queues().closed;
+        state.admit(&task, self.inner.now_nanos(), shutting_down, || {
+            self.inner.deadline_infeasible(&task, deadline)
+        })?;
+        let cost = task.cells_estimate().max(1);
+        let meta = JobMeta {
+            tenant: self.tenant,
+            submitted_at,
+            deadline: deadline.map(|d| Instant::now() + d),
+            cost,
+            reply,
+        };
+        let mut queues = self.inner.lock_queues();
+        if queues.closed {
+            // Shutdown closed the queues after admission: undo the hold.
+            drop(queues);
             state.queued.fetch_sub(1, Ordering::AcqRel);
             state.in_flight.fetch_sub(1, Ordering::AcqRel);
             state.counters.accepted.fetch_sub(1, Ordering::Relaxed);
             return Err(AdmissionError::ShuttingDown);
         }
+        queues.tenants[self.tenant].push_back(Costed::new(cost, Pending { task, meta }));
+        let idle = queues.take_idle();
+        drop(queues);
+        if let Some(shard) = idle {
+            shard.wake.notify_one();
+        }
         Ok(())
-    }
-
-    /// Runs admission for an externally built request (wire path) and
-    /// forwards it. The caller supplies the reply route; the tenant's
-    /// default deadline applies.
-    pub(crate) fn submit_with_reply(&self, task: Task, reply: Reply) -> Result<(), AdmissionError> {
-        let submitted_at = Instant::now();
-        let deadline = self.inner.tenants[self.tenant].config.deadline;
-        let cost = self.admit(&task, deadline)?;
-        self.send_admitted(Submitted {
-            tenant: self.tenant,
-            task,
-            cost,
-            submitted_at,
-            deadline: deadline.map(|d| Instant::now() + d),
-            reply,
-        })
     }
 }
 
@@ -903,7 +910,7 @@ pub struct TenantStats {
     pub effective_weight: u64,
     /// Lifetime counters.
     pub counters: TenantCountersSnapshot,
-    /// Requests currently queued in the scheduler.
+    /// Requests waiting in the tenant's queue for a shard.
     pub queued: usize,
     /// Requests admitted and not yet delivered.
     pub in_flight: usize,
@@ -918,7 +925,7 @@ pub struct ShardStats {
     pub shard: usize,
     /// Lifecycle state.
     pub state: ShardState,
-    /// DP cells dispatched and not yet delivered.
+    /// DP cells of the batch the shard is running.
     pub outstanding_cells: u64,
     /// Tasks this shard delivered successfully.
     pub completed: u64,
@@ -941,33 +948,6 @@ pub struct ServerStats {
     pub lifecycle: LifecycleSnapshot,
 }
 
-/// Picks a shard for a batch among dispatchable shards with queue
-/// room: best lifecycle rank first, then fewest quarantined slots in
-/// the classes the batch needs, then least outstanding work.
-fn pick_shard(shards: &[Arc<ShardCell>], class_mix: (bool, bool)) -> Option<Arc<ShardCell>> {
-    let (wants_int, wants_float) = class_mix;
-    shards
-        .iter()
-        .filter(|cell| cell.state().is_dispatchable() && cell.queue.has_room())
-        .min_by_key(|cell| {
-            let status = cell.status.lock().expect("status lock");
-            let mut quarantined = 0u64;
-            if wants_int {
-                quarantined += status.quarantined_slots(ArrayClass::Int) as u64;
-            }
-            if wants_float {
-                quarantined += status.quarantined_slots(ArrayClass::Float) as u64;
-            }
-            drop(status);
-            (
-                cell.state().dispatch_rank(),
-                quarantined,
-                cell.outstanding_cells.load(Ordering::Acquire),
-            )
-        })
-        .cloned()
-}
-
 /// Delivers a post-admission deadline expiry: the tenant's in-flight
 /// hold is released and the ticket resolves `DeadlineExceeded`. The
 /// caller has already accounted for the `queued` gauge.
@@ -981,297 +961,156 @@ fn expire(inner: &Inner, meta: JobMeta) {
     meta.reply.deliver(Err(ServeError::DeadlineExceeded));
 }
 
-/// Requeues reclaimed batches onto the tenant queues (deadline-gated:
-/// expired work resolves immediately instead of riding along).
-fn requeue_batches(
-    inner: &Inner,
-    queues: &mut [VecDeque<Costed<Pending>>],
-    batches: Vec<DispatchBatch>,
-) {
-    let now = Instant::now();
-    for batch in batches {
-        for (meta, task) in batch {
-            if meta.expired(now) {
-                expire(inner, meta);
-                continue;
-            }
-            inner.tenants[meta.tenant]
-                .queued
-                .fetch_add(1, Ordering::AcqRel);
-            inner
-                .lifecycle
-                .requeued_tasks
-                .fetch_add(1, Ordering::Relaxed);
-            queues[meta.tenant].push_back(Costed::new(meta.cost, Pending { task, meta }));
-        }
+/// Declares a shard dead unless its state moved first, wakes the idle
+/// shards that left work to it, and spawns a replacement with a fresh
+/// fault seed. A batch the shard is still running delivers from its
+/// thread, which then stops pulling. False when the state moved.
+fn declare_dead(inner: &Arc<Inner>, cell: &ShardCell, from: ShardState) -> bool {
+    if !cell.transition(from, ShardState::Dead) {
+        return false;
     }
-}
-
-/// Declares a shard dead: reclaims and requeues its undispatched
-/// queue, releases its outstanding-cell accounting for that queue, and
-/// (policy permitting, outside shutdown) spawns a replacement with a
-/// fresh fault seed. The in-flight batch, if any, still delivers from
-/// the shard thread.
-fn declare_dead(
-    inner: &Arc<Inner>,
-    queues: &mut [VecDeque<Costed<Pending>>],
-    cell: &Arc<ShardCell>,
-) {
-    let reclaimed = cell.queue.reclaim();
-    let reclaimed_cells: u64 = reclaimed
-        .iter()
-        .flat_map(|batch| batch.iter())
-        .map(|(meta, _)| meta.cost)
-        .sum();
-    cell.outstanding_cells
-        .fetch_sub(reclaimed_cells, Ordering::AcqRel);
-    cell.set_state(ShardState::Dead);
     inner.lifecycle.died.fetch_add(1, Ordering::Relaxed);
-    requeue_batches(inner, queues, reclaimed);
-    if inner.config.lifecycle.auto_respawn && !inner.closed.load(Ordering::Acquire) {
-        let config = fresh_fault_config(inner);
-        // A failed respawn (thread limit) leaves the pool smaller;
-        // dispatch keeps working on the survivors.
-        drop(spawn_shard(inner, config, true));
-    }
+    inner.wake_all();
+    // Refused during shutdown; a failed respawn (thread limit) leaves
+    // the pool smaller and the survivors keep pulling.
+    drop(spawn_shard(inner, fresh_fault_config(inner), true));
+    true
 }
 
-/// One monitor pass over the shard table: drive lifecycle transitions
-/// from kill flags, heartbeats, and quarantine streaks; finish drains;
-/// respawn the dead. Runs on the scheduler thread between batches, so
-/// every queue mutation here is ordered with dispatch.
-fn monitor_shards(inner: &Arc<Inner>, queues: &mut [VecDeque<Costed<Pending>>]) {
-    let policy = inner.config.lifecycle;
-    for cell in inner.shard_cells() {
-        let state = cell.state();
-        match state {
-            ShardState::Dead => {}
-            ShardState::Draining => {
-                if !cell.queue.is_closed() {
-                    let reclaimed = cell.queue.reclaim();
-                    let cells: u64 = reclaimed
-                        .iter()
-                        .flat_map(|b| b.iter())
-                        .map(|(m, _)| m.cost)
-                        .sum();
-                    cell.outstanding_cells.fetch_sub(cells, Ordering::AcqRel);
-                    requeue_batches(inner, queues, reclaimed);
-                }
-                if cell.outstanding_cells.load(Ordering::Acquire) == 0 {
-                    cell.set_state(ShardState::Dead);
-                    inner.lifecycle.retired.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-            ShardState::Joining | ShardState::Healthy | ShardState::Degraded => {
-                if cell.killed.load(Ordering::Acquire) {
-                    declare_dead(inner, queues, &cell);
-                    continue;
-                }
-                let silent = cell.beat.silent_for(inner.now_nanos());
-                if cell.outstanding_cells.load(Ordering::Acquire) > 0
-                    && silent > policy.heartbeat_timeout.as_nanos() as u64
-                {
-                    declare_dead(inner, queues, &cell);
-                    continue;
-                }
-                // Assess only snapshots from batches we haven't seen:
-                // quarantine resets per batch, so a streak must count
-                // fresh evidence, not re-read one bad batch forever.
-                let snapshot = cell.status.lock().expect("status lock").clone();
-                if snapshot.batches > cell.last_assessed_batch.load(Ordering::Acquire) {
-                    cell.last_assessed_batch
-                        .store(snapshot.batches, Ordering::Release);
-                    match assess(&snapshot, &policy) {
-                        HealthSignal::Crippled => {
-                            let streak = cell.crippled_streak.fetch_add(1, Ordering::AcqRel) + 1;
-                            if streak >= policy.dead_after_crippled {
-                                declare_dead(inner, queues, &cell);
-                                continue;
-                            }
-                            cell.transition(state, ShardState::Degraded);
-                        }
-                        HealthSignal::Degraded => {
-                            cell.crippled_streak.store(0, Ordering::Release);
-                            cell.transition(state, ShardState::Degraded);
-                        }
-                        HealthSignal::Healthy => {
-                            cell.crippled_streak.store(0, Ordering::Release);
-                            if state == ShardState::Degraded {
-                                cell.transition(state, ShardState::Healthy);
-                            }
-                        }
-                    }
-                }
-                // A joining shard that has delivered work is proven.
-                if cell.state() == ShardState::Joining && cell.completed.load(Ordering::Acquire) > 0
-                {
-                    cell.transition(ShardState::Joining, ShardState::Healthy);
-                }
-            }
-        }
-    }
-}
-
-fn scheduler_loop(inner: Arc<Inner>, submit_rx: Receiver<Submitted>) {
-    let tenant_count = inner.tenants.len();
-    let weights: Vec<u64> = inner.tenants.iter().map(|t| t.effective_weight).collect();
-    let mut queues: Vec<VecDeque<Costed<Pending>>> =
-        (0..tenant_count).map(|_| Default::default()).collect();
-    let mut drr = DrrState::new(tenant_count, inner.config.quantum_cells);
-
-    let enqueue = |queues: &mut Vec<VecDeque<Costed<Pending>>>, s: Submitted| {
-        queues[s.tenant].push_back(Costed::new(
-            s.cost,
-            Pending {
-                task: s.task,
-                meta: JobMeta {
-                    tenant: s.tenant,
-                    submitted_at: s.submitted_at,
-                    deadline: s.deadline,
-                    cost: s.cost,
-                    reply: s.reply,
-                },
-            },
-        ));
-    };
-
-    let mut inbox_open = true;
+/// Blocks until this shard's next batch: up to `batch_max` requests in
+/// DRR order, overdue ones already expired. `None` once the shard stops
+/// pulling — retired (the retirement then completes), declared dead, or
+/// shut down with the queues empty. A shard waits while better-ranked
+/// shards will take the backlog (`Queues::pulls`).
+fn pull(inner: &Inner, cell: &Arc<ShardCell>, quarantined: usize) -> Option<Vec<(JobMeta, Task)>> {
     loop {
-        // Drain whatever arrived since the last batch.
-        while inbox_open {
-            match submit_rx.try_recv() {
-                Ok(s) => enqueue(&mut queues, s),
-                Err(TryRecvError::Empty) => break,
-                Err(TryRecvError::Disconnected) => inbox_open = false,
-            }
-        }
-
-        // Lifecycle pass: may requeue reclaimed work into `queues`.
-        monitor_shards(&inner, &mut queues);
-
-        if queues.iter().all(|q| q.is_empty()) {
-            if !inbox_open || inner.closed.load(Ordering::Acquire) {
-                break;
-            }
-            // Idle: block briefly for new work, re-checking `closed`
-            // at a 1 ms cadence.
-            match submit_rx.recv_timeout(Duration::from_millis(1)) {
-                Ok(s) => enqueue(&mut queues, s),
-                Err(RecvTimeoutError::Timeout) => {}
-                Err(RecvTimeoutError::Disconnected) => inbox_open = false,
-            }
-            continue;
-        }
-
-        // Backpressure / outage gate: hold the queued work until some
-        // dispatchable shard can take a batch.
-        let cells = inner.shard_cells();
-        let dispatchable = cells.iter().filter(|c| c.state().is_dispatchable());
-        if !dispatchable.clone().any(|c| c.queue.has_room()) {
-            if dispatchable.count() == 0 && inner.closed.load(Ordering::Acquire) {
-                // Shutting down with nowhere to run: resolve what's
-                // left instead of hanging tickets.
-                for queue in &mut queues {
-                    for costed in queue.drain(..) {
-                        let meta = costed.item.meta;
-                        let tenant = &inner.tenants[meta.tenant];
-                        tenant.queued.fetch_sub(1, Ordering::AcqRel);
-                        tenant.in_flight.fetch_sub(1, Ordering::AcqRel);
-                        tenant.counters.failed.fetch_add(1, Ordering::Relaxed);
-                        meta.reply.deliver(Err(ServeError::Disconnected));
+        let (batch, next) = {
+            let mut guard = inner.lock_queues();
+            loop {
+                let queues = &mut *guard;
+                let me = queues
+                    .pullers
+                    .iter()
+                    .position(|p| Arc::ptr_eq(&p.cell, cell))
+                    .expect("spawn registers every shard");
+                // Set already when woken, not after a spurious wake-up.
+                queues.pullers[me].idle = false;
+                let state = cell.state();
+                if !state.is_dispatchable() || (queues.closed && queues.queued() == 0) {
+                    queues.pullers.remove(me);
+                    // Work left to this shard goes to the others.
+                    queues.wake_all();
+                    if cell.transition(ShardState::Draining, ShardState::Dead) {
+                        inner.lifecycle.retired.fetch_add(1, Ordering::Relaxed);
                     }
+                    return None;
                 }
-                break;
+                let rank = (state == ShardState::Degraded, quarantined);
+                queues.pullers[me].rank = rank;
+                if queues.pulls(rank) {
+                    let batch = queues.drr.assemble(
+                        &mut queues.tenants,
+                        &inner.weights,
+                        inner.config.batch_max,
+                    );
+                    // Work left over goes to the next idle shard.
+                    break (batch, queues.take_idle());
+                }
+                queues.pullers[me].idle = true;
+                guard = cell.wake.wait(guard).expect("queue lock");
             }
-            match submit_rx.recv_timeout(Duration::from_millis(1)) {
-                Ok(s) => enqueue(&mut queues, s),
-                Err(RecvTimeoutError::Timeout) => {}
-                Err(RecvTimeoutError::Disconnected) => inbox_open = false,
-            }
-            continue;
+        };
+        if let Some(shard) = next {
+            shard.wake.notify_one();
         }
-
-        let batch = drr.assemble(&mut queues, &weights, inner.config.batch_max);
+        // The pull-time deadline gate: expired work never reaches a
+        // device.
         let now = Instant::now();
-        let mut wants_int = false;
-        let mut wants_float = false;
-        let mut cells_cost = 0u64;
-        let mut jobs: DispatchBatch = Vec::with_capacity(batch.len());
+        let mut jobs = Vec::with_capacity(batch.len());
         for (tenant, costed) in batch {
             inner.tenants[tenant].queued.fetch_sub(1, Ordering::AcqRel);
-            // The dispatch-time deadline gate: expired work never
-            // occupies a dispatch slot.
             if costed.item.meta.expired(now) {
-                expire(&inner, costed.item.meta);
+                expire(inner, costed.item.meta);
                 continue;
             }
-            match costed.item.task.array_class() {
-                ArrayClass::Int => wants_int = true,
-                ArrayClass::Float => wants_float = true,
-            }
-            cells_cost += costed.cost;
             jobs.push((costed.item.meta, costed.item.task));
         }
-        if jobs.is_empty() {
-            continue;
-        }
-        let Some(target) = pick_shard(&cells, (wants_int, wants_float)) else {
-            // A retire/kill raced between the room check and here; put
-            // the work back and re-run the monitor.
-            requeue_batches(&inner, &mut queues, vec![jobs]);
-            // requeue_batches re-counts these as lifecycle requeues and
-            // re-increments `queued`; both are accurate — the work did
-            // bounce off a dying pool.
-            continue;
-        };
-        // Heartbeat silence counts only while work is outstanding: an
-        // idle shard has had nothing to beat for, so work reaching it
-        // restarts its clock instead of finding it already overdue.
-        if target
-            .outstanding_cells
-            .fetch_add(cells_cost, Ordering::AcqRel)
-            == 0
-        {
-            target.beat.beat(inner.now_nanos());
-        }
-        // Bounded push: blocks when the shard is `dispatch_queue`
-        // batches behind — the backpressure point. Only the monitor
-        // (this thread) closes queues of non-dead shards, so a bounce
-        // can only come from a shutdown race; requeue and retry.
-        if let Err(bounced) = target.queue.push(jobs) {
-            target
-                .outstanding_cells
-                .fetch_sub(cells_cost, Ordering::AcqRel);
-            requeue_batches(&inner, &mut queues, vec![bounced]);
+        if !jobs.is_empty() {
+            return Some(jobs);
         }
     }
+}
 
-    // Shutdown: close every queue (they drain what they hold), then
-    // join shard threads. Loop because add_shard may race the close
-    // pass; every later-spawned thread still lands in `threads`.
-    loop {
-        let handles: Vec<JoinHandle<()>> = {
-            let mut threads = inner.threads.lock().expect("thread list lock");
-            threads.drain(..).collect()
-        };
-        if handles.is_empty() {
-            break;
+/// Folds the health signal of a fresh device snapshot into the shard's
+/// state: a crippled streak reaching policy kills the shard, otherwise
+/// it reads degraded or recovers, and a joining shard that has
+/// delivered work is proven. Each batch resets slot quarantine, so
+/// every snapshot after a batch is new evidence.
+fn fold_health(
+    inner: &Arc<Inner>,
+    cell: &ShardCell,
+    signal: HealthSignal,
+    crippled_streak: &mut u32,
+) {
+    let state = cell.state();
+    if !state.is_dispatchable() {
+        return;
+    }
+    match signal {
+        HealthSignal::Crippled => {
+            *crippled_streak += 1;
+            if *crippled_streak >= inner.config.lifecycle.dead_after_crippled {
+                declare_dead(inner, cell, state);
+                return;
+            }
+            cell.transition(state, ShardState::Degraded);
         }
+        HealthSignal::Degraded => {
+            *crippled_streak = 0;
+            cell.transition(state, ShardState::Degraded);
+        }
+        HealthSignal::Healthy => {
+            *crippled_streak = 0;
+            if state == ShardState::Degraded {
+                cell.transition(state, ShardState::Healthy);
+            }
+        }
+    }
+    if cell.completed.load(Ordering::Acquire) > 0 {
+        cell.transition(ShardState::Joining, ShardState::Healthy);
+    }
+}
+
+/// The heartbeat watchdog, off the request path: declares dead any
+/// dispatchable shard that has held a batch for `heartbeat_timeout`
+/// without a beat (a wedged device or a lost thread). It checks four
+/// times per timeout; shutdown unparks it.
+fn watchdog_loop(inner: Arc<Inner>) {
+    let timeout = inner.config.lifecycle.heartbeat_timeout;
+    while !inner.lock_queues().closed {
+        thread::park_timeout(timeout / 4);
+        let now = inner.now_nanos();
         for cell in inner.shard_cells() {
-            cell.queue.close();
-        }
-        for handle in handles {
-            drop(handle.join());
+            let state = cell.state();
+            if state.is_dispatchable()
+                && cell.outstanding_cells.load(Ordering::Acquire) > 0
+                && cell.beat.silent_for(now) > timeout.as_nanos() as u64
+            {
+                declare_dead(&inner, &cell, state);
+            }
         }
     }
 }
 
 fn shard_loop(cell: Arc<ShardCell>, mut device: Device, inner: Arc<Inner>) {
-    while let Pop::Batch(jobs) = cell.queue.pop() {
+    let mut crippled_streak = 0;
+    let mut quarantined = 0;
+    while let Some(jobs) = pull(&inner, &cell, quarantined) {
         cell.beat.beat(inner.now_nanos());
         let batch_cells: u64 = jobs.iter().map(|(m, _)| m.cost).sum();
+        cell.outstanding_cells.store(batch_cells, Ordering::Release);
         let (metas, tasks): (Vec<JobMeta>, Vec<Task>) = jobs.into_iter().unzip();
-        match device.run_batch(tasks) {
+        let ran = match device.run_batch(tasks) {
             Ok(outcome) => {
                 let now = Instant::now();
                 for (meta, result) in metas.into_iter().zip(outcome.results) {
@@ -1313,6 +1152,7 @@ fn shard_loop(cell: Arc<ShardCell>, mut device: Device, inner: Arc<Inner>) {
                     };
                     meta.reply.deliver(delivery);
                 }
+                true
             }
             Err(e) => {
                 // Whole-batch refusal (e.g. a class with no array on
@@ -1323,12 +1163,21 @@ fn shard_loop(cell: Arc<ShardCell>, mut device: Device, inner: Arc<Inner>) {
                     tenant.counters.failed.fetch_add(1, Ordering::Relaxed);
                     meta.reply.deliver(Err(ServeError::Runtime(e.clone())));
                 }
+                false
             }
-        }
-        cell.outstanding_cells
-            .fetch_sub(batch_cells, Ordering::AcqRel);
-        *cell.status.lock().expect("status lock") = device.snapshot();
+        };
+        cell.outstanding_cells.store(0, Ordering::Release);
+        let mut status = cell.status.lock().expect("status lock");
+        *status = device.snapshot();
+        let signal = assess(&status, &inner.config.lifecycle);
+        quarantined =
+            status.quarantined_slots(ArrayClass::Int) + status.quarantined_slots(ArrayClass::Float);
+        drop(status);
         cell.beat.beat(inner.now_nanos());
+        // A refused batch ran nothing, so its snapshot is old evidence.
+        if ran {
+            fold_health(&inner, &cell, signal, &mut crippled_streak);
+        }
     }
 }
 

@@ -92,7 +92,7 @@ pub struct TenantConfig {
     /// executing). Admission rejects above this with
     /// [`AdmissionError::OverQuota`](crate::AdmissionError::OverQuota).
     pub max_in_flight: usize,
-    /// Maximum requests waiting in the scheduler's per-tenant queue.
+    /// Maximum requests waiting in the tenant's queue.
     /// Admission rejects above this with
     /// [`AdmissionError::QueueFull`](crate::AdmissionError::QueueFull) —
     /// the backpressure signal an open-loop client sees.

@@ -3,6 +3,7 @@
 //! framed wire protocol over the in-process duplex transport.
 
 use std::collections::HashMap;
+use std::sync::Barrier;
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -127,7 +128,6 @@ fn faulty_config() -> ServeConfig {
         },
         batch_max: 16,
         quantum_cells: 256,
-        dispatch_queue: 2,
         ..ServeConfig::default()
     }
 }
@@ -284,6 +284,112 @@ fn certified_deadline_infeasible_rejects_at_admission() {
     assert!(stats.totals.drained());
     assert_eq!(stats.totals.rejected_infeasible, 1);
     assert_eq!(stats.totals.rejected(), 1);
+}
+
+/// Admission spends its cheap checks before the deadline gate, which
+/// may prepare the task: a rate-limited request with a provably late
+/// deadline is refused by the token bucket and never reaches the gate.
+#[test]
+fn rate_limit_refuses_before_the_deadline_gate() {
+    let config = ServeConfig {
+        cycle_rate: Some(1_000),
+        ..ServeConfig::default()
+    };
+    let tenants = vec![TenantConfig::new("limited").rate(RateLimit {
+        requests_per_sec: 0.0,
+        burst: 1.0,
+    })];
+    let mut server = Server::start(config, tenants).expect("server start");
+    let client = server.client("limited").expect("tenant");
+    let task = || {
+        Task::bsw_local(
+            "ACGTACGTACGT".parse().unwrap(),
+            "ACGTTCGTACGTTCGT".parse().unwrap(),
+            Scoring::bwa_mem(),
+        )
+    };
+    assert!(client.submit(task()).expect("burst token").wait().is_ok());
+    assert_eq!(
+        client
+            .submit_with_deadline(task(), Duration::from_millis(1))
+            .unwrap_err(),
+        AdmissionError::RateLimited
+    );
+    server.shutdown();
+    let stats = server.stats();
+    assert_eq!(stats.totals.rejected_rate, 1);
+    assert_eq!(stats.totals.rejected_infeasible, 0);
+    assert!(stats.totals.drained());
+}
+
+/// Submissions racing a shutdown: a request is either refused
+/// `shutting-down` or admitted and delivered, never dropped. Three
+/// submitters send 50 µs apart while `shutdown` runs 0.5–2.3 ms in.
+#[test]
+fn shutdown_racing_submitters_keep_the_ledger() {
+    let config = ServeConfig {
+        shards: 2,
+        shard_config: DeviceConfig {
+            int_arrays: 2,
+            float_arrays: 1,
+            workers: 1,
+            ..DeviceConfig::default()
+        },
+        ..ServeConfig::default()
+    };
+    for round in 0..400u64 {
+        let mut server = Server::start(config, vec![TenantConfig::new("t")]).expect("server start");
+        let start = Barrier::new(4);
+        let tickets: Vec<Ticket> = thread::scope(|scope| {
+            let submitters: Vec<_> = (0..3u64)
+                .map(|k| {
+                    let client = server.client("t").expect("tenant");
+                    let start = &start;
+                    scope.spawn(move || {
+                        let mut rng = SmallRng::seed_from_u64(round * 3 + k);
+                        let mut tickets = Vec::new();
+                        start.wait();
+                        loop {
+                            let task = Task::bsw_local(
+                                seq(&mut rng, 8),
+                                seq(&mut rng, 8),
+                                Scoring::bwa_mem(),
+                            );
+                            match client.submit(task) {
+                                Ok(ticket) => tickets.push(ticket),
+                                Err(AdmissionError::ShuttingDown) => return tickets,
+                                Err(e) => panic!("round {round}: unexpected rejection: {e}"),
+                            }
+                            thread::sleep(Duration::from_micros(50));
+                        }
+                    })
+                })
+                .collect();
+            start.wait();
+            thread::sleep(Duration::from_micros(500 + 200 * (round % 10)));
+            server.shutdown();
+            submitters
+                .into_iter()
+                .flat_map(|s| s.join().expect("submitter"))
+                .collect()
+        });
+        for ticket in tickets {
+            let delivery = ticket
+                .wait_timeout(Duration::from_secs(10))
+                .unwrap_or_else(|| panic!("round {round}: a ticket never resolved"));
+            if let Err(e) = delivery {
+                panic!("round {round}: an admitted request was not served: {e}");
+            }
+        }
+        let totals = server.stats().totals;
+        assert!(
+            totals.drained(),
+            "round {round}: accepted {}, completed {}, failed {}",
+            totals.accepted,
+            totals.completed,
+            totals.failed
+        );
+    }
 }
 
 #[test]

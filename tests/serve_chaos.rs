@@ -21,8 +21,8 @@ use gendp::runtime::{
 };
 use gendp::seq::{Anchor, DnaSeq};
 use gendp::serve::{
-    duplex, LifecyclePolicy, Priority, ServeConfig, ServeError, Server, ShardState, TenantConfig,
-    Ticket, WireClient, WireOutcome,
+    duplex, LifecyclePolicy, Priority, ServeConfig, ServeError, Server, ServerStats, ShardState,
+    TenantConfig, Ticket, WireClient, WireOutcome,
 };
 use rand::{rngs::SmallRng, Rng, SeedableRng};
 
@@ -135,7 +135,6 @@ fn chaos_config(shards: usize) -> ServeConfig {
         },
         batch_max: 16,
         quantum_cells: 256,
-        dispatch_queue: 2,
         ..ServeConfig::default()
     }
 }
@@ -163,7 +162,6 @@ fn kill_and_retire_under_load_lose_nothing() {
         },
         batch_max: 64,
         quantum_cells: 2048,
-        dispatch_queue: 2,
         ..ServeConfig::default()
     };
     kill_and_retire(sustained, 3 * 800, 300, None);
@@ -312,6 +310,69 @@ fn replacement_served_after(server: &Server, initial: usize, killed: Instant) ->
         );
         thread::sleep(Duration::from_millis(1));
     }
+}
+
+/// Kill and retire reach an idle pool: with no traffic, only the call
+/// itself can wake the shard it names.
+#[test]
+fn idle_pool_kill_and_retire_without_traffic() {
+    let config = ServeConfig {
+        shards: 3,
+        shard_config: DeviceConfig {
+            int_arrays: 2,
+            float_arrays: 1,
+            workers: 1,
+            ..DeviceConfig::default()
+        },
+        ..ServeConfig::default()
+    };
+    let mut server = Server::start(config, vec![TenantConfig::new("t")]).expect("server start");
+    let within_5s = |what: &str, done: &dyn Fn(&ServerStats) -> bool| {
+        let patience = Instant::now() + Duration::from_secs(5);
+        while !done(&server.stats()) {
+            assert!(Instant::now() < patience, "{what} within 5 s");
+            thread::sleep(Duration::from_millis(1));
+        }
+    };
+    let state_of = |stats: &ServerStats, id: usize| {
+        stats
+            .shards
+            .iter()
+            .find(|s| s.shard == id)
+            .map(|s| s.state)
+            .expect("shard in stats")
+    };
+
+    server.kill_shard(0).expect("shard 0 is alive to kill");
+    within_5s("the killed idle shard dies and is replaced", &|stats| {
+        state_of(stats, 0) == ShardState::Dead && stats.lifecycle.respawned == 1
+    });
+    server
+        .retire_shard(1)
+        .expect("shard 1 is dispatchable to retire");
+    within_5s("the retired idle shard drains", &|stats| {
+        state_of(stats, 1) == ShardState::Dead && stats.lifecycle.retired == 1
+    });
+
+    let completed = server
+        .client("t")
+        .expect("tenant")
+        .submit(Task::bsw_local(
+            "ACGTACGT".parse().unwrap(),
+            "ACGTTCGT".parse().unwrap(),
+            Scoring::bwa_mem(),
+        ))
+        .expect("admitted")
+        .wait_timeout(Duration::from_secs(5))
+        .expect("delivered within 5 s")
+        .expect("a surviving shard serves");
+    assert!(completed.shard >= 2, "served by shard {}", completed.shard);
+
+    server.shutdown();
+    let stats = server.stats();
+    assert_eq!(stats.lifecycle.died, 1);
+    assert_eq!(stats.lifecycle.retired, 1);
+    assert!(stats.totals.drained());
 }
 
 /// Deterministic replay: the same seed drives the same task stream to
@@ -572,7 +633,6 @@ fn fully_quarantined_shard_dies_and_is_replaced() {
         },
         batch_max: 16,
         quantum_cells: 256,
-        dispatch_queue: 2,
         // One crippled snapshot is enough: once the rotten shard reads
         // as degraded, dispatch steers work away from it, so a longer
         // streak requirement could starve before it re-confirms.
@@ -609,10 +669,10 @@ fn fully_quarantined_shard_dies_and_is_replaced() {
     let mut rng = SmallRng::seed_from_u64(21);
     let patience = Instant::now() + Duration::from_secs(30);
     loop {
-        // Int-only waves, big enough that the healthy shard's bounded
-        // dispatch queue overflows and the rotten shard keeps drawing
-        // fresh batches (dispatch steers away from quarantine, so a
-        // trickle would starve it and never build the streak).
+        // Int-only waves, big enough that the healthy shard is busy and
+        // the rotten shard keeps drawing fresh batches (idle shards with
+        // fewer quarantined slots pull first, so a trickle would starve
+        // it and never build the streak).
         let tickets: Vec<(Ticket, TaskValue)> = (0..96)
             .map(|_| {
                 let task =
@@ -651,4 +711,57 @@ fn fully_quarantined_shard_dies_and_is_replaced() {
     let stats = server.stats();
     assert_eq!(stats.totals.failed, 0);
     assert!(stats.totals.drained());
+}
+
+/// Shards take work healthiest first. A joined shard whose first four
+/// int slots fail every attempt spends a task's whole retry budget
+/// there, yet it never reads degraded (a one-task batch quarantines 3 of
+/// 16 slots). One request at a time may reach it before its first batch
+/// shows the quarantine, and never after, even when the healthy shard
+/// is still finishing its previous batch.
+#[test]
+fn trickle_avoids_a_shard_with_rotten_slots() {
+    let config = ServeConfig {
+        shards: 1,
+        shard_config: DeviceConfig {
+            workers: 1,
+            ..DeviceConfig::default()
+        },
+        ..ServeConfig::default()
+    };
+    let mut server = Server::start(config, vec![TenantConfig::new("t")]).expect("server start");
+    let rotten = DeviceConfig {
+        workers: 1,
+        retry: RetryPolicy {
+            quarantine_after: 1,
+            ..RetryPolicy::default()
+        },
+        fault: Some(FaultConfig {
+            broken_slots: 0b1111,
+            ..FaultConfig::uniform(5, 0)
+        }),
+        ..DeviceConfig::default()
+    };
+    let rotten_id = server.add_shard_with(rotten).expect("shard joins");
+    let client = server.client("t").expect("tenant");
+
+    let mut rng = SmallRng::seed_from_u64(22);
+    let mut on_rotten = 0;
+    for _ in 0..200 {
+        let task = Task::bsw_local(seq(&mut rng, 12), seq(&mut rng, 16), Scoring::bwa_mem());
+        let ran_there = match client.submit(task).expect("admitted").wait() {
+            Ok(completed) => completed.shard == rotten_id,
+            // Only the rotten shard injects faults.
+            Err(ServeError::Failed(_)) => true,
+            Err(other) => panic!("unexpected delivery: {other}"),
+        };
+        on_rotten += usize::from(ran_there);
+    }
+    assert!(
+        on_rotten <= 1,
+        "{on_rotten} of 200 requests ran on the rotten shard"
+    );
+
+    server.shutdown();
+    assert!(server.stats().totals.drained());
 }

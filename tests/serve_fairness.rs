@@ -27,7 +27,6 @@ fn fairness_round(workers: usize) {
         },
         batch_max: 16,
         quantum_cells: 512,
-        dispatch_queue: 2,
         ..ServeConfig::default()
     };
     let tenants = vec![
