@@ -11,10 +11,20 @@
 //! repeatedly — the paper's "variable number of block iterations within
 //! each cell" (§7.3). End-node scores park in the scratchpad until the
 //! final drain.
+//!
+//! Each row a PE owns is a prologue and one counted column loop whose
+//! control retires in the compute shadow, so a program grows with rows
+//! per PE, not with cells, and keeps the straight-line program's cycles.
+//! The virtual border row's `h(−, j) = −gap·j` values step in
+//! accumulator registers. A row of more than two predecessors stays
+//! straight-line: it folds its pairs through `a15`, an address register
+//! written from the register file, which a counted loop may not write.
+//! The programs follow the graph, so they are generated per task.
 
 use gendp_dpax::{PeArray, PeArrayConfig, RunStats, SimError, TierPolicy};
 
 use crate::accel::{Accelerator, PoaTask, PreparedTask};
+use crate::counted::{self, At};
 use gendp_dpmap::{map_dfg, Mapping};
 use gendp_isa::{AddrReg, ControlInst, ControlProgram, Loc, Mode, Space, Word};
 use gendp_kernels::dfgs::poa_dfg;
@@ -157,7 +167,8 @@ impl PoaAccelerator {
         }
     }
 
-    /// Generates PE `p`'s unrolled control program.
+    /// Generates PE `p`'s control program: per row, a prologue and one
+    /// counted column loop ([`counted`]).
     #[allow(clippy::too_many_arguments)]
     fn pe_program(
         &self,
@@ -179,6 +190,11 @@ impl PoaAccelerator {
         let hl = self.ext("h_left");
         let h_out = self.mapping.layout.output_slot("h").expect("poa h");
         let last_pe = p == n_pes - 1;
+        let li = |dest: u16, imm: i32| ControlInst::Li {
+            dest: Loc::rf(dest),
+            imm,
+        };
+        let mv = |dest: u16, src: u16| ControlInst::mv(Loc::rf(dest), Loc::rf(src));
 
         // Landing slots per live stream element: assigned by position in
         // the (sorted) incoming live set; `cur` holds column j, `prev`
@@ -187,8 +203,8 @@ impl PoaAccelerator {
         let slot_prev = |idx: usize| scratch_base + 2 * idx as u16 + 1;
 
         let mut saves = 0usize; // end-node scores parked in the SPM
-        let mut row = p;
-        while row < m {
+        let mut bound = None;
+        for row in (p..m).step_by(n_pes) {
             let incoming: &[usize] = if row == 0 {
                 &[]
             } else {
@@ -214,117 +230,114 @@ impl PoaAccelerator {
                 Loc::port(Space::Out)
             };
             let forwards = row + 1 < m;
-
-            // Row prologue.
-            prog.push(ControlInst::Li {
-                dest: Loc::rf(vb),
-                imm: graph.base(plan.rows[row]).code() as i32,
-            });
-            prog.push(ControlInst::Li {
-                dest: Loc::rf(hl),
-                imm: plan.col0[row],
-            });
-            for (k, &u) in incoming.iter().enumerate() {
-                let _ = k;
-                prog.push(ControlInst::Li {
-                    dest: Loc::rf(slot_cur(in_idx(u))),
-                    imm: plan.col0[u],
-                });
-            }
             let preds = &plan.preds[row];
 
-            for c in 1..=n {
+            // Row prologue.
+            prog.push(li(vb, graph.base(plan.rows[row]).code() as i32));
+            prog.push(li(hl, plan.col0[row]));
+            for &u in incoming {
+                prog.push(li(slot_cur(in_idx(u)), plan.col0[u]));
+            }
+
+            let run = counted::Run {
+                cells: n,
+                // A row of more than two predecessors folds its pairs
+                // through a15, an address register written from the RF,
+                // which a counted loop may not write: it stays
+                // straight-line.
+                looped: if preds.len() > 2 { 0 } else { n },
+                period: 1,
+                // The column index of cell 0.
+                first: 1,
+                // The virtual border row's h(-, j-1) = -gap * (j-1) and
+                // h(-, j) = -gap * j step in accumulators.
+                accs: if preds.is_empty() {
+                    vec![(0, -self.gap), (-self.gap, -self.gap)]
+                } else {
+                    Vec::new()
+                },
+                reads_index: false,
+            };
+            let load = |prog: &mut ControlProgram, k: usize, at: At| {
                 // Column character.
                 prog.push(ControlInst::mv(Loc::rf(y), src_loc));
                 // Shift landings: prev <- cur, cur <- stream.
-                for (k, _) in incoming.iter().enumerate() {
-                    prog.push(ControlInst::mv(Loc::rf(slot_prev(k)), Loc::rf(slot_cur(k))));
+                for k in 0..incoming.len() {
+                    prog.push(mv(slot_prev(k), slot_cur(k)));
                     prog.push(ControlInst::mv(Loc::rf(slot_cur(k)), src_loc));
                 }
-                // Predecessor pairs, two per compute invocation.
-                let load_pred =
-                    |prog: &mut ControlProgram, ext_l: u16, ext_u: u16, pr: Option<usize>| {
-                        match pr {
-                            None => {
-                                // No such predecessor: candidates must lose.
-                                prog.push(ControlInst::Li {
-                                    dest: Loc::rf(ext_l),
-                                    imm: NEG,
-                                });
-                                prog.push(ControlInst::Li {
-                                    dest: Loc::rf(ext_u),
-                                    imm: NEG,
-                                });
-                            }
-                            Some(u) => {
-                                let k = in_idx(u);
-                                prog.push(ControlInst::mv(Loc::rf(ext_l), Loc::rf(slot_prev(k))));
-                                prog.push(ControlInst::mv(Loc::rf(ext_u), Loc::rf(slot_cur(k))));
-                            }
-                        }
-                    };
+                // A predecessor's left and up values; a missing one must
+                // lose.
+                let load_pred = |prog: &mut ControlProgram, ext_l, ext_u, pr: Option<usize>| {
+                    if let Some(u) = pr {
+                        let k = in_idx(u);
+                        prog.push(mv(ext_l, slot_prev(k)));
+                        prog.push(mv(ext_u, slot_cur(k)));
+                    } else {
+                        prog.push(li(ext_l, NEG));
+                        prog.push(li(ext_u, NEG));
+                    }
+                };
                 if preds.is_empty() {
                     // Virtual border row: h(-, j) = -gap * j.
-                    prog.push(ControlInst::Li {
-                        dest: Loc::rf(p1l),
-                        imm: -self.gap * (c as i32 - 1),
-                    });
-                    prog.push(ControlInst::Li {
-                        dest: Loc::rf(p1),
-                        imm: -self.gap * c as i32,
-                    });
-                    prog.push(ControlInst::Li {
-                        dest: Loc::rf(p2l),
-                        imm: NEG,
-                    });
-                    prog.push(ControlInst::Li {
-                        dest: Loc::rf(p2),
-                        imm: NEG,
-                    });
-                    prog.push(ControlInst::set_compute(0));
-                } else {
-                    for (inv, pair) in preds.chunks(2).enumerate() {
-                        if inv > 0 {
-                            // Fold the previous invocation's h into this one
-                            // through the left candidate: cl = h_left - gap,
-                            // so stage h_prev + gap.
-                            prog.push(ControlInst::mv(Loc::areg(15), Loc::rf(h_out)));
-                            prog.push(ControlInst::Addi {
-                                rd: AddrReg(15),
-                                rs1: AddrReg(15),
-                                imm: self.gap,
-                            });
-                            prog.push(ControlInst::mv(Loc::rf(hl), Loc::areg(15)));
+                    let c = k as i32 + 1;
+                    match at {
+                        At::Imm => {
+                            prog.push(li(p1l, -self.gap * (c - 1)));
+                            prog.push(li(p1, -self.gap * c));
                         }
-                        load_pred(&mut prog, p1l, p1, Some(pair[0]));
-                        load_pred(&mut prog, p2l, p2, pair.get(1).copied());
-                        prog.push(ControlInst::set_compute(0));
+                        At::Reg { .. } => {
+                            prog.push(ControlInst::mv(Loc::rf(p1l), counted::acc(0)));
+                            prog.push(ControlInst::mv(Loc::rf(p1), counted::acc(1)));
+                        }
                     }
-                    if preds.len() > 2 {
-                        // Restore the true left value for the next cell's
-                        // epilogue (done below via h_out anyway).
-                    }
+                    load_pred(prog, p2l, p2, None);
                 }
+                // Predecessor pairs, two per compute invocation; the
+                // helper emits the last invocation's `set cu`.
+                for (inv, pair) in preds.chunks(2).enumerate() {
+                    if inv > 0 {
+                        // Fold the previous invocation's h into this one
+                        // through the left candidate: cl = h_left - gap,
+                        // so stage h_prev + gap.
+                        prog.push(ControlInst::set_compute(0));
+                        prog.push(ControlInst::mv(Loc::areg(15), Loc::rf(h_out)));
+                        prog.push(ControlInst::Addi {
+                            rd: AddrReg(15),
+                            rs1: AddrReg(15),
+                            imm: self.gap,
+                        });
+                        prog.push(ControlInst::mv(Loc::rf(hl), Loc::areg(15)));
+                    }
+                    load_pred(prog, p1l, p1, Some(pair[0]));
+                    load_pred(prog, p2l, p2, pair.get(1).copied());
+                }
+            };
+            let store = |prog: &mut ControlProgram, _k: usize| {
                 // Forward: char, then the outgoing live vectors in order.
                 if forwards {
                     prog.push(ControlInst::mv(fwd_loc, Loc::rf(y)));
                     for &u in outgoing {
-                        if u == row {
-                            prog.push(ControlInst::mv(fwd_loc, Loc::rf(h_out)));
-                        } else {
-                            prog.push(ControlInst::mv(fwd_loc, Loc::rf(slot_cur(in_idx(u)))));
-                        }
+                        let src = if u == row { h_out } else { slot_cur(in_idx(u)) };
+                        prog.push(ControlInst::mv(fwd_loc, Loc::rf(src)));
                     }
                 }
                 // Left-neighbor update.
-                prog.push(ControlInst::mv(Loc::rf(hl), Loc::rf(h_out)));
-            }
+                prog.push(mv(hl, h_out));
+            };
+            counted::emit(
+                &mut prog,
+                self.mapping.program.len(),
+                &run,
+                &mut bound,
+                load,
+                store,
+            );
             // Park an end node's final-column score in the scratchpad.
             if plan.is_end[row] {
                 prog.push(ControlInst::mv(Loc::spm(saves as u16), Loc::rf(h_out)));
                 saves += 1;
             }
-            row += n_pes;
         }
 
         (prog, saves)

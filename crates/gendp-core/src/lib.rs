@@ -14,16 +14,18 @@
 //!   [`linear1d`] for the 1-D chaining table, [`graph2d`] for
 //!   graph-structured POA, and [`spm1d`] for scratchpad-resident
 //!   Bellman-Ford relaxation.
-//! * Control programs are generated per task *shape* (the paper writes
-//!   them by hand, §4.4). A 2-D wavefront program runs one counted column
-//!   loop per row its PE owns, and chaining one anchor loop after its
-//!   warm-up; the loop control retires in the compute shadow, so the
-//!   programs keep the cycle counts of straight-line code while growing
-//!   with rows per PE rather than with cells. POA and Bellman-Ford stay
-//!   straight-line. The 2-D wavefront and chaining programs never depend
-//!   on sequence content, which the host stages in the input stream and
-//!   the scratchpads, so one prepared program set serves every task of
-//!   its shape ([`Accelerator::bind`]).
+//! * Control programs are generated as counted loops (the paper writes
+//!   them by hand, §4.4). A 2-D wavefront or POA program runs one counted
+//!   column loop per row its PE owns, chaining one anchor loop after its
+//!   warm-up, and Bellman-Ford one loop over passes of its edge list; the
+//!   loop control retires in the compute shadow, so the programs keep the
+//!   cycle counts of straight-line code while growing with rows per PE
+//!   (edges, for Bellman-Ford) rather than with cells. The 2-D wavefront
+//!   and chaining programs never depend on sequence content, which the
+//!   host stages in the input stream and the scratchpads, so one prepared
+//!   program set serves every task of its *shape*
+//!   ([`Accelerator::bind`]); POA and Bellman-Ford programs follow the
+//!   graph and are generated per task.
 //!
 //! The end-to-end correctness contract, enforced by this crate's tests and
 //! the workspace integration tests: **every kernel's DPAx simulation

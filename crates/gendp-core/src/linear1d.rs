@@ -174,6 +174,7 @@ impl ChainAccelerator {
             let run = counted::Run {
                 cells: steady,
                 looped: steady,
+                period: 1,
                 first: 0,
                 accs: Vec::new(),
                 reads_index: false,

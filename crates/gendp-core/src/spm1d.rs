@@ -3,10 +3,17 @@
 //! unit. Long-range dependencies (an edge's `d_u` living anywhere in the
 //! vertex set) are exactly the scratchpad-served access pattern of §3.1;
 //! graphs larger than the scratchpad would spill to DRAM (§7.6.1).
+//!
+//! The `rounds` relaxation sweeps are one counted loop over whole passes
+//! of the edge list, its control in the compute shadows of a pass's
+//! cells, so a program grows with the edge count, not with the rounds,
+//! and keeps the straight-line program's cycles. The edges are baked into
+//! the program, so it is generated per task.
 
 use gendp_dpax::{PeArray, PeArrayConfig, RunStats, SimError, TierPolicy};
 
 use crate::accel::{Accelerator, BellmanFordTask, PreparedTask};
+use crate::counted::{self, At};
 use gendp_dpmap::{map_dfg, Mapping};
 use gendp_isa::{ControlInst, ControlProgram, Loc, Luts, Mode, Space};
 use gendp_kernels::bellman_ford::Graph;
@@ -164,18 +171,39 @@ impl BellmanFordAccelerator {
                 imm: if v == source { 0 } else { INF },
             });
         }
-        // Relaxation sweeps.
-        for _ in 0..rounds {
-            for &(u, v, weight) in graph.edges() {
-                prog.push(ControlInst::mv(Loc::rf(d_u), Loc::spm(u as u16)));
-                prog.push(ControlInst::mv(Loc::rf(d_v), Loc::spm(v as u16)));
-                prog.push(ControlInst::Li {
-                    dest: Loc::rf(w),
-                    imm: weight as i32,
-                });
-                prog.push(ControlInst::set_compute(0));
-                prog.push(ControlInst::mv(Loc::spm(v as u16), Loc::rf(d_out)));
-            }
+        // Relaxation sweeps: one counted loop over whole passes of the edge
+        // list, whose cells repeat every pass.
+        let edges = graph.edges();
+        let run = counted::Run {
+            cells: rounds * edges.len(),
+            looped: rounds * edges.len(),
+            period: edges.len(),
+            first: 0,
+            accs: Vec::new(),
+            reads_index: false,
+        };
+        let load = |prog: &mut ControlProgram, k: usize, _at: At| {
+            let (u, v, weight) = edges[k % edges.len()];
+            prog.push(ControlInst::mv(Loc::rf(d_u), Loc::spm(u as u16)));
+            prog.push(ControlInst::mv(Loc::rf(d_v), Loc::spm(v as u16)));
+            prog.push(ControlInst::Li {
+                dest: Loc::rf(w),
+                imm: weight as i32,
+            });
+        };
+        let store = |prog: &mut ControlProgram, k: usize| {
+            let v = edges[k % edges.len()].1;
+            prog.push(ControlInst::mv(Loc::spm(v as u16), Loc::rf(d_out)));
+        };
+        if run.cells > 0 {
+            counted::emit(
+                &mut prog,
+                self.mapping.program.len(),
+                &run,
+                &mut None,
+                load,
+                store,
+            );
         }
         // Read the distances back.
         for v in 0..n {
@@ -250,6 +278,36 @@ mod tests {
         g.add_edge(1, 2, -3);
         g.add_edge(0, 2, 4);
         check(&g, 0);
+    }
+
+    #[test]
+    fn a_pass_too_long_for_a_branch_offset_stays_straight_line() {
+        // 7,000 edges: a pass of 35,000 instructions, past a branch's
+        // 16-bit offset.
+        let mut g = Graph::new(100);
+        for k in 0..7_000 {
+            g.add_edge(k % 100, (k * 7 + 1) % 100, (k % 9) as i64 + 1);
+        }
+        let acc = BellmanFordAccelerator::new();
+        let prep = acc.prepare(&g, 0, 2);
+        let program = prep.control_programs().next().expect("one PE");
+        assert!(program
+            .iter()
+            .all(|inst| !matches!(inst, ControlInst::Branch { .. })));
+        let run = acc.run(&g, 0, 2).expect("simulation");
+        assert_eq!(run.dist, bellman_ford_rounds(&g, 0, 2));
+    }
+
+    /// Distances after `rounds` sweeps of the edge list in order.
+    fn bellman_ford_rounds(g: &Graph, source: usize, rounds: usize) -> Vec<i32> {
+        let mut d = vec![INF; g.vertex_count()];
+        d[source] = 0;
+        for _ in 0..rounds {
+            for &(u, v, w) in g.edges() {
+                d[v] = d[v].min(d[u] + w as i32);
+            }
+        }
+        d
     }
 
     #[test]

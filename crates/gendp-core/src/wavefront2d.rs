@@ -496,6 +496,7 @@ impl Wavefront2d {
                     Some(_) if window <= i16::MAX as usize => cells - 1,
                     Some(_) => 0,
                 },
+                period: 1,
                 // The column index of cell 0.
                 first: (band.map_or(0, |_| row) + 1) as i32,
                 accs,

@@ -52,6 +52,11 @@ impl ControlProgram {
         self.insts.len()
     }
 
+    /// Drops every instruction from index `len` on.
+    pub fn truncate(&mut self, len: usize) {
+        self.insts.truncate(len);
+    }
+
     /// Releases spare capacity, for programs kept loaded long after
     /// generation.
     pub fn shrink_to_fit(&mut self) {

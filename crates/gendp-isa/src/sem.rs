@@ -4,6 +4,9 @@
 //! (`gendp-dpax`) apply operations through [`apply`], so functional results
 //! agree by construction.
 
+use std::fmt;
+use std::sync::{Arc, Mutex, PoisonError};
+
 use crate::compute::ComputeOp;
 use crate::word::{Mode, Word};
 
@@ -15,18 +18,32 @@ use crate::word::{Mode, Word};
 /// scores; in the log-domain PairHMM they are the scaled log emission priors
 /// `ln(1-3ε)` and `ln(ε)`.
 ///
-/// `logsum_scale` is the fixed-point scale `S` of the log-domain PairHMM:
-/// values represent `S · ln(p)` and the Log_sum LUT computes the
-/// log-sum-exp correction `round(S · ln(1 + e^(−d/S)))`.
-#[derive(Debug, Clone, PartialEq)]
+/// The Log_sum LUT serves the log-domain PairHMM at a fixed-point scale
+/// `S` ([`with_logsum_scale`](Self::with_logsum_scale)): values represent
+/// `S · ln(p)` and the table holds the log-sum-exp correction
+/// `round(S · ln(1 + e^(−d/S)))`. Like the hardware, it is a lookup table:
+/// every `Luts` of one scale shares one table, filled once per process.
+#[derive(Clone)]
 pub struct Luts {
     /// Score-table output when the operands are equal.
     pub score_eq: Word,
     /// Score-table output when the operands differ.
     pub score_ne: Word,
     /// Fixed-point scale of the log-domain representation.
-    pub logsum_scale: i32,
+    logsum_scale: i32,
+    /// The Log_sum table for `logsum_scale` up to its first zero, or
+    /// `None` above [`LOGSUM_TABLE_MAX_SCALE`].
+    logsum: Option<Arc<[i32]>>,
 }
+
+/// The largest scale that gets a Log_sum table. A table holds about
+/// `S · ln(2S)` words (1,597 at the default 256, 36,909 here); the scale
+/// can arrive from the wire, so larger ones compute the correction on
+/// every lookup.
+const LOGSUM_TABLE_MAX_SCALE: i32 = 4096;
+
+/// Tables kept for distinct scales; a further scale evicts the oldest.
+const LOGSUM_TABLES: usize = 8;
 
 impl Default for Luts {
     fn default() -> Self {
@@ -35,7 +52,26 @@ impl Default for Luts {
             score_eq: Word::from_i32(1),
             score_ne: Word::from_i32(-1),
             logsum_scale: 256,
+            logsum: logsum_table(256),
         }
+    }
+}
+
+impl PartialEq for Luts {
+    fn eq(&self, other: &Self) -> bool {
+        // The table is a function of the scale.
+        (self.score_eq, self.score_ne, self.logsum_scale)
+            == (other.score_eq, other.score_ne, other.logsum_scale)
+    }
+}
+
+impl fmt::Debug for Luts {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Luts")
+            .field("score_eq", &self.score_eq)
+            .field("score_ne", &self.score_ne)
+            .field("logsum_scale", &self.logsum_scale)
+            .finish_non_exhaustive()
     }
 }
 
@@ -58,13 +94,68 @@ impl Luts {
         }
     }
 
+    /// The same tables with the Log_sum LUT at fixed-point scale `scale`.
+    pub fn with_logsum_scale(self, scale: i32) -> Self {
+        Luts {
+            logsum_scale: scale,
+            logsum: logsum_table(scale),
+            ..self
+        }
+    }
+
+    /// The fixed-point scale of the log-domain representation.
+    pub fn logsum_scale(&self) -> i32 {
+        self.logsum_scale
+    }
+
     /// The log-sum-exp correction `round(S · ln(1 + e^(−d/S)))` for a
     /// non-negative scaled difference `d` (clamped at 0 for negative input).
     pub fn logsum_correction(&self, d: i32) -> i32 {
-        let s = self.logsum_scale as f64;
-        let d = d.max(0) as f64;
-        (s * (1.0 + (-d / s).exp()).ln()).round() as i32
+        match &self.logsum {
+            // The correction falls with `d`, so it is 0 past the table.
+            Some(table) => table.get(d.max(0) as usize).copied().unwrap_or(0),
+            None => logsum_exact(self.logsum_scale, d),
+        }
     }
+}
+
+/// The Log_sum correction, computed.
+fn logsum_exact(scale: i32, d: i32) -> i32 {
+    let s = scale as f64;
+    let d = d.max(0) as f64;
+    (s * (1.0 + (-d / s).exp()).ln()).round() as i32
+}
+
+/// The shared Log_sum table of `scale`, filled on first use; `None` for a
+/// scale that gets none.
+fn logsum_table(scale: i32) -> Option<Arc<[i32]>> {
+    static TABLES: Mutex<Vec<(i32, Arc<[i32]>)>> = Mutex::new(Vec::new());
+    if !(1..=LOGSUM_TABLE_MAX_SCALE).contains(&scale) {
+        return None;
+    }
+    let find = |tables: &[(i32, Arc<[i32]>)]| {
+        let found = tables.iter().find(|(s, _)| *s == scale);
+        found.map(|(_, table)| Arc::clone(table))
+    };
+    if let Some(table) = find(&TABLES.lock().unwrap_or_else(PoisonError::into_inner)) {
+        return Some(table);
+    }
+    // Filled outside the lock, so a fill never stalls other lookups; a
+    // racing fill of the same scale is identical, and the first stored
+    // wins.
+    let table: Arc<[i32]> = (0..)
+        .map(|d| logsum_exact(scale, d))
+        .take_while(|&c| c != 0)
+        .collect();
+    let mut tables = TABLES.lock().unwrap_or_else(PoisonError::into_inner);
+    if let Some(stored) = find(&tables) {
+        return Some(stored);
+    }
+    if tables.len() == LOGSUM_TABLES {
+        tables.remove(0);
+    }
+    tables.push((scale, Arc::clone(&table)));
+    Some(table)
 }
 
 /// Integer log2 lookup: `floor(log2(x)) >> 1` as in the minimap2 chaining
@@ -412,6 +503,36 @@ mod tests {
         assert_eq!(l.logsum_correction(10_000), 0);
         // Negative input clamps to d = 0.
         assert_eq!(l.logsum_correction(-5), l.logsum_correction(0));
+    }
+
+    #[test]
+    fn logsum_tables_equal_the_computed_correction() {
+        for scale in [1, 2, 3, 100, 256, 1000, 1024, LOGSUM_TABLE_MAX_SCALE] {
+            let l = Luts::default().with_logsum_scale(scale);
+            let len = l.logsum.as_ref().expect("a tabulated scale").len() as i32;
+            for d in (-64..len + 4 * scale).chain([i32::MIN, -1 << 20, 1 << 20, i32::MAX]) {
+                assert_eq!(
+                    l.logsum_correction(d),
+                    logsum_exact(scale, d),
+                    "scale {scale}, d {d}"
+                );
+            }
+        }
+        // One table per scale, shared.
+        let (a, b) = (Luts::with_scores(2, -3), Luts::default());
+        assert!(Arc::ptr_eq(
+            a.logsum.as_ref().unwrap(),
+            b.logsum.as_ref().unwrap()
+        ));
+        // Scales past the cap, and those that make no table, compute.
+        for scale in [LOGSUM_TABLE_MAX_SCALE + 1, i32::MAX, 0, -5] {
+            let l = Luts::default().with_logsum_scale(scale);
+            assert!(l.logsum.is_none(), "scale {scale}");
+            assert_eq!(l.logsum_scale(), scale);
+            for d in [i32::MIN, -3, 0, 1, 999, i32::MAX] {
+                assert_eq!(l.logsum_correction(d), logsum_exact(scale, d));
+            }
+        }
     }
 
     #[test]

@@ -410,11 +410,7 @@ pub fn pairhmm_log_dfg(params: &PairHmmParams, scale: i32) -> Dfg {
 pub fn pairhmm_luts(qual: u8, scale: i32) -> Luts {
     let eps = 10f64.powf(-(qual as f64) / 10.0);
     let l = |p: f64| (p.ln() * scale as f64).round() as i32;
-    Luts {
-        score_eq: gendp_isa::Word::from_i32(l(1.0 - eps)),
-        score_ne: gendp_isa::Word::from_i32(l(eps / 3.0)),
-        logsum_scale: scale,
-    }
+    Luts::with_scores(l(1.0 - eps), l(eps / 3.0)).with_logsum_scale(scale)
 }
 
 /// The probability-domain PairHMM cell for the floating-point PE array

@@ -155,10 +155,7 @@ pub fn forward_log_fixed(
     assert_eq!(read.len(), quals.len(), "one quality per read base");
     assert!(!read.is_empty() && !haplotype.is_empty(), "empty input");
     assert!(scale > 0, "scale must be positive");
-    let luts = Luts {
-        logsum_scale: scale,
-        ..Luts::default()
-    };
+    let luts = Luts::default().with_logsum_scale(scale);
     let t = params.transitions();
     let l = |p: f64| to_log(p, scale);
     let (tmm, tmi, tmd, tii, tim, tdd, tdm) = (

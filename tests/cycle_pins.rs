@@ -1,18 +1,21 @@
 //! Timing pins: the simulated statistics of every 2-D wavefront
-//! constructor, banded DTW and chaining over a grid of shapes and array
-//! widths, checked against a table recorded from the fully unrolled
-//! control programs. Loop-rolled programs must reproduce those programs'
-//! timing exactly: loop control retires inside the compute shadow, where
-//! the unrolled programs stalled on the register-file interlock, so every
-//! counter below, and each PE's busy cycles (`ctrl_insts + ctrl_stalls`),
-//! stays the same. The certificates stay exact on the rolled programs.
+//! constructor, banded DTW, chaining, POA and Bellman-Ford over a grid of
+//! shapes and array widths, checked against tables recorded from the fully
+//! unrolled control programs. Loop-rolled programs must reproduce those
+//! programs' timing exactly: loop control retires inside the compute
+//! shadow, where the unrolled programs stalled on the register-file
+//! interlock, so every counter below, and each PE's busy cycles
+//! (`ctrl_insts + ctrl_stalls`), stays the same. The certificates stay
+//! exact on the rolled programs.
 
 use gendp::core::{pack_halves, pack_lanes, GendpPipeline, PreparedTask, Wavefront2d};
 use gendp::dpax::RunStats;
+use gendp::kernels::bellman_ford::Graph;
 use gendp::kernels::chain::ChainParams;
 use gendp::kernels::pairhmm::PairHmmParams;
+use gendp::kernels::poa::Poa;
 use gendp::kernels::{GapModel, Scoring};
-use gendp::seq::Anchor;
+use gendp::seq::{Anchor, DnaSeq};
 
 /// Every wavefront constructor of `GendpPipeline`, built for a table with
 /// `n` columns.
@@ -166,11 +169,10 @@ fn measure() -> Vec<(String, usize, usize, usize, RunStats)> {
     runs
 }
 
-#[test]
-fn rolled_programs_keep_the_unrolled_timing() {
-    let runs = measure();
-    assert_eq!(runs.len(), PINS.len(), "grid and table disagree");
-    for ((kind, m, n, n_pes, stats), pin) in runs.iter().zip(PINS) {
+/// Checks measured runs against a pin table, in table order.
+fn check(runs: &[(String, usize, usize, usize, RunStats)], pins: &[Pin]) {
+    assert_eq!(runs.len(), pins.len(), "grid and table disagree");
+    for ((kind, m, n, n_pes, stats), pin) in runs.iter().zip(pins) {
         let label = format!("{kind} {m}x{n} on {n_pes} PEs");
         assert_eq!(
             (kind.as_str(), *m, *n, *n_pes),
@@ -184,6 +186,103 @@ fn rolled_programs_keep_the_unrolled_timing() {
 }
 
 #[test]
+fn rolled_programs_keep_the_unrolled_timing() {
+    check(&measure(), PINS);
+}
+
+/// POA graphs: single-read chains of 1 and 24 nodes, and a graph fused
+/// from reads with substitutions, an insertion, a deletion and a changed
+/// last base, whose branch points join three and four predecessors.
+fn poa_graphs() -> Vec<(&'static str, Poa)> {
+    let graph = |reads: &[&str]| {
+        let mut poa = Poa::new();
+        for read in reads {
+            poa.add_sequence(&read.parse().expect("bases"), &Scoring::racon());
+        }
+        poa
+    };
+    let branched = graph(&[
+        "ACGTTGCAAGTCCATGACGTAGCTAGGATC",
+        "ACGTTGCAAGACCATGACGTAGCTAGGATC",
+        "ACGTTGCAAGGCCATGACGTAGCTAGGATC",
+        "ACGTTGCAAGCCCATGACGTTAGCTAGGATC",
+        "ACGTTGCAAGTCCATGACGAGCTAGGATC",
+        "ACGTTGCTAGTCCATGACGTAGCTAGGAT",
+        "ACGTTGCAAGTCCATGACGTAGCTAGGATT",
+    ]);
+    let most_preds = (0..branched.node_count())
+        .map(|v| branched.preds(v).len())
+        .max();
+    assert!(
+        most_preds > Some(2),
+        "a row folds more than two predecessors"
+    );
+    vec![
+        ("poa-chain", graph(&["G"])),
+        ("poa-chain", graph(&["ACGTTGCAAGTCCATGACGTAGCT"])),
+        ("poa-branched", branched),
+    ]
+}
+
+/// POA probe lengths.
+const PROBES: [usize; 3] = [1, 2, 24];
+
+/// Bellman-Ford graphs with 1, 2 and 24 edges.
+fn bf_graphs() -> Vec<Graph> {
+    let mut one = Graph::new(2);
+    one.add_edge(0, 1, 3);
+    let mut two = Graph::new(3);
+    two.add_edge(0, 1, 4);
+    two.add_edge(1, 2, -2);
+    let mut many = Graph::new(12);
+    for v in 0..12 {
+        many.add_edge(v, (v + 1) % 12, 1 + (v % 5) as i64);
+        many.add_edge(v, (v * 5 + 3) % 12, 2 + (v % 7) as i64);
+    }
+    vec![one, two, many]
+}
+
+/// Bellman-Ford relaxation rounds.
+const ROUNDS: [usize; 3] = [1, 2, 5];
+
+/// Runs the POA and Bellman-Ford grids, in table order: POA pins are
+/// (graph, nodes, probe length, PEs), Bellman-Ford pins (edges, rounds, 1).
+fn measure_graphs() -> Vec<(String, usize, usize, usize, RunStats)> {
+    let mut runs = Vec::new();
+    let poa = GendpPipeline::poa(Scoring::racon());
+    for (kind, graph) in poa_graphs() {
+        for len in PROBES {
+            let probe: DnaSeq = (0..len)
+                .map(|i| ['A', 'C', 'G', 'T'][(i * 7 + 1) % 4])
+                .collect::<String>()
+                .parse()
+                .expect("bases");
+            let nodes = graph.node_count();
+            for n_pes in PES {
+                let label = format!("{kind} {nodes}x{len} on {n_pes} PEs");
+                let stats = run(&label, poa.prepare(&graph, &probe, n_pes));
+                runs.push((kind.to_string(), nodes, len, n_pes, stats));
+            }
+        }
+    }
+    let bf = GendpPipeline::bellman_ford();
+    for graph in bf_graphs() {
+        for rounds in ROUNDS {
+            let edges = graph.edge_count();
+            let label = format!("bellman-ford {edges} edges x {rounds} rounds");
+            let stats = run(&label, bf.prepare(&graph, 0, rounds));
+            runs.push(("bellman-ford".to_string(), edges, rounds, 1, stats));
+        }
+    }
+    runs
+}
+
+#[test]
+fn rolled_graph_programs_keep_the_unrolled_timing() {
+    check(&measure_graphs(), GRAPH_PINS);
+}
+
+#[test]
 fn a_large_bsw_program_fits_the_instruction_buffer() {
     let (rows, cols) = (content("bsw", 100, 1), content("bsw", 96, 2));
     let prepared = GendpPipeline::bsw(&Scoring::bwa_mem()).prepare(&rows, &cols, 4);
@@ -194,6 +293,28 @@ fn a_large_bsw_program_fits_the_instruction_buffer() {
             program.len()
         );
     }
+}
+
+#[test]
+fn a_serve_sized_poa_program_fits_the_instruction_buffer() {
+    // 24 nodes by 24 bases on 4 PEs: 6,317 control instructions
+    // straight-line.
+    let (_, graph) = &poa_graphs()[1];
+    let probe: DnaSeq = "TTGACCGATAGGCTAACGTCAGTA".parse().expect("bases");
+    let prepared = GendpPipeline::poa(Scoring::racon()).prepare(graph, &probe, 4);
+    assert!(
+        prepared.control_len() <= 1_000,
+        "loads {} control instructions",
+        prepared.control_len()
+    );
+}
+
+#[test]
+fn a_bellman_ford_program_does_not_grow_with_rounds() {
+    let graph = &bf_graphs()[2];
+    let bf = GendpPipeline::bellman_ford();
+    let len = |rounds| bf.prepare(graph, 0, rounds).control_len();
+    assert_eq!(len(2), len(60));
 }
 
 /// Recorded from the fully unrolled control programs.
@@ -406,4 +527,45 @@ const PINS: &[Pin] = &[
     ("chain", 70, 0, 1, [1613, 70, 840, 1050, 3430, 350, 0, 210, 207, 3], &[1613]),
     ("chain", 70, 0, 3, [1645, 210, 2520, 3150, 10290, 1470, 0, 210, 612, 9], &[1613, 1629, 1645]),
     ("chain", 70, 0, 4, [1661, 280, 3360, 4200, 13720, 2030, 0, 210, 810, 12], &[1613, 1629, 1645, 1661]),
+];
+
+/// Recorded from the straight-line POA and Bellman-Ford programs.
+#[rustfmt::skip]
+const GRAPH_PINS: &[Pin] = &[
+    ("poa-chain", 1, 1, 1, [18, 1, 7, 14, 43, 2, 2, 0, 0, 0], &[18]),
+    ("poa-chain", 1, 1, 3, [18, 1, 7, 14, 43, 6, 2, 0, 0, 0], &[18, 18, 18]),
+    ("poa-chain", 1, 1, 4, [18, 1, 7, 14, 43, 8, 2, 0, 0, 0], &[18, 18, 18, 18]),
+    ("poa-chain", 1, 2, 1, [31, 2, 14, 28, 86, 3, 2, 0, 0, 0], &[31]),
+    ("poa-chain", 1, 2, 3, [31, 2, 14, 28, 86, 7, 2, 0, 0, 0], &[31, 31, 31]),
+    ("poa-chain", 1, 2, 4, [31, 2, 14, 28, 86, 9, 2, 0, 0, 0], &[31, 31, 31, 31]),
+    ("poa-chain", 1, 24, 1, [317, 24, 168, 336, 1032, 25, 2, 0, 0, 0], &[317]),
+    ("poa-chain", 1, 24, 3, [317, 24, 168, 336, 1032, 29, 2, 0, 0, 0], &[317, 317, 317]),
+    ("poa-chain", 1, 24, 4, [317, 24, 168, 336, 1032, 31, 2, 0, 0, 0], &[317, 317, 317, 317]),
+    ("poa-chain", 24, 1, 1, [478, 24, 168, 336, 1032, 2, 2, 46, 46, 2], &[478]),
+    ("poa-chain", 24, 1, 3, [347, 24, 168, 336, 1032, 66, 2, 14, 14, 1], &[319, 333, 347]),
+    ("poa-chain", 24, 1, 4, [345, 24, 168, 336, 1032, 74, 2, 10, 10, 1], &[303, 317, 331, 345]),
+    ("poa-chain", 24, 2, 1, [882, 48, 336, 672, 2064, 3, 2, 92, 92, 4], &[882]),
+    ("poa-chain", 24, 2, 3, [364, 48, 336, 672, 2064, 131, 2, 28, 28, 1], &[336, 350, 364]),
+    ("poa-chain", 24, 2, 4, [362, 48, 336, 672, 2064, 147, 2, 20, 20, 1], &[320, 334, 348, 362]),
+    ("poa-chain", 24, 24, 1, [9770, 576, 4032, 8064, 24768, 25, 2, 1104, 1104, 48], &[9770]),
+    ("poa-chain", 24, 24, 3, [3314, 576, 4032, 8064, 24768, 1561, 2, 336, 336, 44], &[3286, 3300, 3314]),
+    ("poa-chain", 24, 24, 4, [2506, 576, 4032, 8064, 24768, 1753, 2, 240, 240, 42], &[2464, 2478, 2492, 2506]),
+    ("poa-branched", 36, 1, 1, [804, 38, 266, 532, 1634, 3, 4, 84, 84, 5], &[804]),
+    ("poa-branched", 36, 1, 3, [576, 38, 266, 532, 1634, 117, 4, 28, 28, 3], &[547, 563, 576]),
+    ("poa-branched", 36, 1, 4, [573, 38, 266, 532, 1634, 135, 4, 19, 19, 2], &[530, 544, 560, 573]),
+    ("poa-branched", 36, 2, 1, [1482, 76, 532, 1064, 3268, 4, 4, 168, 168, 10], &[1482]),
+    ("poa-branched", 36, 2, 3, [627, 76, 532, 1064, 3268, 230, 4, 56, 56, 5], &[598, 614, 627]),
+    ("poa-branched", 36, 2, 4, [610, 76, 532, 1064, 3268, 266, 4, 38, 38, 3], &[567, 581, 597, 610]),
+    ("poa-branched", 36, 24, 1, [16398, 912, 6384, 12768, 39216, 26, 4, 2016, 2016, 120], &[16398]),
+    ("poa-branched", 36, 24, 3, [6254, 912, 6384, 12768, 39216, 2716, 4, 672, 672, 115], &[6225, 6241, 6254]),
+    ("poa-branched", 36, 24, 4, [4807, 912, 6384, 12768, 39216, 3148, 4, 456, 456, 66], &[4764, 4778, 4794, 4807]),
+    ("bellman-ford", 1, 1, 1, [13, 1, 2, 3, 11, 2, 7, 0, 0, 0], &[13]),
+    ("bellman-ford", 1, 2, 1, [19, 2, 4, 6, 22, 2, 10, 0, 0, 0], &[19]),
+    ("bellman-ford", 1, 5, 1, [37, 5, 10, 15, 55, 2, 19, 0, 0, 0], &[37]),
+    ("bellman-ford", 2, 1, 1, [21, 2, 4, 6, 22, 3, 12, 0, 0, 0], &[21]),
+    ("bellman-ford", 2, 2, 1, [33, 4, 8, 12, 44, 3, 18, 0, 0, 0], &[33]),
+    ("bellman-ford", 2, 5, 1, [69, 10, 20, 30, 110, 3, 36, 0, 0, 0], &[69]),
+    ("bellman-ford", 24, 1, 1, [171, 24, 48, 72, 264, 12, 96, 0, 0, 0], &[171]),
+    ("bellman-ford", 24, 2, 1, [315, 48, 96, 144, 528, 12, 168, 0, 0, 0], &[315]),
+    ("bellman-ford", 24, 5, 1, [747, 120, 240, 360, 1320, 12, 384, 0, 0, 0], &[747]),
 ];
