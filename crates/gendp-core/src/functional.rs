@@ -1,5 +1,26 @@
-//! The functional execution tier for 2-D wavefront kernels: batched
-//! row-sweep evaluation of the kernel semantics, no per-cycle simulation.
+//! The functional execution tier for 2-D wavefront kernels: the kernel
+//! semantics evaluated along the table's anti-diagonals, one lane per PE,
+//! with no per-cycle simulation.
+//!
+//! # Sweep order
+//!
+//! Rows go to PEs round-robin, so PE `p` owns rows `p`, `p + n_pes`, …
+//! The sweep runs the table the way the array does: each block of
+//! `n_pes` rows along its anti-diagonals, PE `p` on cell `t - p` of its
+//! row on the block's step `t` (banded: `t - 2p`), and each PE on to its
+//! next row once it has finished the last one and the array's last PE has
+//! forwarded the row above (`Schedule`). The cells of one step depend on
+//! nothing computed in that step, so one compute activation serves all of
+//! them: the PEs' register files are kept as lanes of a structure of
+//! arrays and [`gendp_isa::eval_lanes`] evaluates each VLIW word once for
+//! every PE of the step, [`LANES`] at a time. Stream forwarding becomes a
+//! lane shift: PE `p` reads on step `t` what PE `p - 1` forwarded on step
+//! `t - 1`. A banded cell reads the previous row's *next* tuple, hence the
+//! two-step skew there. PE 0 reads the row buffer, which holds the tuples
+//! the array's last PE forwarded from the row above (row 0's borders for
+//! the first block). A PE with no cell on a step (before its first row,
+//! after its last, or between the rows of a table narrower than the
+//! array) keeps its register file as it is.
 //!
 //! # Why this is bit-identical to the simulator
 //!
@@ -8,23 +29,33 @@
 //! each iteration moves exactly the words a straight-line cell would — and
 //! the only inter-PE communication is the forwarded stream tuple (column
 //! character + streamed outputs), which travels strictly row `i` → row
-//! `i+1` in FIFO order through blocking ports. Stall timing can therefore never change *which* value a cell
-//! reads — only *when* — so executing the rows in global row order (each
-//! PE's rows in increasing order, with that PE's register file persisting
-//! across its rows) commits exactly the same register-file values, cell
-//! evaluations and output words as the concurrent systolic execution.
+//! `i+1` in FIFO order through blocking ports. The array is a Kahn
+//! process network (module `events` of `gendp-dpax`): stall timing can
+//! never change *which* value a cell reads, only *when*. The sweep keeps
+//! the two facts that argument rests on. Each PE's register file sees its
+//! own rows in increasing order and each row's cells in column order,
+//! persisting across them; and every value a cell reads comes from the
+//! producer the program names: the same column (banded: the next tuple)
+//! of the row above, through a lane shift within a block and the row
+//! buffer across blocks. The schedule's period keeps the row buffer
+//! exact: PE 0 reads a tuple at least one step after the last PE wrote it
+//! and no later than the step the last PE overwrites it with the next
+//! block's. So the sweep commits exactly the register-file values, cell
+//! evaluations and output words of the concurrent systolic execution, in
+//! whichever order the PEs interleave.
 //!
-//! The sweep mirrors the generated program move for move: row prologue
-//! (the row character the program reads from the PE's scratchpad,
-//! left/carry initializers, stream landing preload), then
-//! per cell — column character in, diagonal reads *before* landing
-//! updates, landing updates, optional column index, one compute
-//! activation ([`gendp_isa::eval_cell`], the same arithmetic the
-//! simulated engines run), last-row collects or stream forwarding, left
-//! updates — and finally the per-PE drains in chain order. Forwarded
-//! column characters are taken from the post-compute register file (not
-//! assumed from the input), so a kernel whose compute program overwrites
-//! the column-character slot still streams identically.
+//! Per PE, the sweep mirrors the generated program move for move: row
+//! prologue (the row character the program reads from the PE's
+//! scratchpad, left/carry initializers, stream landing preload), then per
+//! cell — column character in, diagonal reads *before* landing updates,
+//! landing updates, optional column index, one compute activation (lane
+//! `p` of [`gendp_isa::eval_lanes`], which computes exactly what
+//! [`gendp_isa::eval_cell`] and the simulated engines compute on PE `p`'s
+//! file), last-row collects or stream forwarding, left updates — and
+//! finally the per-PE drains in chain order. Forwarded column characters
+//! are taken from the post-compute register file (not assumed from the
+//! input), so a kernel whose compute program overwrites the
+//! column-character slot still streams identically.
 //!
 //! # Statistics
 //!
@@ -34,7 +65,9 @@
 //! simulated and hands out that run's statistics for every functional
 //! execution after it.
 
-use gendp_isa::{eval_cell, DecodedComputeProgram, Luts, Mode, Word};
+use std::array;
+
+use gendp_isa::{eval_lanes, DecodedComputeProgram, LaneWords, Lanes, Luts, Mode, Word, LANES};
 
 use crate::wavefront2d::Border;
 
@@ -81,16 +114,160 @@ pub(crate) struct RoleSlots {
     pub drains: Vec<usize>,
 }
 
+/// The PEs' register files as lanes of [`eval_lanes`]: PEs `k * LANES`
+/// onwards form chunk `k`, `slots` lane vectors, so PE `p`'s slot `s` is
+/// lane `p % LANES` of `words[(p / LANES) * slots + s]`.
+#[derive(Debug, Default)]
+struct RegisterFiles {
+    words: Vec<LaneWords>,
+    slots: usize,
+}
+
+impl RegisterFiles {
+    /// Zeroed files for `n_pes` PEs of `slots` words each.
+    fn reset(&mut self, n_pes: usize, slots: usize) {
+        self.slots = slots;
+        self.words.clear();
+        self.words
+            .resize(n_pes.div_ceil(LANES) * slots, [Word::ZERO; LANES]);
+    }
+
+    fn get(&self, p: usize, slot: usize) -> Word {
+        self.words[p / LANES * self.slots + slot][p % LANES]
+    }
+
+    /// The files of chunk `k`.
+    fn chunk(&mut self, k: usize) -> &mut [LaneWords] {
+        &mut self.words[k * self.slots..(k + 1) * self.slots]
+    }
+}
+
+/// When the sweep runs each cell: PE `p` computes cell `k` of its `b`-th
+/// row (row `b * n_pes + p`) on step `b * period + skew * p + k`. A row
+/// trails the row above by `skew` steps, and a PE starts its next row once
+/// it has finished its last one and the array's last PE has forwarded the
+/// row above: `period` is the longer of a row's cells and `skew * n_pes`.
+#[derive(Debug, Clone, Copy)]
+struct Schedule {
+    n_pes: usize,
+    rows: usize,
+    cells: usize,
+    skew: usize,
+    period: usize,
+}
+
+impl Schedule {
+    fn new(n_pes: usize, rows: usize, cells: usize, skew: usize) -> Self {
+        Schedule {
+            n_pes,
+            rows,
+            cells,
+            skew,
+            period: cells.max(skew * n_pes),
+        }
+    }
+
+    /// Steps until the last row's last cell.
+    fn len(&self) -> usize {
+        let last = self.rows - 1;
+        last / self.n_pes * self.period + self.skew * (last % self.n_pes) + self.cells
+    }
+
+    /// The chunks with a PE on a cell at step `t`, downstream first, so
+    /// that each chunk reads what its upstream chunk forwarded on the last
+    /// step before that chunk overwrites it.
+    fn steps(self, t: usize) -> impl Iterator<Item = Step> {
+        let (b0, k0) = (t / self.period, t % self.period);
+        (0..self.n_pes.div_ceil(LANES)).rev().filter_map(move |k| {
+            let mut step = Step {
+                k,
+                base: k * LANES,
+                on: [false; LANES],
+                row: [0; LANES],
+                cell: [0; LANES],
+            };
+            for l in 0..LANES.min(self.n_pes - step.base) {
+                let p = step.base + l;
+                // PE 0's row block and cell, `skew * p` steps back.
+                let lag = self.skew * p;
+                let (b, cell) = match k0.checked_sub(lag) {
+                    Some(cell) => (b0, cell),
+                    None if b0 > 0 => (b0 - 1, k0 + self.period - lag),
+                    None => continue,
+                };
+                let row = b * self.n_pes + p;
+                if cell < self.cells && row < self.rows {
+                    (step.on[l], step.row[l], step.cell[l]) = (true, row, cell);
+                }
+            }
+            step.on.contains(&true).then_some(step)
+        })
+    }
+}
+
+/// The PEs of one chunk on one step: lane `l` is PE `base + l`, and where
+/// `on[l]` is set it computes cell `cell[l]` of row `row[l]`.
+struct Step {
+    k: usize,
+    base: usize,
+    on: Lanes,
+    row: [usize; LANES],
+    cell: [usize; LANES],
+}
+
+impl Step {
+    /// Writes `v` into the lanes of `dst` that compute a cell.
+    #[inline]
+    fn put(&self, dst: &mut LaneWords, v: LaneWords) {
+        for ((d, v), on) in dst.iter_mut().zip(v).zip(self.on) {
+            if on {
+                *d = v;
+            }
+        }
+    }
+
+    /// One word per lane: `f(row, cell)` where the lane computes a cell.
+    #[inline]
+    fn per_cell(&self, f: impl Fn(usize, usize) -> i32) -> LaneWords {
+        array::from_fn(|l| match self.on[l] {
+            true => Word::from_i32(f(self.row[l], self.cell[l])),
+            false => Word::ZERO,
+        })
+    }
+
+    /// The lanes computing a cell, with their rows and cells.
+    fn cells(&self) -> impl Iterator<Item = (usize, usize, usize)> + '_ {
+        (0..LANES)
+            .filter(|&l| self.on[l])
+            .map(|l| (l, self.row[l], self.cell[l]))
+    }
+}
+
+/// `src` shifted one lane downstream, lane 0 taking `carry`: what each PE
+/// of a chunk reads from its upstream neighbour on an anti-diagonal.
+#[inline]
+fn shift(carry: Word, src: &LaneWords) -> LaneWords {
+    let mut out = [carry; LANES];
+    out[1..].copy_from_slice(&src[..LANES - 1]);
+    out
+}
+
 /// Reusable execution buffers, kept across [`FunctionalPlan::execute`]
 /// replays so the hot loop allocates nothing.
 #[derive(Debug, Default)]
 pub(crate) struct Workspace {
-    /// Per-PE register files, flattened (`n_pes * rf_slots`).
-    rfs: Vec<Word>,
-    /// Previous row's forwarded tuples, flattened per stream.
-    prev: Vec<Word>,
-    /// Current row's forwarded tuples.
-    cur: Vec<Word>,
+    rfs: RegisterFiles,
+    /// What each chunk's PEs forwarded on the last step: forwarded value
+    /// `v` of chunk `k` at `fwd[k * values + v]`.
+    fwd: Vec<LaneWords>,
+    /// The row buffer: the tuples the array's last PE forwarded from its
+    /// last row (before that, row 0's borders), value `v` of tuple `k` at
+    /// `row[v * tuples + k]`.
+    row: Vec<Word>,
+    /// Banded: the tuple each PE's upstream forwarded from the first cell
+    /// of its row, the PE's preload, value `v` of PE `p` at
+    /// `first[p * values + v]`.
+    first: Vec<Word>,
     /// Output words in simulator order: last-row collects, then drains.
     out: Vec<Word>,
 }
@@ -131,8 +308,7 @@ impl FunctionalPlan {
     /// programs.
     pub fn execute(&mut self) {
         let mut ws = std::mem::take(&mut self.ws);
-        ws.rfs.clear();
-        ws.rfs.resize(self.n_pes * self.rf_slots, Word::ZERO);
+        ws.rfs.reset(self.n_pes, self.rf_slots);
         ws.out.clear();
         match self.band {
             None => self.sweep_streamed(&mut ws),
@@ -140,151 +316,214 @@ impl FunctionalPlan {
         }
         // Drains: PE p relays its upstreams' drains then appends its own,
         // so the sink sees them in chain order.
-        let active = self.n_pes.min(self.rows.len());
-        for p in 0..active {
-            let rf = &ws.rfs[p * self.rf_slots..(p + 1) * self.rf_slots];
+        for p in 0..self.n_pes.min(self.rows.len()) {
             for &slot in &self.roles.drains {
-                ws.out.push(rf[slot]);
+                ws.out.push(ws.rfs.get(p, slot));
             }
         }
         self.ws = ws;
     }
 
-    /// The full-table sweep, mirroring `Wavefront2d::pe_program`.
-    fn sweep_streamed(&self, ws: &mut Workspace) {
-        let m = self.rows.len();
-        let n = self.cols.len();
-        let ns = self.roles.streams.len();
-        // Tuple layout: [column characters; n][stream 0; n][stream 1; n]…
-        ws.prev.clear();
-        ws.prev.extend(self.cols.iter().map(|&c| Word::from_i32(c)));
-        ws.prev.resize((1 + ns) * n, Word::ZERO);
-        ws.cur.clear();
-        ws.cur.resize((1 + ns) * n, Word::ZERO);
-
-        for r in 0..m {
-            let p = r % self.n_pes;
-            let rf = &mut ws.rfs[p * self.rf_slots..(p + 1) * self.rf_slots];
-            let last = r + 1 == m;
-
-            // Row prologue.
-            rf[self.roles.row_char] = Word::from_i32(self.rows[r]);
-            for l in &self.roles.lefts {
-                if l.per_row || r == p {
-                    rf[l.ext] = Word::from_i32(l.col0.at(r));
-                }
-            }
-            for s in &self.roles.streams {
-                rf[s.landing] = Word::from_i32(if r == 0 {
-                    s.row0.at(0)
-                } else {
-                    s.col0.at(r - 1)
-                });
-            }
-
-            for c in 1..=n {
-                let idx = c - 1;
-                rf[self.roles.col_char] = ws.prev[idx];
-                // Diagonal reads before the landings advance.
-                for d in &self.roles.diags {
-                    rf[d.ext] = rf[self.roles.streams[d.src].landing];
-                }
-                for (v, s) in self.roles.streams.iter().enumerate() {
-                    rf[s.landing] = if r == 0 {
-                        Word::from_i32(s.row0.at(c))
-                    } else {
-                        ws.prev[(1 + v) * n + idx]
-                    };
-                }
-                if let Some(j) = self.roles.col_index {
-                    rf[j] = Word::from_i32(c as i32);
-                }
-                eval_cell(&self.program, self.mode, &self.luts, rf);
-                if last {
-                    for &slot in &self.roles.collects {
-                        ws.out.push(rf[slot]);
-                    }
-                } else {
-                    // Forward the *post-compute* column character, exactly
-                    // like the generated `mv out rf[col_char]`.
-                    ws.cur[idx] = rf[self.roles.col_char];
-                    for (v, s) in self.roles.streams.iter().enumerate() {
-                        ws.cur[(1 + v) * n + idx] = rf[s.out];
-                    }
-                }
-                for l in &self.roles.lefts {
-                    rf[l.ext] = rf[l.out];
-                }
-            }
-            if !last {
-                std::mem::swap(&mut ws.prev, &mut ws.cur);
+    /// The prologue of row `r` on lane `l`, PE `p`, that reads nothing
+    /// upstream: its row character and its left/carry initializers.
+    fn row_prologue(&self, files: &mut [LaneWords], l: usize, r: usize, p: usize) {
+        files[self.roles.row_char][l] = Word::from_i32(self.rows[r]);
+        for left in &self.roles.lefts {
+            if left.per_row || r == p {
+                files[left.ext][l] = Word::from_i32(left.col0.at(r));
             }
         }
     }
 
-    /// The banded sweep, mirroring `Wavefront2d::pe_program_banded`:
-    /// row `r` computes `width` cells starting at its own diagonal, column
-    /// characters read from the padded sequence (the window the program
-    /// reads from its scratchpad), streams shifted one tuple (the previous
-    /// row's first tuple is this row's preload).
-    fn sweep_banded(&self, ws: &mut Workspace, width: usize) {
-        let m = self.rows.len();
-        let ns = self.roles.streams.len();
-        ws.prev.clear();
-        ws.prev.resize(ns * width, Word::ZERO);
-        ws.cur.clear();
-        ws.cur.resize(ns * width, Word::ZERO);
+    /// One compute activation on the PEs of `step`, leaving in `fwd` the
+    /// values each forwards (the `outs` slots, read straight after it).
+    fn compute(
+        &self,
+        files: &mut [LaneWords],
+        fwd: &mut [LaneWords],
+        outs: impl Iterator<Item = usize>,
+        step: &Step,
+    ) {
+        eval_lanes(&self.program, self.mode, &self.luts, files, &step.on);
+        for (f, slot) in fwd.iter_mut().zip(outs) {
+            *f = files[slot];
+        }
+    }
 
-        for r in 0..m {
-            let p = r % self.n_pes;
-            let rf = &mut ws.rfs[p * self.rf_slots..(p + 1) * self.rf_slots];
-            let last = r + 1 == m;
+    /// The diagonal reads that open a cell, before the landings advance.
+    fn read_diags(&self, files: &mut [LaneWords], step: &Step) {
+        for d in &self.roles.diags {
+            let v = files[self.roles.streams[d.src].landing];
+            step.put(&mut files[d.ext], v);
+        }
+    }
 
-            rf[self.roles.row_char] = Word::from_i32(self.rows[r]);
-            for l in &self.roles.lefts {
-                if l.per_row || r == p {
-                    rf[l.ext] = Word::from_i32(l.col0.at(r));
-                }
-            }
-            for (v, s) in self.roles.streams.iter().enumerate() {
-                rf[s.landing] = if r == 0 {
-                    Word::from_i32(s.row0.at(0))
-                } else {
-                    ws.prev[v * width]
-                };
-            }
+    /// The left/carry updates that close a cell.
+    fn update_lefts(&self, files: &mut [LaneWords], step: &Step) {
+        for l in &self.roles.lefts {
+            let v = files[l.out];
+            step.put(&mut files[l.ext], v);
+        }
+    }
 
-            for k in 0..width {
-                rf[self.roles.col_char] = Word::from_i32(self.cols[r + k]);
-                for d in &self.roles.diags {
-                    rf[d.ext] = rf[self.roles.streams[d.src].landing];
-                }
-                // The up value: next tuple, except the last cell of the
-                // row, whose up-neighbor sits outside the band.
-                for (v, s) in self.roles.streams.iter().enumerate() {
-                    rf[s.landing] = if k + 1 == width {
-                        Word::from_i32(s.row0.at(r + k + 1))
-                    } else if r == 0 {
-                        Word::from_i32(s.row0.at(k + 1))
-                    } else {
-                        ws.prev[v * width + k + 1]
-                    };
-                }
-                if let Some(j) = self.roles.col_index {
-                    rf[j] = Word::from_i32((r + k + 1) as i32);
-                }
-                eval_cell(&self.program, self.mode, &self.luts, rf);
-                if !last {
-                    for (v, s) in self.roles.streams.iter().enumerate() {
-                        ws.cur[v * width + k] = rf[s.out];
+    /// The full-table sweep, mirroring `Wavefront2d::pe_program`: PE `p`
+    /// computes column `k + 1` of a row `p` steps after PE 0 computes it
+    /// in the block's first row. A forwarded tuple reaches the next PE one
+    /// step later, at the same column.
+    fn sweep_streamed(&self, ws: &mut Workspace) {
+        let (m, n, np) = (self.rows.len(), self.cols.len(), self.n_pes);
+        let roles = &self.roles;
+        let Workspace {
+            rfs, fwd, row, out, ..
+        } = ws;
+        // Forwarded values: the column character, then each stream.
+        let values = 1 + roles.streams.len();
+        let slot_out = |v: usize| match v {
+            0 => roles.col_char,
+            v => roles.streams[v - 1].out,
+        };
+        // Row 0 reads the task's columns and its row-0 borders.
+        row.clear();
+        row.extend(self.cols.iter().map(|&c| Word::from_i32(c)));
+        for s in &roles.streams {
+            row.extend((1..=n).map(|c| Word::from_i32(s.row0.at(c))));
+        }
+        fwd.clear();
+        fwd.resize(np.div_ceil(LANES) * values, [Word::ZERO; LANES]);
+
+        let schedule = Schedule::new(np, m, n, 1);
+        for t in 0..schedule.len() {
+            for step in schedule.steps(t) {
+                let files = rfs.chunk(step.k);
+                for (l, r, _) in step.cells().filter(|&(_, _, c)| c == 0) {
+                    self.row_prologue(files, l, r, step.base + l);
+                    for s in &roles.streams {
+                        let landing = if r == 0 {
+                            s.row0.at(0)
+                        } else {
+                            s.col0.at(r - 1)
+                        };
+                        files[s.landing][l] = Word::from_i32(landing);
                     }
                 }
-                for l in &self.roles.lefts {
-                    rf[l.ext] = rf[l.out];
+                // Loads: PE 0 reads the row buffer, every other PE what
+                // its upstream forwarded on the last step.
+                let tuple = |v: usize| {
+                    let carry = match step.k {
+                        0 => row[v * n + step.cell[0]],
+                        k => fwd[(k - 1) * values + v][LANES - 1],
+                    };
+                    shift(carry, &fwd[step.k * values + v])
+                };
+                step.put(&mut files[roles.col_char], tuple(0));
+                self.read_diags(files, &step);
+                for (v, s) in roles.streams.iter().enumerate() {
+                    step.put(&mut files[s.landing], tuple(1 + v));
                 }
+                if let Some(j) = roles.col_index {
+                    step.put(&mut files[j], step.per_cell(|_, c| c as i32 + 1));
+                }
+                let fwd = &mut fwd[step.k * values..(step.k + 1) * values];
+                // Forward the *post-compute* column character, exactly
+                // like the generated `mv out rf[col_char]`.
+                self.compute(files, fwd, (0..values).map(slot_out), &step);
+                // The last row collects; the array's last PE hands its
+                // tuples to the next block's first through the row buffer.
+                for (l, r, c) in step.cells() {
+                    if r + 1 == m {
+                        out.extend(roles.collects.iter().map(|&slot| files[slot][l]));
+                    } else if step.base + l + 1 == np {
+                        for (v, f) in fwd.iter().enumerate() {
+                            row[v * n + c] = f[l];
+                        }
+                    }
+                }
+                self.update_lefts(files, &step);
             }
-            if !last {
-                std::mem::swap(&mut ws.prev, &mut ws.cur);
+        }
+    }
+
+    /// The banded sweep, mirroring `Wavefront2d::pe_program_banded`: row
+    /// `r` computes `width` cells starting at its own diagonal, column
+    /// characters read from the padded sequence (the window the program
+    /// reads from its scratchpad), streams shifted one tuple (the previous
+    /// row's first tuple is this row's preload). A cell reads the previous
+    /// row's *next* tuple, so PE `p` runs two steps behind its upstream.
+    fn sweep_banded(&self, ws: &mut Workspace, width: usize) {
+        let (m, np) = (self.rows.len(), self.n_pes);
+        let roles = &self.roles;
+        let Workspace {
+            rfs,
+            fwd,
+            row,
+            first,
+            ..
+        } = ws;
+        let values = roles.streams.len();
+        // Row 0 reads its row-0 borders.
+        row.clear();
+        for s in &roles.streams {
+            row.extend((0..width).map(|k| Word::from_i32(s.row0.at(k))));
+        }
+        first.clear();
+        first.resize(np * values, Word::ZERO);
+        fwd.clear();
+        fwd.resize(np.div_ceil(LANES) * values, [Word::ZERO; LANES]);
+
+        let schedule = Schedule::new(np, m, width, 2);
+        for t in 0..schedule.len() {
+            for step in schedule.steps(t) {
+                let files = rfs.chunk(step.k);
+                for (l, r, _) in step.cells().filter(|&(_, _, k)| k == 0) {
+                    let p = step.base + l;
+                    self.row_prologue(files, l, r, p);
+                    for (v, s) in roles.streams.iter().enumerate() {
+                        files[s.landing][l] = match p {
+                            0 => row[v * width],
+                            p => first[p * values + v],
+                        };
+                    }
+                }
+                // Cell k of row r reads column r + k.
+                let chars = step.per_cell(|r, k| self.cols[r + k]);
+                step.put(&mut files[roles.col_char], chars);
+                self.read_diags(files, &step);
+                // The up value: the next tuple, or past the band a border.
+                for (v, s) in roles.streams.iter().enumerate() {
+                    let carry = match step.k {
+                        0 if step.cell[0] + 1 < width => row[v * width + step.cell[0] + 1],
+                        0 => Word::ZERO,
+                        k => fwd[(k - 1) * values + v][LANES - 1],
+                    };
+                    let mut up = shift(carry, &fwd[step.k * values + v]);
+                    for (l, r, k) in step.cells() {
+                        if k + 1 == width {
+                            up[l] = Word::from_i32(s.row0.at(r + width));
+                        }
+                    }
+                    step.put(&mut files[s.landing], up);
+                }
+                if let Some(j) = roles.col_index {
+                    step.put(&mut files[j], step.per_cell(|r, k| (r + k + 1) as i32));
+                }
+                let fwd = &mut fwd[step.k * values..(step.k + 1) * values];
+                let outs = roles.streams.iter().map(|s| s.out);
+                self.compute(files, fwd, outs, &step);
+                // A row's first tuple is its downstream's preload; the
+                // array's last PE hands its tuples to the next block's
+                // first through the row buffer.
+                for (l, _, k) in step.cells() {
+                    let p = step.base + l;
+                    for (v, f) in fwd.iter().enumerate() {
+                        if k == 0 && p + 1 < np {
+                            first[(p + 1) * values + v] = f[l];
+                        }
+                        if p + 1 == np {
+                            row[v * width + k] = f[l];
+                        }
+                    }
+                }
+                self.update_lefts(files, &step);
             }
         }
     }

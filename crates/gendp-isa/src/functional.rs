@@ -97,7 +97,7 @@ fn operand_i32(rf: &[Word], o: DecodedOperand) -> i32 {
 /// (arity exceeding the supplied inputs) panics exactly like the generic
 /// evaluation would.
 #[inline]
-fn apply2_i32(op: ComputeOp, a: i32, b: i32, luts: &Luts) -> i32 {
+pub(crate) fn apply2_i32(op: ComputeOp, a: i32, b: i32, luts: &Luts) -> i32 {
     match op {
         ComputeOp::Add => a.wrapping_add(b),
         ComputeOp::Sub => a.wrapping_sub(b),

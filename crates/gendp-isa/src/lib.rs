@@ -37,6 +37,7 @@ mod control;
 mod decoded;
 mod error;
 mod functional;
+mod lanes;
 mod loc;
 mod program;
 mod sem;
@@ -50,6 +51,7 @@ pub use decoded::{
 };
 pub use error::ParseInstError;
 pub use functional::{eval_activation, eval_cell};
+pub use lanes::{eval_lanes, LaneWords, Lanes, LANES};
 pub use loc::{Addr, Loc, Space};
 pub use program::{ComputeProgram, ControlProgram};
 pub use sem::{apply, ilog2_half, Luts};

@@ -176,7 +176,8 @@ fn sat16(v: i32) -> i16 {
     v.clamp(i16::MIN as i32, i16::MAX as i32) as i16
 }
 
-fn apply_i16(op: ComputeOp, ins: &[i16], luts: &Luts) -> i16 {
+#[inline(always)]
+pub(crate) fn apply_i16(op: ComputeOp, ins: &[i16], luts: &Luts) -> i16 {
     match op {
         ComputeOp::Add => sat16(ins[0] as i32 + ins[1] as i32),
         ComputeOp::Sub => sat16(ins[0] as i32 - ins[1] as i32),
@@ -215,6 +216,7 @@ fn apply_i16(op: ComputeOp, ins: &[i16], luts: &Luts) -> i16 {
     }
 }
 
+#[inline]
 pub(crate) fn apply_i32(op: ComputeOp, ins: &[i32], luts: &Luts) -> i32 {
     match op {
         ComputeOp::Add => ins[0].wrapping_add(ins[1]),
@@ -254,7 +256,8 @@ pub(crate) fn apply_i32(op: ComputeOp, ins: &[i32], luts: &Luts) -> i32 {
     }
 }
 
-fn apply_i8(op: ComputeOp, ins: &[i8], luts: &Luts) -> i8 {
+#[inline(always)]
+pub(crate) fn apply_i8(op: ComputeOp, ins: &[i8], luts: &Luts) -> i8 {
     match op {
         ComputeOp::Add => sat8(ins[0] as i32 + ins[1] as i32),
         ComputeOp::Sub => sat8(ins[0] as i32 - ins[1] as i32),
@@ -293,7 +296,8 @@ fn apply_i8(op: ComputeOp, ins: &[i8], luts: &Luts) -> i8 {
     }
 }
 
-fn apply_f32(op: ComputeOp, ins: &[Word], luts: &Luts) -> f32 {
+#[inline(always)]
+pub(crate) fn apply_f32(op: ComputeOp, ins: &[Word], luts: &Luts) -> f32 {
     let f = |i: usize| ins[i].as_f32();
     match op {
         ComputeOp::Add => f(0) + f(1),

@@ -9,7 +9,7 @@ use gendp_core::{
     pairhmm_float_lik, pairhmm_loglik, AccelConfig, Accelerator, BandSpec, BellmanFordTask,
     ChainTask, GendpPipeline, PoaTask, TaskOutput, Wavefront2d, Wavefront2dOutput, WavefrontTask,
 };
-use gendp_dpax::{RunStats, SimError};
+use gendp_dpax::{RunStats, SimError, INT_ARRAYS, PES_PER_ARRAY};
 use gendp_kernels::chain::ChainParams;
 use gendp_kernels::dfgs::pairhmm_luts;
 use gendp_kernels::pairhmm::PairHmmParams;
@@ -20,6 +20,10 @@ use gendp_seq::{Anchor, DnaSeq};
 /// Band sentinel for banded DTW: far above any real banded distance, so
 /// out-of-band neighbours never win a `min`.
 pub const DTW_BAND_SENTINEL: i32 = 1 << 20;
+
+/// The widest chaining window: one PE per previous anchor, on all the
+/// integer arrays concatenated (paper Fig. 5(d)).
+const MAX_CHAIN_WINDOW: usize = INT_ARRAYS * PES_PER_ARRAY;
 
 /// Which physical array class a task occupies (paper Fig. 4: 16 integer
 /// PE arrays plus one floating-point array).
@@ -395,9 +399,9 @@ impl Task {
 
     /// Statically validates this task's inputs before dispatch: empty
     /// sequences, zero-width or unsatisfiable DTW bands, wrong SIMD lane
-    /// counts and out-of-range graph sources are caught here instead of
-    /// deep inside a simulated kernel. A report with errors means the
-    /// task can never execute;
+    /// counts, chaining windows no array can hold and out-of-range graph
+    /// sources are caught here instead of deep inside a simulated kernel.
+    /// A report with errors means the task can never execute;
     /// [`Device::run_batch`](crate::Device::run_batch) rejects such a
     /// task up front, before any task of its batch runs.
     pub fn preflight(&self) -> gendp_verify::Report {
@@ -461,9 +465,16 @@ impl Task {
                     ));
                 }
             }
-            Task::Chain { anchors, .. } => {
+            Task::Chain { anchors, params } => {
                 if anchors.is_empty() {
                     reject("chain task has no anchors".into());
+                }
+                if !(1..=MAX_CHAIN_WINDOW).contains(&params.n_prev) {
+                    reject(format!(
+                        "chain window of {} anchors is outside 1..={MAX_CHAIN_WINDOW}, \
+                         one PE each on the concatenated integer arrays",
+                        params.n_prev
+                    ));
                 }
             }
             Task::Poa { graph, probe, .. } => {

@@ -5,9 +5,11 @@
 //! (placement changes wall-clock, never simulated results).
 
 use gendp::core::{bsw_score, GendpPipeline};
+use gendp::dpax::{INT_ARRAYS, PES_PER_ARRAY};
+use gendp::kernels::chain::ChainParams;
 use gendp::kernels::Scoring;
 use gendp::runtime::{BatchAligner, Device, DeviceConfig, Task, TaskValue};
-use gendp::seq::{DnaSeq, Genome, ShortReadProfile};
+use gendp::seq::{Anchor, DnaSeq, Genome, ShortReadProfile};
 use rand::{rngs::SmallRng, Rng, SeedableRng};
 
 fn codes(s: &DnaSeq) -> Vec<i32> {
@@ -111,6 +113,10 @@ fn preflight_rejects_invalid_tasks_and_the_rest_complete() {
     // An empty DTW signal can never execute; preflight verification must
     // reject it before it reaches an array.
     tasks.insert(3, Task::dtw(vec![], (0..5).collect()));
+    // Nor can a chaining window of no PEs, or one wider than the integer
+    // arrays concatenated: the device would build an array that wide.
+    tasks.insert(0, chain_window(0));
+    tasks.push(chain_window(INT_ARRAYS * PES_PER_ARRAY + 1));
     let mut device = Device::new(DeviceConfig {
         int_arrays: 2,
         float_arrays: 0,
@@ -119,20 +125,38 @@ fn preflight_rejects_invalid_tasks_and_the_rest_complete() {
     });
     let outcome = device.run_batch(tasks).expect("batch run");
     assert_eq!(outcome.completed(), 6);
-    assert_eq!(outcome.failed(), 1);
-    match &outcome.results[3] {
-        Err(TaskFailure::Sim {
-            error: SimError::Verify(report),
-            attempts,
-        }) => {
-            // Rejected up front: zero execution attempts were spent.
-            assert_eq!(*attempts, 0);
-            assert!(report.has_errors());
+    assert_eq!(outcome.failed(), 3);
+    for rejected in [0, 4, 8] {
+        match &outcome.results[rejected] {
+            Err(TaskFailure::Sim {
+                error: SimError::Verify(report),
+                attempts,
+            }) => {
+                // Rejected up front: zero execution attempts were spent.
+                assert_eq!(*attempts, 0, "task {rejected}");
+                assert!(report.has_errors(), "task {rejected}");
+            }
+            other => panic!("task {rejected}: expected a verify rejection, got {other:?}"),
         }
-        other => panic!("expected a verify rejection, got {other:?}"),
     }
-    // The rejection is counted, so the recovery report is not clean.
-    assert_eq!(outcome.report.recovery.tasks_failed, 1);
+    // The rejections are counted, so the recovery report is not clean.
+    assert_eq!(outcome.report.recovery.tasks_failed, 3);
+}
+
+/// A two-anchor chaining task over a window of `n_prev` previous anchors.
+fn chain_window(n_prev: usize) -> Task {
+    let anchor = |rpos| Anchor {
+        rpos,
+        qpos: rpos - 2,
+        span: 15,
+    };
+    Task::Chain {
+        anchors: vec![anchor(10), anchor(40)],
+        params: ChainParams {
+            n_prev,
+            ..ChainParams::minimap2(15.0)
+        },
+    }
 }
 
 #[test]

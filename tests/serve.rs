@@ -7,6 +7,7 @@ use std::sync::Barrier;
 use std::thread;
 use std::time::{Duration, Instant};
 
+use gendp::dpax::{INT_ARRAYS, PES_PER_ARRAY};
 use gendp::kernels::bellman_ford::Graph;
 use gendp::kernels::chain::ChainParams;
 use gendp::kernels::pairhmm::PairHmmParams;
@@ -426,7 +427,7 @@ fn in_flight_quota_sheds_the_open_loop_excess() {
 
 /// The framed protocol end to end over the in-process duplex transport:
 /// ping, pipelined submissions from two tenants, inline rejections for
-/// an unknown tenant and an invalid task, and a clean drain on close.
+/// an unknown tenant and invalid tasks, and a clean drain on close.
 #[test]
 fn wire_connection_pipelines_and_drains() {
     silence_injected_panics();
@@ -454,12 +455,21 @@ fn wire_connection_pipelines_and_drains() {
         let ghost_id = client
             .submit("ghost", Task::dtw(vec![1], vec![1]))
             .expect("submit frame");
-        let invalid_id = client
+        let mut invalid_ids = vec![client
             .submit("alpha", Task::dtw(vec![], vec![]))
-            .expect("submit frame");
+            .expect("submit frame")];
+        // A chaining window of no PEs, or wider than the integer arrays
+        // concatenated, fails preflight before any array is built for it.
+        for n_prev in [0, INT_ARRAYS * PES_PER_ARRAY + 1] {
+            let mut task = mixed_task(&mut rng, 6);
+            if let Task::Chain { params, .. } = &mut task {
+                params.n_prev = n_prev;
+            }
+            invalid_ids.push(client.submit("beta", task).expect("submit frame"));
+        }
 
         // Every request gets exactly one response, in completion order.
-        for _ in 0..expected.len() + 2 {
+        for _ in 0..expected.len() + 1 + invalid_ids.len() {
             let response = client
                 .recv()
                 .expect("read frame")
@@ -475,8 +485,8 @@ fn wire_connection_pipelines_and_drains() {
                 WireOutcome::Rejected { code, .. } if response.id == ghost_id => {
                     assert_eq!(code, "unknown-tenant");
                 }
-                WireOutcome::Rejected { code, .. } if response.id == invalid_id => {
-                    assert_eq!(code, "invalid");
+                WireOutcome::Rejected { code, .. } if invalid_ids.contains(&response.id) => {
+                    assert_eq!(code, "invalid", "id {}", response.id);
                 }
                 other => panic!("unexpected response {}: {other:?}", response.id),
             }
@@ -493,7 +503,7 @@ fn wire_connection_pipelines_and_drains() {
     server.shutdown();
     let stats = server.stats();
     assert_eq!(stats.totals.completed, 40);
-    assert_eq!(stats.totals.rejected_invalid, 1);
+    assert_eq!(stats.totals.rejected_invalid, 3);
     assert!(stats.totals.drained());
 }
 

@@ -3,12 +3,14 @@
 //! dimensions, array width and band — get identical control programs on
 //! every PE and identical certificates, their runs report identical
 //! statistics, and binding one task's content into the other's prepared
-//! task reproduces that task's own run.
+//! task reproduces that task's own run. The functional tier, run on the
+//! same random shapes, reproduces each decoded run word for word.
 
 use gendp::core::{
-    pack_halves, pack_lanes, Accelerator, BandSpec, ChainTask, GendpPipeline, PreparedTask,
-    Wavefront2d, WavefrontTask,
+    pack_halves, pack_lanes, AccelConfig, Accelerator, BandSpec, ChainTask, GendpPipeline,
+    PreparedTask, Wavefront2d, WavefrontTask,
 };
+use gendp::dpax::{Tier, TierPolicy};
 use gendp::kernels::chain::ChainParams;
 use gendp::kernels::pairhmm::PairHmmParams;
 use gendp::kernels::{GapModel, Scoring};
@@ -71,10 +73,15 @@ fn other(xs: &[i32]) -> Vec<i32> {
 
 /// Asserts the two prepared tasks share their programs, certificate and
 /// run statistics, and that binding `b` into `a` reproduces `b`'s own
-/// execution.
+/// execution. Then runs `functional`, the same driver configured for the
+/// functional tier, on both contents: its first run simulates, its later
+/// runs are on `later`, and every run gives the decoded run's output
+/// words and statistics (all but the tier).
 fn check_same_shape<A: Accelerator>(
     label: &str,
     accel: &A,
+    functional: &A,
+    later: Tier,
     a: &A::Task<'_>,
     b: &A::Task<'_>,
 ) -> Result<(), TestCaseError> {
@@ -101,6 +108,7 @@ fn check_same_shape<A: Accelerator>(
     // Statistics are a fact of the shape: the functional tier reports a
     // shape's first simulated run for every later task of it.
     let own_a = prep_a.execute().expect("own run of a");
+    let out_a = prep_a.output().to_vec();
     let own = prep_b.execute().expect("own run");
     prop_assert_eq!(&own_a, &own, "{}: same-shape stats differ", label);
     accel.bind(&mut prep_a, b);
@@ -112,7 +120,35 @@ fn check_same_shape<A: Accelerator>(
         "{}: bound output differs",
         label
     );
+
+    let mut func = functional.prepare(a);
+    let runs = [
+        (Tier::Decoded, &own_a, &out_a[..]),
+        (later, &own_a, &out_a[..]),
+        (later, &own, prep_b.output()),
+    ];
+    for (run, (tier, stats, words)) in runs.into_iter().enumerate() {
+        if run == 2 {
+            functional.bind(&mut func, b);
+        }
+        let got = func.execute().expect("functional request");
+        prop_assert_eq!(got.tier, tier, "{}: tier of run {}", label, run);
+        // Equality covers every field but the tier.
+        prop_assert_eq!(&got, stats, "{}: stats of run {} differ", label, run);
+        prop_assert_eq!(
+            func.output(),
+            words,
+            "{}: words of run {} differ",
+            label,
+            run
+        );
+    }
     Ok(())
+}
+
+/// `accel` configured for the functional tier.
+fn functional<A: Accelerator>(accel: A) -> A {
+    accel.configure(AccelConfig::new().tiers(TierPolicy::functional()))
 }
 
 proptest! {
@@ -127,12 +163,14 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let mut rng = SmallRng::seed_from_u64(seed);
-        for (kind, accel) in wavefront_drivers(n) {
+        let drivers = wavefront_drivers(n).into_iter().zip(wavefront_drivers(n));
+        for ((kind, accel), (_, func)) in drivers {
             let rows = content(kind, m, &mut rng);
             let cols = content(kind, n, &mut rng);
             let (rows2, cols2) = (other(&rows), other(&cols));
             let task = |rows, cols| WavefrontTask { rows, cols, n_pes, band: None };
-            check_same_shape(kind, &accel, &task(&rows, &cols), &task(&rows2, &cols2))?;
+            let (a, b) = (task(&rows, &cols), task(&rows2, &cols2));
+            check_same_shape(kind, &accel, &functional(func), Tier::Functional, &a, &b)?;
         }
     }
 
@@ -148,12 +186,14 @@ proptest! {
         let n = m + offset % width;
         let mut rng = SmallRng::seed_from_u64(seed);
         let accel = GendpPipeline::dtw_banded(n);
+        let func = functional(GendpPipeline::dtw_banded(n));
         let rows = content("dtw-banded", m, &mut rng);
         let cols = content("dtw-banded", n, &mut rng);
         let (rows2, cols2) = (other(&rows), other(&cols));
         let band = Some(BandSpec { width, sentinel: 1 << 20 });
         let task = |rows, cols| WavefrontTask { rows, cols, n_pes, band };
-        check_same_shape("dtw-banded", &accel, &task(&rows, &cols), &task(&rows2, &cols2))?;
+        let (a, b) = (task(&rows, &cols), task(&rows2, &cols2));
+        check_same_shape("dtw-banded", &accel, &func, Tier::Functional, &a, &b)?;
     }
 
     /// Chaining: the anchors stream in; the programs see only their count.
@@ -174,10 +214,14 @@ proptest! {
                 .collect::<Vec<_>>()
         };
         let (a, b) = (anchors(), anchors());
-        let accel = GendpPipeline::chain(ChainParams { n_prev: n_pes, ..ChainParams::minimap2(15.0) });
+        let params = ChainParams { n_prev: n_pes, ..ChainParams::minimap2(15.0) };
+        // Chaining has no functional lowering: a functional request runs
+        // decoded throughout.
         check_same_shape(
             "chain",
-            &accel,
+            &GendpPipeline::chain(params),
+            &functional(GendpPipeline::chain(params)),
+            Tier::Decoded,
             &ChainTask { anchors: &a, n_pes },
             &ChainTask { anchors: &b, n_pes },
         )?;
