@@ -14,7 +14,7 @@ use gendp_core::AccelConfig;
 use gendp_dpax::{SimError, TierPolicy, INT_ARRAYS, PES_PER_ARRAY};
 
 use crate::fault::{FaultConfig, FaultInjector};
-use crate::recovery::{RetryPolicy, SlotHealth};
+use crate::recovery::{budget_scale, RetryPolicy, SlotHealth};
 use crate::report::{ArrayReport, DeviceReport, KernelStats, RecoveryReport};
 use crate::sync::lock_unpoisoned;
 use crate::task::{ArrayClass, Task, TaskFailure, TaskResult, TaskValue};
@@ -31,8 +31,9 @@ pub struct DeviceConfig {
     pub pes_per_array: usize,
     /// Host worker threads driving the simulated arrays, clamped to
     /// 1..=arrays: the thread calling [`Device::run_batch`] is worker 0
-    /// and the batch spawns `workers - 1` more. Wall-clock throughput
-    /// scales with this; simulated results never depend on it.
+    /// and the batch spawns one more per accepted task beyond the first,
+    /// up to `workers - 1`. Wall-clock throughput scales with this;
+    /// simulated results never depend on it.
     pub workers: usize,
     /// How failed tasks are retried and failing arrays quarantined.
     pub retry: RetryPolicy,
@@ -515,12 +516,13 @@ impl Device {
     /// Executes a batch of tasks and returns a per-task outcome in
     /// submission order plus the device utilization report.
     ///
-    /// The calling thread and `workers - 1` scoped helper threads claim
-    /// the tasks in submission order from one shared cursor. The `q`-th
-    /// accepted task of an array class runs on the `(q mod h)`-th of the
-    /// class's `h` healthy slots, or of all its slots when none is
-    /// healthy: round-robin while nothing is quarantined, and a
-    /// quarantined slot's share of the batch moves to its healthy peers.
+    /// The calling thread and up to `workers - 1` scoped helper threads,
+    /// one per accepted task beyond the first, claim the tasks in
+    /// submission order from one shared cursor. The `q`-th accepted task
+    /// of an array class runs on the `(q mod h)`-th of the class's `h`
+    /// healthy slots, or of all its slots when none is healthy:
+    /// round-robin while nothing is quarantined, and a quarantined
+    /// slot's share of the batch moves to its healthy peers.
     ///
     /// Task failures do not abandon the batch: each failed execution is
     /// retried per [`DeviceConfig::retry`], and a task that exhausts its
@@ -586,6 +588,8 @@ impl Device {
             .templates
             .split_first()
             .expect("a device has at least one worker");
+        // A helper beyond the batch's tasks would find none to claim.
+        let helpers = &helpers[..helpers.len().min(accepted.len().saturating_sub(1))];
         thread::scope(|scope| {
             for (w, templates) in helpers.iter().enumerate() {
                 let ctx = &ctx;
@@ -768,8 +772,7 @@ fn run_task(
     let estimate = task.cells_estimate();
     let origin = &ctx.slots[place(ctx, task.array_class(), q)];
     origin.pending_cells.fetch_add(estimate, Ordering::Relaxed);
-    let retry = &ctx.config.retry;
-    let max_attempts = retry.max_attempts.max(1);
+    let max_attempts = ctx.config.retry.max_attempts.max(1);
     let mut escalations: u32 = 0;
     let mut exec = origin.index;
     let mut tried = vec![exec];
@@ -779,7 +782,7 @@ fn run_task(
         if attempt > 1 {
             ctx.counters.bump_on(&ctx.counters.retries);
         }
-        let scale = retry.budget_scale(escalations);
+        let scale = budget_scale(escalations);
         let injected = ctx
             .injector
             .as_ref()
@@ -841,17 +844,14 @@ fn run_task(
         }
         // Plan the next attempt: a budget-bound failure (timeout) earns
         // a bigger cycle budget on the same slot; anything else re-
-        // dispatches to a different slot when the policy allows it.
-        let budget_bound = matches!(&failure, AttemptFailure::Sim(e) if e.is_budget_bound());
-        if budget_bound && retry.escalation_factor > 1 {
+        // dispatches to a different slot.
+        if matches!(&failure, AttemptFailure::Sim(e) if e.is_budget_bound()) {
             escalations += 1;
             ctx.counters.bump_on(&ctx.counters.budget_escalations);
-        } else if retry.redispatch {
-            if let Some(next) = pick_retry_slot(ctx, slot.class, &tried) {
-                tried.push(next);
-                exec = next;
-                ctx.counters.bump_on(&ctx.counters.redispatches);
-            }
+        } else if let Some(next) = pick_retry_slot(ctx, slot.class, &tried) {
+            tried.push(next);
+            exec = next;
+            ctx.counters.bump_on(&ctx.counters.redispatches);
         }
     };
     lock_unpoisoned(ctx.results)[id] = Some(outcome);
@@ -1077,7 +1077,6 @@ mod tests {
             retry: RetryPolicy {
                 max_attempts: 6,
                 quarantine_after: 2,
-                ..RetryPolicy::default()
             },
             fault: Some(fault),
             ..DeviceConfig::default()
@@ -1125,7 +1124,6 @@ mod tests {
             retry: RetryPolicy {
                 max_attempts: 3,
                 quarantine_after: 1,
-                ..RetryPolicy::default()
             },
             fault: Some(fault),
             ..DeviceConfig::default()
@@ -1195,7 +1193,6 @@ mod tests {
             retry: RetryPolicy {
                 max_attempts: 4,
                 quarantine_after: 1,
-                ..RetryPolicy::default()
             },
             fault: Some(fault),
             ..DeviceConfig::default()

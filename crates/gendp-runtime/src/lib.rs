@@ -87,7 +87,7 @@ pub use device::{
     BatchOutcome, BatchRun, Device, DeviceConfig, DeviceSnapshot, RuntimeError, SlotSnapshot,
 };
 pub use fault::{silence_injected_panics, FaultConfig, FaultInjector, InjectedFault, PPM};
-pub use recovery::{Heartbeat, RetryPolicy, SlotHealth};
+pub use recovery::{RetryPolicy, SlotHealth};
 pub use report::{ArrayReport, DeviceReport, KernelStats, RecoveryReport};
 pub use task::{
     ArrayClass, CertifiedCost, KernelKind, Task, TaskFailure, TaskResult, TaskShape, TaskValue,

@@ -156,7 +156,6 @@ impl TenantState {
         // concurrent submitters exceed the quota.
         if self.queued.fetch_add(1, Ordering::AcqRel) >= self.config.max_queued {
             self.queued.fetch_sub(1, Ordering::AcqRel);
-            self.counters.rejected_quota.fetch_add(1, Ordering::Relaxed);
             self.counters
                 .rejected_queue_full
                 .fetch_add(1, Ordering::Relaxed);
@@ -165,7 +164,6 @@ impl TenantState {
         if self.in_flight.fetch_add(1, Ordering::AcqRel) >= self.config.max_in_flight {
             self.in_flight.fetch_sub(1, Ordering::AcqRel);
             self.queued.fetch_sub(1, Ordering::AcqRel);
-            self.counters.rejected_quota.fetch_add(1, Ordering::Relaxed);
             self.counters
                 .rejected_over_quota
                 .fetch_add(1, Ordering::Relaxed);

@@ -3,11 +3,11 @@
 //!
 //! ```text
 //!          first completed batch          crippled streak /
-//!   ┌─────────┐      ┌─────────┐      heartbeat silence / kill
+//!   ┌─────────┐      ┌─────────┐      kill / lost thread
 //!   │ Joining │─────▶│ Healthy │──────────────┐
 //!   └─────────┘      └─────────┘              │
 //!        │             ▲     │ quarantine     │
-//!        │   recovered │     ▼ above policy   ▼
+//!        │   recovered │     ▼ at 25%+        ▼
 //!        │           ┌──────────┐         ┌──────┐  replacement:
 //!        │           │ Degraded │────────▶│ Dead │──────▶ fresh
 //!        │           └──────────┘         └──────┘        Joining
@@ -20,16 +20,15 @@
 //!
 //! Each shard thread in `server.rs` drives its own transitions from the
 //! device snapshot it reads after every batch; a kill is declared by its
-//! caller, and a watchdog thread adds the heartbeat-silence check. This
-//! module owns the vocabulary ([`ShardState`]), the pure assessment
-//! function ([`assess`]) mapping a device snapshot to a
-//! [`HealthSignal`], the thresholds ([`LifecyclePolicy`]), and the
+//! caller, and a shard thread that unwinds declares itself dead on its
+//! way out. This module owns the vocabulary ([`ShardState`]), the pure
+//! assessment function ([`assess`]) mapping a device snapshot to a
+//! [`HealthSignal`], the threshold ([`LifecyclePolicy`]), and the
 //! counters ([`LifecycleCounters`]). Keeping assessment pure makes the
 //! policy unit-testable without spinning up a server.
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Duration;
 
 use gendp_runtime::{ArrayClass, DeviceSnapshot};
 
@@ -99,32 +98,27 @@ impl fmt::Display for ShardState {
     }
 }
 
-/// Thresholds of the shard health policy.
+/// The shard health policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LifecyclePolicy {
-    /// Percentage of a class's slots that must be quarantined (in the
-    /// latest batch) before the shard reads as degraded.
-    pub degraded_pct: u32,
     /// Consecutive *new* snapshots reading crippled (a multi-slot class
     /// down to its last healthy slot) before the shard is declared dead.
     /// Slot quarantine resets every batch, so a streak across batches
     /// separates persistent device rot from one unlucky batch.
     pub dead_after_crippled: u32,
-    /// Heartbeat silence, with work outstanding, after which the shard
-    /// is declared dead (wedged device or lost thread). The watchdog
-    /// checks four times per timeout.
-    pub heartbeat_timeout: Duration,
 }
 
 impl Default for LifecyclePolicy {
     fn default() -> LifecyclePolicy {
         LifecyclePolicy {
-            degraded_pct: 25,
             dead_after_crippled: 2,
-            heartbeat_timeout: Duration::from_secs(2),
         }
     }
 }
+
+/// Percentage of a class's slots that must be quarantined (in the latest
+/// batch) before the shard reads as degraded.
+const DEGRADED_PCT: usize = 25;
 
 /// What one device snapshot says about a shard's health, before the
 /// shard folds in its crippled streak.
@@ -132,23 +126,22 @@ impl Default for LifecyclePolicy {
 pub enum HealthSignal {
     /// Quarantine below the degraded threshold in every class.
     Healthy,
-    /// Quarantine at or above `degraded_pct` in some class.
+    /// Quarantine at or above 25% of the slots in some class.
     Degraded,
     /// Some multi-slot class is down to its last healthy slot — the
     /// quarantine machine's terminal state for that class.
     Crippled,
 }
 
-/// Classifies one snapshot under `policy`. Pure: same snapshot, same
-/// answer.
-pub fn assess(snapshot: &DeviceSnapshot, policy: &LifecyclePolicy) -> HealthSignal {
+/// Classifies one snapshot. Pure: same snapshot, same answer.
+pub fn assess(snapshot: &DeviceSnapshot) -> HealthSignal {
     if snapshot.is_crippled() {
         return HealthSignal::Crippled;
     }
     let degraded = [ArrayClass::Int, ArrayClass::Float].into_iter().any(|c| {
         let total = snapshot.total_slots(c);
         total > 0
-            && snapshot.quarantined_slots(c) * 100 >= total * policy.degraded_pct as usize
+            && snapshot.quarantined_slots(c) * 100 >= total * DEGRADED_PCT
             && snapshot.quarantined_slots(c) > 0
     });
     if degraded {
@@ -159,7 +152,7 @@ pub fn assess(snapshot: &DeviceSnapshot, policy: &LifecyclePolicy) -> HealthSign
 }
 
 /// Lifetime lifecycle event counters, updated by the shard threads and
-/// the watchdog.
+/// the pool's management calls.
 #[derive(Debug, Default)]
 pub struct LifecycleCounters {
     /// Shards ever spawned (initial pool + additions + respawns).
@@ -168,7 +161,7 @@ pub struct LifecycleCounters {
     pub respawned: AtomicU64,
     /// Shards retired by request (drained and removed).
     pub retired: AtomicU64,
-    /// Shards declared dead (kill, crippled, silent).
+    /// Shards declared dead (kill, crippled, lost thread).
     pub died: AtomicU64,
 }
 
@@ -193,7 +186,7 @@ pub struct LifecycleSnapshot {
     pub respawned: u64,
     /// Shards retired by request.
     pub retired: u64,
-    /// Shards declared dead (kill, crippled, silent).
+    /// Shards declared dead (kill, crippled, lost thread).
     pub died: u64,
 }
 
@@ -233,16 +226,15 @@ mod tests {
 
     #[test]
     fn assess_reads_quarantine_levels() {
-        let policy = LifecyclePolicy::default();
         // A fresh device: nothing quarantined.
         let snap = snapshot(4);
-        assert_eq!(assess(&snap, &policy), HealthSignal::Healthy);
+        assert_eq!(assess(&snap), HealthSignal::Healthy);
 
-        // One of four int slots quarantined: 25% reaches the default
-        // degraded threshold.
+        // One of four int slots quarantined: 25% reaches the degraded
+        // threshold.
         let mut snap = snapshot(4);
         snap.slots[0].quarantined = true;
-        assert_eq!(assess(&snap, &policy), HealthSignal::Degraded);
+        assert_eq!(assess(&snap), HealthSignal::Degraded);
 
         // Three of four int slots quarantined: the class is down to its
         // last healthy slot — crippled.
@@ -251,17 +243,7 @@ mod tests {
             slot.quarantined = true;
         }
         assert!(snap.is_crippled());
-        assert_eq!(assess(&snap, &policy), HealthSignal::Crippled);
-
-        // A single-slot class can never cripple (nothing to lose), and
-        // a permissive threshold tolerates one quarantined slot.
-        let lax = LifecyclePolicy {
-            degraded_pct: 60,
-            ..policy
-        };
-        let mut snap = snapshot(4);
-        snap.slots[0].quarantined = true;
-        assert_eq!(assess(&snap, &lax), HealthSignal::Healthy);
+        assert_eq!(assess(&snap), HealthSignal::Crippled);
     }
 
     #[test]

@@ -124,12 +124,9 @@ pub struct TenantCounters {
     pub rejected_invalid: AtomicU64,
     /// Rejected by the token bucket.
     pub rejected_rate: AtomicU64,
-    /// Rejected by the in-flight or queued quota (sum of the two
-    /// subdivisions below).
-    pub rejected_quota: AtomicU64,
-    /// Subset of `rejected_quota`: the in-flight quota.
+    /// Rejected by the in-flight quota.
     pub rejected_over_quota: AtomicU64,
-    /// Subset of `rejected_quota`: the queued quota (backpressure).
+    /// Rejected by the queued quota (backpressure).
     pub rejected_queue_full: AtomicU64,
     /// Rejected because the certified cycle lower bound cannot meet the
     /// request deadline at the configured shard cycle rate.
@@ -146,16 +143,19 @@ pub struct TenantCounters {
 }
 
 impl TenantCounters {
-    /// A plain-value copy for reporting.
+    /// A plain-value copy for reporting; `rejected_quota` is the sum of
+    /// the two quota causes.
     pub fn snapshot(&self) -> TenantCountersSnapshot {
+        let rejected_over_quota = self.rejected_over_quota.load(Ordering::Relaxed);
+        let rejected_queue_full = self.rejected_queue_full.load(Ordering::Relaxed);
         TenantCountersSnapshot {
             submitted: self.submitted.load(Ordering::Relaxed),
             accepted: self.accepted.load(Ordering::Relaxed),
             rejected_invalid: self.rejected_invalid.load(Ordering::Relaxed),
             rejected_rate: self.rejected_rate.load(Ordering::Relaxed),
-            rejected_quota: self.rejected_quota.load(Ordering::Relaxed),
-            rejected_over_quota: self.rejected_over_quota.load(Ordering::Relaxed),
-            rejected_queue_full: self.rejected_queue_full.load(Ordering::Relaxed),
+            rejected_quota: rejected_over_quota + rejected_queue_full,
+            rejected_over_quota,
+            rejected_queue_full,
             rejected_infeasible: self.rejected_infeasible.load(Ordering::Relaxed),
             completed: self.completed.load(Ordering::Relaxed),
             failed: self.failed.load(Ordering::Relaxed),

@@ -12,8 +12,6 @@
 //!                      │ own lifecycle from its snapshot      │
 //!                      └──────────── deliver ─────────────────┘
 //!                            ticket / connection reply
-//!
-//!                watchdog thread: heartbeat silence → Dead, respawn
 //! ```
 //!
 //! Each *shard* is one simulated DPAx device (the paper's 16 integer +
@@ -28,10 +26,11 @@
 //! [`Server::retire_shard`] makes a shard stop pulling, and after every
 //! batch a shard folds its fresh device snapshot into its own state —
 //! degraded, recovered, or dead after a crippled streak.
-//! [`Server::kill_shard`] declares a shard dead at once, and a watchdog
-//! thread declares heartbeat-silent shards dead. Outside shutdown,
-//! every unplanned death spawns a replacement device with a fresh fault
-//! seed.
+//! [`Server::kill_shard`] declares a shard dead at once, and a shard
+//! thread that unwinds declares its own shard dead on the way out. A
+//! batch may run as long as its tasks need: no timer declares a busy
+//! shard dead. Outside shutdown, every unplanned death spawns a
+//! replacement device with a fresh fault seed.
 //!
 //! Every admitted request is delivered exactly once: as a
 //! [`Completed`] value, a [`ServeError::Failed`] after the device's
@@ -46,14 +45,14 @@ use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::mpsc::{self, RecvTimeoutError};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
 use gendp_dpax::RunStats;
 use gendp_runtime::{
-    ArrayClass, Device, DeviceConfig, DeviceSnapshot, Heartbeat, KernelKind, RecoveryReport,
-    RuntimeError, Task, TaskFailure, TaskShape, TaskValue,
+    ArrayClass, Device, DeviceConfig, DeviceSnapshot, KernelKind, RecoveryReport, RuntimeError,
+    Task, TaskFailure, TaskShape, TaskValue,
 };
 
 use crate::admission::{AdmissionError, TenantState};
@@ -81,8 +80,7 @@ pub struct ServeConfig {
     pub batch_max: usize,
     /// Base DRR quantum, in DP cells per tenant visit.
     pub quantum_cells: u64,
-    /// Shard health policy: degraded/dead thresholds and the heartbeat
-    /// timeout.
+    /// Shard health policy: the crippled streak that kills a shard.
     pub lifecycle: LifecyclePolicy,
     /// Simulated cycles per wall-clock second a shard is assumed to
     /// sustain, used by the deadline-infeasibility admission gate: a
@@ -303,8 +301,6 @@ struct ShardCell {
     completed: AtomicU64,
     /// Latest device snapshot, refreshed after every batch.
     status: Mutex<DeviceSnapshot>,
-    /// Progress beacon: beats when the shard pulls or finishes a batch.
-    beat: Heartbeat,
     /// Where the shard waits, under the queue lock, while it is idle.
     wake: Condvar,
 }
@@ -338,8 +334,7 @@ struct Inner {
     /// lock and marks the shard woken, so a shard between its check and
     /// its wait cannot miss the wake-up.
     queues: Mutex<Queues>,
-    /// Epoch for the monotone nanosecond clock fed to token buckets
-    /// and heartbeats.
+    /// Epoch for the monotone nanosecond clock fed to token buckets.
     epoch: Instant,
     /// Every shard ever spawned, in id order; dead cells included.
     shards: Mutex<Vec<Arc<ShardCell>>>,
@@ -371,8 +366,11 @@ impl Inner {
         self.epoch.elapsed().as_nanos() as u64
     }
 
+    /// The queue lock, recovered if a shard thread panicked holding it:
+    /// the queues stay well-formed, and that shard's [`ShardGuard`]
+    /// still has to take it on the way out.
     fn lock_queues(&self) -> MutexGuard<'_, Queues> {
-        self.queues.lock().expect("queue lock")
+        self.queues.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     fn wake_all(&self) {
@@ -438,7 +436,6 @@ fn spawn_shard(inner: &Arc<Inner>, config: DeviceConfig, respawn: bool) -> Resul
         outstanding_cells: AtomicU64::new(0),
         completed: AtomicU64::new(0),
         status: Mutex::new(device.snapshot()),
-        beat: Heartbeat::new(inner.now_nanos()),
         wake: Condvar::new(),
     });
     let handle = {
@@ -475,7 +472,6 @@ fn fresh_fault_config(inner: &Inner) -> DeviceConfig {
 /// request through the shards, and joins all service threads.
 pub struct Server {
     inner: Arc<Inner>,
-    watchdog: Option<JoinHandle<()>>,
 }
 
 impl Server {
@@ -533,19 +529,7 @@ impl Server {
             let shard_config = fresh_fault_config(&inner);
             spawn_shard(&inner, shard_config, false)?;
         }
-
-        let watchdog = {
-            let inner = Arc::clone(&inner);
-            thread::Builder::new()
-                .name("gendp-serve-watchdog".into())
-                .spawn(move || watchdog_loop(inner))
-                .map_err(|e| format!("failed to spawn watchdog thread: {e}"))?
-        };
-
-        Ok(Server {
-            inner,
-            watchdog: Some(watchdog),
-        })
+        Ok(Server { inner })
     }
 
     /// A submission handle for the named tenant, or `None` if no such
@@ -732,16 +716,14 @@ impl Server {
     /// Stops admission, drains every admitted request, and joins all
     /// service threads. Idempotent; also runs on drop.
     pub fn shutdown(&mut self) {
-        let Some(watchdog) = self.watchdog.take() else {
-            return;
-        };
         {
             let mut queues = self.inner.lock_queues();
+            if queues.closed {
+                return;
+            }
             queues.closed = true;
             queues.wake_all();
         }
-        watchdog.thread().unpark();
-        drop(watchdog.join());
         // Closed queues spawn no shard, so this is every shard thread;
         // each exits once the queues are empty.
         let handles: Vec<JoinHandle<()>> = self
@@ -962,9 +944,10 @@ fn expire(inner: &Inner, meta: JobMeta) {
 }
 
 /// Declares a shard dead unless its state moved first, wakes the idle
-/// shards that left work to it, and spawns a replacement with a fresh
-/// fault seed. A batch the shard is still running delivers from its
-/// thread, which then stops pulling. False when the state moved.
+/// shards that left work to it, and, unless it was draining anyway,
+/// spawns a replacement with a fresh fault seed. A batch the shard is
+/// still running delivers from its thread, which then stops pulling.
+/// False when the state moved.
 fn declare_dead(inner: &Arc<Inner>, cell: &ShardCell, from: ShardState) -> bool {
     if !cell.transition(from, ShardState::Dead) {
         return false;
@@ -973,7 +956,9 @@ fn declare_dead(inner: &Arc<Inner>, cell: &ShardCell, from: ShardState) -> bool 
     inner.wake_all();
     // Refused during shutdown; a failed respawn (thread limit) leaves
     // the pool smaller and the survivors keep pulling.
-    drop(spawn_shard(inner, fresh_fault_config(inner), true));
+    if from.is_dispatchable() {
+        drop(spawn_shard(inner, fresh_fault_config(inner), true));
+    }
     true
 }
 
@@ -988,11 +973,14 @@ fn pull(inner: &Inner, cell: &Arc<ShardCell>, quarantined: usize) -> Option<Vec<
             let mut guard = inner.lock_queues();
             loop {
                 let queues = &mut *guard;
-                let me = queues
+                let Some(me) = queues
                     .pullers
                     .iter()
                     .position(|p| Arc::ptr_eq(&p.cell, cell))
-                    .expect("spawn registers every shard");
+                else {
+                    // Taken out while it waited: the shard is dead.
+                    return None;
+                };
                 // Set already when woken, not after a spurious wake-up.
                 queues.pullers[me].idle = false;
                 let state = cell.state();
@@ -1017,7 +1005,10 @@ fn pull(inner: &Inner, cell: &Arc<ShardCell>, quarantined: usize) -> Option<Vec<
                     break (batch, queues.take_idle());
                 }
                 queues.pullers[me].idle = true;
-                guard = cell.wake.wait(guard).expect("queue lock");
+                guard = cell
+                    .wake
+                    .wait(guard)
+                    .unwrap_or_else(PoisonError::into_inner);
             }
         };
         if let Some(shard) = next {
@@ -1081,32 +1072,41 @@ fn fold_health(
     }
 }
 
-/// The heartbeat watchdog, off the request path: declares dead any
-/// dispatchable shard that has held a batch for `heartbeat_timeout`
-/// without a beat (a wedged device or a lost thread). It checks four
-/// times per timeout; shutdown unparks it.
-fn watchdog_loop(inner: Arc<Inner>) {
-    let timeout = inner.config.lifecycle.heartbeat_timeout;
-    while !inner.lock_queues().closed {
-        thread::park_timeout(timeout / 4);
-        let now = inner.now_nanos();
-        for cell in inner.shard_cells() {
-            let state = cell.state();
-            if state.is_dispatchable()
-                && cell.outstanding_cells.load(Ordering::Acquire) > 0
-                && cell.beat.silent_for(now) > timeout.as_nanos() as u64
-            {
-                declare_dead(&inner, &cell, state);
-            }
+/// Declares its shard dead if the shard thread unwinds. The device
+/// contains task panics, so only a bug in this crate's own code gets
+/// here; without the guard the shard would stay dispatchable and never
+/// pull again. The cell goes Dead, the idle shards wake, a replacement
+/// spawns outside shutdown, and the shard's puller leaves the queues. A
+/// thread that exits normally, retired or shut down, trips nothing.
+struct ShardGuard<'a> {
+    inner: &'a Arc<Inner>,
+    cell: &'a Arc<ShardCell>,
+}
+
+impl Drop for ShardGuard<'_> {
+    fn drop(&mut self) {
+        if !thread::panicking() {
+            return;
         }
+        let mut state = self.cell.state();
+        while state != ShardState::Dead && !declare_dead(self.inner, self.cell, state) {
+            state = self.cell.state();
+        }
+        self.inner
+            .lock_queues()
+            .pullers
+            .retain(|p| !Arc::ptr_eq(&p.cell, self.cell));
     }
 }
 
 fn shard_loop(cell: Arc<ShardCell>, mut device: Device, inner: Arc<Inner>) {
+    let _guard = ShardGuard {
+        inner: &inner,
+        cell: &cell,
+    };
     let mut crippled_streak = 0;
     let mut quarantined = 0;
     while let Some(jobs) = pull(&inner, &cell, quarantined) {
-        cell.beat.beat(inner.now_nanos());
         let batch_cells: u64 = jobs.iter().map(|(m, _)| m.cost).sum();
         cell.outstanding_cells.store(batch_cells, Ordering::Release);
         let (metas, tasks): (Vec<JobMeta>, Vec<Task>) = jobs.into_iter().unzip();
@@ -1169,11 +1169,10 @@ fn shard_loop(cell: Arc<ShardCell>, mut device: Device, inner: Arc<Inner>) {
         cell.outstanding_cells.store(0, Ordering::Release);
         let mut status = cell.status.lock().expect("status lock");
         *status = device.snapshot();
-        let signal = assess(&status, &inner.config.lifecycle);
+        let signal = assess(&status);
         quarantined =
             status.quarantined_slots(ArrayClass::Int) + status.quarantined_slots(ArrayClass::Float);
         drop(status);
-        cell.beat.beat(inner.now_nanos());
         // A refused batch ran nothing, so its snapshot is old evidence.
         if ran {
             fold_health(&inner, &cell, signal, &mut crippled_streak);
@@ -1187,7 +1186,9 @@ mod tests {
     use gendp_kernels::bellman_ford::Graph;
     use gendp_kernels::poa::Poa;
     use gendp_kernels::Scoring;
+    use gendp_runtime::silence_injected_panics;
     use gendp_seq::DnaSeq;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
 
     /// Admission charges the closed-form cell count, so without the
     /// deadline gate it prepares nothing and the floor memo stays empty;
@@ -1234,5 +1235,59 @@ mod tests {
             assert_eq!(memo, memoized, "cycle rate {cycle_rate:?}");
             server.shutdown();
         }
+    }
+
+    /// A shard thread that unwinds declares its shard dead on the way out
+    /// and a replacement serves; a shard that retires, or stops at
+    /// shutdown, exits without tripping the guard.
+    #[test]
+    fn an_unwinding_shard_is_declared_dead_and_replaced() {
+        silence_injected_panics();
+        let config = ServeConfig {
+            shards: 1,
+            ..ServeConfig::default()
+        };
+        let mut server = Server::start(config, vec![TenantConfig::new("t")]).expect("start");
+        let client = server.client("t").expect("tenant");
+        let seq = |s: &str| s.parse::<DnaSeq>().expect("bases");
+        let serve = || {
+            let task = Task::bsw_local(seq("ACGTACGT"), seq("ACGTTCGTAC"), Scoring::bwa_mem());
+            let ticket = client.submit(task).expect("admitted");
+            ticket.wait().expect("served").shard
+        };
+        assert_eq!(serve(), 0);
+
+        let lost = Arc::clone(&server.inner.shard_cells()[0]);
+        let unwound = catch_unwind(AssertUnwindSafe(|| {
+            let _guard = ShardGuard {
+                inner: &server.inner,
+                cell: &lost,
+            };
+            panic!("injected panic: a shard thread unwinds");
+        }));
+        assert!(unwound.is_err());
+        assert_eq!(lost.state(), ShardState::Dead);
+        let listed = |cell: &Arc<ShardCell>| {
+            let queues = server.inner.lock_queues();
+            queues.pullers.iter().any(|p| Arc::ptr_eq(&p.cell, cell))
+        };
+        assert!(!listed(&lost), "the lost shard's puller is gone");
+        let lifecycle = server.inner.lifecycle.snapshot();
+        assert_eq!((lifecycle.died, lifecycle.respawned), (1, 1));
+        assert_eq!(serve(), 1, "the replacement serves");
+
+        let added = server.add_shard().expect("add a shard");
+        server.retire_shard(1).expect("retire the replacement");
+        assert_eq!(serve(), added);
+        // Shutdown joins every shard thread, the retired one included.
+        server.shutdown();
+        let stats = server.stats();
+        assert_eq!(
+            (stats.lifecycle.died, stats.lifecycle.respawned),
+            (1, 1),
+            "retirement and shutdown trip no guard"
+        );
+        assert_eq!(stats.lifecycle.retired, 1);
+        assert_ne!(stats.shards[added].state, ShardState::Dead);
     }
 }

@@ -134,7 +134,6 @@ fn quarantining_all_but_one_int_array_still_drains_the_batch() {
         retry: RetryPolicy {
             max_attempts: 10,
             quarantine_after: 2,
-            ..RetryPolicy::default()
         },
         fault: Some(fault),
         ..DeviceConfig::default()

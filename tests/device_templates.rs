@@ -251,6 +251,23 @@ fn template_counters_follow_a_known_batch_sequence() {
     );
 }
 
+/// A batch starts a helper thread only for a task beyond the first: at
+/// eight workers, one-task batches of one shape all run on the calling
+/// thread, worker 0, so its template serves every batch after the first.
+#[test]
+fn one_task_batches_run_on_the_calling_worker() {
+    let mut rng = SmallRng::seed_from_u64(6);
+    let mut device = device(8, TierPolicy::default());
+    for _ in 0..50 {
+        let task = Task::bsw_local(seq(&mut rng, 24), seq(&mut rng, 32), Scoring::bwa_mem());
+        let outcome = device.run_batch(vec![task]).expect("batch");
+        let result = outcome.results[0].as_ref().expect("task completes");
+        assert_eq!(result.worker, 0);
+    }
+    let templates = device.snapshot().templates;
+    assert_eq!((templates.hits, templates.misses), (49, 1));
+}
+
 #[test]
 fn distinct_large_shapes_never_exceed_the_bound() {
     for workers in [1, 2] {

@@ -18,8 +18,8 @@ use gendp::runtime::{
 };
 use gendp::seq::{Anchor, DnaSeq};
 use gendp::serve::{
-    duplex, AdmissionError, Priority, RateLimit, ServeConfig, Server, TenantConfig, Ticket,
-    WireClient, WireOutcome,
+    duplex, AdmissionError, Priority, RateLimit, ServeConfig, Server, ShardState, TenantConfig,
+    Ticket, WireClient, WireOutcome,
 };
 use rand::{rngs::SmallRng, Rng, SeedableRng};
 
@@ -595,4 +595,50 @@ fn shard_stats_report_template_counters() {
     });
     assert_eq!(hits + misses, 24);
     assert!(hits >= 22);
+}
+
+/// A batch runs as long as its tasks need. The only shard runs one local
+/// BSW request sized from a timed smaller one, with its cells doubled
+/// until its batch takes at least 3 s from submit to delivery; the task
+/// completes and the shard running it is neither declared dead nor
+/// replaced.
+#[test]
+fn a_long_batch_keeps_its_shard() {
+    let config = ServeConfig {
+        shards: 1,
+        ..ServeConfig::default()
+    };
+    let mut server = Server::start(config, vec![TenantConfig::new("aligner")]).expect("start");
+    let client = server.client("aligner").expect("tenant exists");
+    let mut rng = SmallRng::seed_from_u64(24);
+    let mut run = |side: usize| {
+        let task = Task::bsw_local(seq(&mut rng, side), seq(&mut rng, side), Scoring::bwa_mem());
+        let submitted = Instant::now();
+        let delivery = client.submit(task).expect("admitted").wait();
+        (delivery, submitted.elapsed())
+    };
+    let probe = 128;
+    let (delivery, took) = run(probe);
+    assert!(delivery.is_ok(), "probe: {delivery:?}");
+    // Cells for 4 s at the probe's rate.
+    let mut cells = 4.0 * (probe * probe) as f64 / took.as_secs_f64();
+    loop {
+        let side = (cells.sqrt() as usize).max(probe);
+        let (delivery, wall) = run(side);
+        println!("{side}x{side} local BSW: {wall:?} from submit to delivery");
+        assert!(
+            matches!(delivery, Ok(ref c) if matches!(c.value, TaskValue::Score(_))),
+            "{delivery:?}"
+        );
+        if wall >= Duration::from_secs(3) {
+            break;
+        }
+        cells *= 2.0;
+    }
+    let stats = server.stats();
+    println!("lifecycle after the long batch: {:?}", stats.lifecycle);
+    assert_eq!(stats.lifecycle.died, 0, "a busy shard was declared dead");
+    assert_eq!(stats.lifecycle.respawned, 0);
+    assert_eq!(stats.shards[0].state, ShardState::Healthy);
+    server.shutdown();
 }

@@ -638,7 +638,6 @@ fn fully_quarantined_shard_dies_and_is_replaced() {
         // streak requirement could starve before it re-confirms.
         lifecycle: LifecyclePolicy {
             dead_after_crippled: 1,
-            ..LifecyclePolicy::default()
         },
         cycle_rate: None,
     };
@@ -655,7 +654,6 @@ fn fully_quarantined_shard_dies_and_is_replaced() {
         retry: RetryPolicy {
             max_attempts: 8,
             quarantine_after: 1,
-            ..RetryPolicy::default()
         },
         fault: Some(FaultConfig {
             broken_slots: 0b1,
